@@ -8,9 +8,11 @@ CSV/JSON report plus a size pivot table.
 
 Exit codes: 0 ok, 2 input/usage problems (PLA parse errors, shape or
 disjointness violations), 3 minimizer backend failure, 4 verification
-failure. Stats JSON has the shape {"schema", "notes", "rows"} with one
-RunStats object per row; everything except elapsed_ms is deterministic
-for fixed inputs and flags, regardless of --jobs.
+failure, 5 internal error (a broken contract inside dsopforge:
+ContractViolation, DimensionMismatch or ProgressError; a bug, not a
+problem with the input). Stats JSON has the shape {"schema", "notes",
+"rows"} with one RunStats object per row; everything except elapsed_ms
+is deterministic for fixed inputs and flags, regardless of --jobs.
 """
 
 from __future__ import annotations
@@ -27,10 +29,12 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .covers import Cover, FunctionSpec
+from .cubes import ContractViolation, DimensionMismatch
 from .engine import (
     SORT_DIMENSION_WEIGHT,
     SORT_WEIGHT_DIMENSION,
     DsopConfig,
+    ProgressError,
     dsop,
 )
 from .minimize import MinimizerBackend, MinimizerBackendError, build_sop
@@ -175,7 +179,9 @@ def cmd_dsop(args: argparse.Namespace) -> int:
 
     started = time.perf_counter()
     sops = _map_ordered(lambda f: build_sop(f, backend), specs, args.jobs)
-    results = _map_ordered(lambda f: dsop(f, cfg), specs, args.jobs)
+    results = _map_ordered(
+        lambda fs: dsop(fs[0], cfg, sop=fs[1]), list(zip(specs, sops)), args.jobs
+    )
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
     verified = False
@@ -264,7 +270,9 @@ def cmd_pdsop(args: argparse.Namespace) -> int:
         specs = split_outputs(pla)
         started = time.perf_counter()
         sops = _map_ordered(lambda f: build_sop(f, backend), specs, args.jobs)
-        results = _map_ordered(lambda f: dsop(f, cfg), specs, args.jobs)
+        results = _map_ordered(
+            lambda fs: dsop(fs[0], cfg, sop=fs[1]), list(zip(specs, sops)), args.jobs
+        )
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         name = Path(args.unique).name
         verified = False
@@ -298,7 +306,12 @@ def cmd_pdsop(args: argparse.Namespace) -> int:
         ]
         started = time.perf_counter()
         sops = _map_ordered(lambda f: build_sop(f, backend), full, args.jobs)
-        results = _map_ordered(lambda s: partial_dsop(s, cfg), pspecs, args.jobs)
+        # full[i] is partial_dsop's first-pass spec, so its SOP is reused
+        results = _map_ordered(
+            lambda ss: partial_dsop(ss[0], cfg, sop=ss[1]),
+            list(zip(pspecs, sops)),
+            args.jobs,
+        )
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         verified = False
         if args.verify:
@@ -430,7 +443,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             )
             started = time.perf_counter()
             sops = [build_sop(f, backend) for f in specs]
-            results = [dsop(f, cfg) for f in specs]
+            results = [dsop(f, cfg, sop=sop) for f, sop in zip(specs, sops)]
             elapsed_ms = (time.perf_counter() - started) * 1000.0
             reports = [
                 verify_dsop(f, res, max_enum=args.max_enum)
@@ -591,6 +604,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"dsopforge: {exc}", file=sys.stderr)
         return 2
+    except (ContractViolation, DimensionMismatch, ProgressError) as exc:
+        # checked before ValueError, which the first two subclass
+        print(f"dsopforge: internal error: {exc}", file=sys.stderr)
+        return 5
     except ValueError as exc:
         print(f"dsopforge: {exc}", file=sys.stderr)
         return 2

@@ -10,8 +10,16 @@ The tautology check follows the recursive cofactor expansion: a cover
 containing the all-free cube is a tautology, the empty cover is not,
 and otherwise the cover is split on the most binate variable (the one
 bound in the most cubes, ties to the lowest index) and both cofactors
-are checked. A unate cover without an all-free cube is never a
-tautology, which prunes the recursion.
+are checked. Two rules prune the recursion: a unate cover without an
+all-free cube is never a tautology, and a cover unate in a variable x
+is a tautology iff its cubes that leave x free are, so the cubes
+binding x are dropped before splitting.
+
+Containment of a cube p in a cover is the same question asked of the
+cofactor by p: p is covered iff the cover restricted to p's subspace is
+a tautology there. cover_contains_cube runs that check for every n on
+plain (mask, bits) integer pairs, so no point masks are built and the
+cost does not depend on 2**n.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .cubes import Cube, DimensionMismatch, contains, intersect
+from .cubes import Cube, DimensionMismatch
 
 __all__ = [
     "Cover",
@@ -36,10 +44,6 @@ __all__ = [
 ]
 
 ENUMERATION_CAP = 24
-
-# Largest n for which containment checks go through 2**n-bit point
-# masks; beyond this the recursive tautology route is used instead.
-_MASK_N_LIMIT = 16
 
 
 class EnumerationCapExceeded(ValueError):
@@ -133,19 +137,21 @@ def normalize(cover: Cover) -> Cover:
     same point set.
     """
     cubes = cover.cubes
+    pairs = [(c.mask, c.bits) for c in cubes]
     kept: list[Cube] = []
-    for i, c in enumerate(cubes):
+    for i, (cm, cb) in enumerate(pairs):
         absorbed = False
-        for j, d in enumerate(cubes):
-            if i == j or not contains(d, c):
+        for j, (dm, db) in enumerate(pairs):
+            # skip d unless it contains c: every literal of d is in c
+            if i == j or dm & ~cm or (db ^ cb) & dm:
                 continue
             # equal cubes: the earliest occurrence survives
-            if contains(c, d) and j > i:
+            if dm == cm and j > i:
                 continue
             absorbed = True
             break
         if not absorbed:
-            kept.append(c)
+            kept.append(cubes[i])
     return Cover(cover.n, tuple(kept))
 
 
@@ -169,37 +175,36 @@ def cofactor(cover: Cover, p: Cube) -> Cover:
 
 def _recursive_tautology(n: int, items: list[tuple[int, int]]) -> bool:
     """Tautology of a cover given as (mask, bits) pairs."""
-    if not items:
-        return False
-    zeros = [0] * n
-    ones = [0] * n
-    for mask, bits in items:
-        if mask == 0:
-            return True
+    while True:
+        if not items:
+            return False
+        zeros = ones = 0
+        for mask, bits in items:
+            if not mask:
+                return True
+            ones |= bits
+            zeros |= mask & ~bits
+        binate = zeros & ones
+        if not binate:
+            # unate cover without the all-free cube: the point opposing
+            # every bound literal is uncovered
+            return False
+        unate = (zeros | ones) & ~binate
+        if not unate:
+            break
+        # a cover unate in x is a tautology iff its cubes free of x are:
+        # they alone cover the half where x opposes every literal on x,
+        # and the other half is covered at least as well
+        items = [(mask, bits) for mask, bits in items if not mask & unate]
+    counts = [0] * n
+    for mask, _ in items:
         m = mask
         while m:
             b = m & -m
             m ^= b
-            i = b.bit_length() - 1
-            if bits & b:
-                ones[i] += 1
-            else:
-                zeros[i] += 1
-    split = -1
-    best = 0
-    binate = False
-    for i in range(n):
-        total = zeros[i] + ones[i]
-        if total > best:
-            best = total
-            split = i
-        if zeros[i] and ones[i]:
-            binate = True
-    if not binate:
-        # unate cover without the all-free cube: the point opposing
-        # every bound literal is uncovered
-        return False
-    b = 1 << split
+            counts[b.bit_length() - 1] += 1
+    # split on the variable bound most often, ties to the lowest index
+    b = 1 << counts.index(max(counts))
     for want in (0, b):
         sub = []
         for mask, bits in items:
@@ -236,35 +241,40 @@ def cover_point_mask(cover: Cover) -> int:
     return acc
 
 
-def _contains_by_recursion(cover: Cover, p: Cube) -> bool:
-    return is_tautology(cofactor(cover, p))
+def _pairs_contain(
+    n: int, items: Iterable[tuple[int, int]], mask: int, bits: int
+) -> bool:
+    """True iff the cube (mask, bits) lies inside the union of the
+    (mask, bits) pairs `items`, all over n variables.
+
+    Cofactors the pairs by the cube; a pair that contains the cube
+    leaves the all-free cube behind and answers at once, otherwise the
+    cofactor goes to the tautology recursion.
+    """
+    keep = ~mask
+    sub = []
+    for cm, cb in items:
+        if (cm & mask) & (cb ^ bits):
+            continue
+        rm = cm & keep
+        if not rm:
+            return True
+        sub.append((rm, cb & keep))
+    return _recursive_tautology(n, sub)
 
 
 def cover_contains_cube(cover: Cover, p: Cube) -> bool:
     """True iff every minterm of p is covered (p implies the cover).
 
-    Equivalent to the cofactor of the cover by p being a tautology; for
-    small n the check runs on point masks instead, which is faster for
-    the expansion loop's many probes against one fixed cover.
+    Equivalent to the cofactor of the cover by p being a tautology,
+    which is how it is decided, for every n: a single cube containing p
+    answers at once, and otherwise the cofactor runs through the
+    recursive tautology check.
     """
     if cover.n != p.n:
         raise DimensionMismatch("cube width differs from cover")
-    for c in cover.cubes:
-        if contains(c, p):
-            return True
-    if not cover.cubes:
-        return False
-    if cover.n <= _MASK_N_LIMIT:
-        need = p.point_mask()
-        acc = 0
-        for c in cover.cubes:
-            if (c.mask & p.mask) & (c.bits ^ p.bits):
-                continue
-            acc |= c.point_mask()
-            if not need & ~acc:
-                return True
-        return not need & ~acc
-    return _contains_by_recursion(cover, p)
+    items = [(c.mask, c.bits) for c in cover.cubes]
+    return _pairs_contain(cover.n, items, p.mask, p.bits)
 
 
 def cover_intersects_cube(cover: Cover, p: Cube) -> bool:

@@ -217,7 +217,9 @@ def _split_isolated(cubes: list[Cube]) -> tuple[list[Cube], list[Cube]]:
     return isolated, rest
 
 
-def dsop(f: FunctionSpec, cfg: DsopConfig | None = None) -> Cover:
+def dsop(
+    f: FunctionSpec, cfg: DsopConfig | None = None, *, sop: Cover | None = None
+) -> Cover:
     """Synthesize a pairwise-disjoint cover of f.
 
     On-minterms end up covered exactly once, off-minterms never, and
@@ -226,6 +228,10 @@ def dsop(f: FunctionSpec, cfg: DsopConfig | None = None) -> Cover:
     fragments as a completely specified function. With drop_dc_only
     set, a cube about to be committed that covers no original on-point
     is discarded instead, without splitting its neighbours.
+
+    `sop`, when given, must be build_sop(f, cfg.backend): the first
+    pass then uses it instead of re-minimizing f, so a caller that
+    already built it (say, to report its size) pays for it once.
     """
     cfg = cfg or DsopConfig()
     n = f.n
@@ -242,7 +248,8 @@ def dsop(f: FunctionSpec, cfg: DsopConfig | None = None) -> Cover:
             raise ProgressError(
                 f"no convergence after {cfg.max_outer_iterations} passes"
             )
-        sop = build_sop(FunctionSpec(n, todo_on, todo_dc), cfg.backend)
+        if sop is None:
+            sop = build_sop(FunctionSpec(n, todo_on, todo_dc), cfg.backend)
         todo_dc = Cover(n)
         isolated, rest = _split_isolated(list(sop.cubes))
         for c in isolated:
@@ -276,6 +283,7 @@ def dsop(f: FunctionSpec, cfg: DsopConfig | None = None) -> Cover:
                         kept.append(r)
                 B = kept
         todo_on = Cover(n, tuple(B))
+        sop = None
         if _OUTER_HOOK is not None:
             _OUTER_HOOK(outer, list(committed))
     return Cover(n, tuple(committed))

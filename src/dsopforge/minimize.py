@@ -15,8 +15,8 @@ import subprocess
 import threading
 from dataclasses import dataclass
 
-from .covers import Cover, FunctionSpec, cover_contains_cube, normalize
-from .cubes import Cube, ContractViolation
+from .covers import Cover, FunctionSpec, _pairs_contain, normalize
+from .cubes import Cube, ContractViolation, DimensionMismatch
 
 __all__ = [
     "MinimizerBackend",
@@ -73,20 +73,43 @@ def expand_cube(p: Cube, valid: Cover) -> Cube:
     Requires p itself to be inside `valid`. The result contains p and is
     an implicant of `valid`, though not necessarily prime under every
     removal order.
+
+    Freeing variable i of the current cube c gives c plus its mirror
+    across i (c with literal i complemented). c is already inside
+    `valid`, so the raised cube is inside `valid` exactly when the
+    mirror is; each probe tests only that half, which binds one more
+    literal than the raised cube and so has a smaller cofactor.
     """
-    if not cover_contains_cube(valid, p):
-        raise ContractViolation("expand_cube: cube not contained in valid cover")
+    n = p.n
+    if valid.n != n:
+        raise DimensionMismatch("cube width differs from cover")
     mask = p.mask
     bits = p.bits
-    for i in range(p.n):
-        b = 1 << i
-        if not mask & b:
-            continue
-        trial = Cube(p.n, mask & ~b, bits & ~b)
-        if cover_contains_cube(valid, trial):
+    # Bucket the cubes of `valid` by the highest variable at which they
+    # clash with p (bucket 0: no clash). Variables above i are still
+    # bound to p's values when i is probed, so a cube clashing there
+    # misses the probe; the probe at i scans only buckets 0..i+1.
+    buckets: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    for c in valid.cubes:
+        buckets[((c.mask & mask) & (c.bits ^ bits)).bit_length()].append(
+            (c.mask, c.bits)
+        )
+    items = buckets[0]
+    if not _pairs_contain(n, items, mask, bits):
+        raise ContractViolation("expand_cube: cube not contained in valid cover")
+    top = 0
+    todo = mask
+    while todo:
+        b = todo & -todo
+        todo ^= b
+        reach = b.bit_length()
+        while top < reach:
+            top += 1
+            items += buckets[top]
+        if _pairs_contain(n, items, mask, bits ^ b):
             mask &= ~b
             bits &= ~b
-    return Cube(p.n, mask, bits)
+    return Cube(n, mask, bits)
 
 
 def irredundant(cover: Cover, must_cover: Cover) -> Cover:
@@ -97,25 +120,23 @@ def irredundant(cover: Cover, must_cover: Cover) -> Cover:
     cover its overlap with must_cover. Survivors keep their original
     relative order.
     """
+    n = cover.n
+    if must_cover.n != n:
+        raise DimensionMismatch("must_cover width differs from cover")
     cubes = list(cover.cubes)
     alive = [True] * len(cubes)
     order = sorted(range(len(cubes)), key=lambda i: (cubes[i].dimension, i))
     for idx in order:
         c = cubes[idx]
         alive[idx] = False
-        rest = Cover(cover.n, tuple(cubes[j] for j in range(len(cubes)) if alive[j]))
-        removable = True
+        rest = [(d.mask, d.bits) for j, d in enumerate(cubes) if alive[j]]
         for m in must_cover.cubes:
-            x = (m.mask & c.mask) & (m.bits ^ c.bits)
-            if x:
+            if (m.mask & c.mask) & (m.bits ^ c.bits):
                 continue
-            shared = Cube(cover.n, m.mask | c.mask, m.bits | c.bits)
-            if not cover_contains_cube(rest, shared):
-                removable = False
+            if not _pairs_contain(n, rest, m.mask | c.mask, m.bits | c.bits):
+                alive[idx] = True
                 break
-        if not removable:
-            alive[idx] = True
-    return Cover(cover.n, tuple(c for i, c in enumerate(cubes) if alive[i]))
+    return Cover(n, tuple(c for i, c in enumerate(cubes) if alive[i]))
 
 
 def _builtin_sop(f: FunctionSpec) -> Cover:

@@ -112,7 +112,9 @@ def _subtract_all(cubes: list[Cube], p: Cube) -> list[Cube]:
     return out
 
 
-def partial_dsop(spec: PartialSpec, cfg: DsopConfig | None = None) -> Cover:
+def partial_dsop(
+    spec: PartialSpec, cfg: DsopConfig | None = None, *, sop: Cover | None = None
+) -> Cover:
     """Cover both parts with the partial variant of the selection loop.
 
     Unique on-points come out covered exactly once and unique dc-points
@@ -122,6 +124,11 @@ def partial_dsop(spec: PartialSpec, cfg: DsopConfig | None = None) -> Cover:
     as unique.dc plus shared.dc, the unique part shrinks as committed
     cubes claim its points, and shared overlap slices reported by
     partial_break keep feeding it.
+
+    `sop`, when given, must be the first pass's SOP: build_sop of the
+    function with on = unique.on + shared.on and dc = unique.dc +
+    shared.dc, under cfg.backend. The first pass then uses it instead
+    of re-minimizing.
     """
     cfg = cfg or DsopConfig()
     spec.validate_disjoint()
@@ -141,10 +148,11 @@ def partial_dsop(spec: PartialSpec, cfg: DsopConfig | None = None) -> Cover:
             raise ProgressError(
                 f"no convergence after {cfg.max_outer_iterations} passes"
             )
-        sop = build_sop(
-            FunctionSpec(n, todo_on, Cover(n, tuple(dc_once + dc_many))),
-            cfg.backend,
-        )
+        if sop is None:
+            sop = build_sop(
+                FunctionSpec(n, todo_on, Cover(n, tuple(dc_once + dc_many))),
+                cfg.backend,
+            )
         isolated, rest = _split_isolated(list(sop.cubes))
         for c in isolated:
             if cfg.drop_dc_only and covers_only_dc(c, original_on):
@@ -202,4 +210,5 @@ def partial_dsop(spec: PartialSpec, cfg: DsopConfig | None = None) -> Cover:
                     kept.extend(fragments)
                 B = kept
         todo_on = Cover(n, tuple(B))
+        sop = None
     return Cover(n, tuple(committed))

@@ -8,7 +8,14 @@ from dataclasses import fields
 import pytest
 
 from conftest import FIXTURES
-from dsopforge import cli, cover_point_mask, parse_pla, split_outputs
+from dsopforge import (
+    ContractViolation,
+    DimensionMismatch,
+    cli,
+    cover_point_mask,
+    parse_pla,
+    split_outputs,
+)
 from dsopforge.cli import RunStats, main
 
 
@@ -352,6 +359,38 @@ class TestBenchCommand:
     def test_bad_variant_list_exits_2(self, tmp_path):
         d = self._bench_dir(tmp_path, ["overlap4.pla"])
         assert main(["bench", str(d), "--variants", "7"]) == 2
+
+
+class TestInternalErrors:
+    """Faults inside dsopforge exit 5, never 2 (which blames the input)."""
+
+    def _run(self, capsys):
+        code = main(["dsop", str(FIXTURES / "overlap4.pla")])
+        assert "internal error" in capsys.readouterr().err
+        return code
+
+    def test_contract_violation_exits_5(self, monkeypatch, capsys):
+        def broken(f, cfg, *, sop=None):
+            raise ContractViolation("broken precondition")
+
+        monkeypatch.setattr(cli, "dsop", broken)
+        assert self._run(capsys) == 5
+
+    def test_dimension_mismatch_exits_5(self, monkeypatch, capsys):
+        def broken(f, backend=None):
+            raise DimensionMismatch("cube widths differ")
+
+        monkeypatch.setattr(cli, "build_sop", broken)
+        assert self._run(capsys) == 5
+
+    def test_progress_error_exits_5(self, monkeypatch, capsys):
+        real = cli.DsopConfig
+
+        def capped(**kwargs):
+            return real(max_outer_iterations=0, **kwargs)
+
+        monkeypatch.setattr(cli, "DsopConfig", capped)
+        assert self._run(capsys) == 5
 
 
 class TestEntryPoint:

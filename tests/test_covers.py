@@ -90,6 +90,13 @@ class TestTautology:
         full = (1 << (1 << x.n)) - 1
         assert is_tautology(x) == (cover_point_mask(x) == full)
 
+    @given(covers_st(max_n=5, min_cubes=4, max_cubes=16))
+    def test_dense_covers_match_enumeration(self, x):
+        # many cubes over few variables: near-tautologies that exercise
+        # the unate reduction and several levels of splitting
+        full = (1 << (1 << x.n)) - 1
+        assert is_tautology(x) == (cover_point_mask(x) == full)
+
 
 class TestContainment:
     @given(st.integers(1, 8), st.data())
@@ -99,8 +106,9 @@ class TestContainment:
         want = p.point_mask() & ~cover_point_mask(x) == 0
         assert cover_contains_cube(x, p) == want
 
-    def test_recursion_path_above_mask_limit(self):
-        # n = 18 goes through the cofactor recursion, not point masks
+    def test_cofactor_recursion_at_n18(self):
+        # the universe probe needs both halves: only the cofactor
+        # recursion can prove it
         n = 18
         halves = cov("0" + "-" * (n - 1), "1" + "-" * (n - 1))
         assert cover_contains_cube(halves, c("-" * n))
@@ -109,7 +117,7 @@ class TestContainment:
         assert not cover_contains_cube(lone, c("1" + "-" * (n - 1)))
         assert not cover_contains_cube(lone, c("-" * n))
 
-    def test_single_cube_fast_path_above_mask_limit(self):
+    def test_single_cube_fast_path_at_n20(self):
         n = 20
         assert cover_contains_cube(cov("-" * n), c("01" + "-" * (n - 2)))
 

@@ -177,6 +177,27 @@ class TestDsop:
         assert len(out) == want
         assert verify_dsop(f, out).ok
 
+    @given(function_specs_st(max_n=7))
+    @settings(max_examples=60)
+    def test_given_first_pass_sop_changes_nothing(self, f):
+        for cfg in (DsopConfig(), DsopConfig(variant=5, sort=SORT_WEIGHT_DIMENSION)):
+            sop = build_sop(f, cfg.backend)
+            assert dsop(f, cfg, sop=sop) == dsop(f, cfg)
+
+    def test_given_sop_replaces_only_the_first_build(self, monkeypatch):
+        calls = []
+
+        def counting(g, backend=None):
+            calls.append(g)
+            return build_sop(g, backend)
+
+        monkeypatch.setattr(engine_mod, "build_sop", counting)
+        plain = dsop(DEMO_F)
+        passes = len(calls)
+        calls.clear()
+        assert dsop(DEMO_F, sop=build_sop(DEMO_F)) == plain
+        assert len(calls) == passes - 1
+
     @given(function_specs_st(max_n=6))
     @settings(max_examples=60)
     def test_default_config_verifies_on_random_specs(self, f):

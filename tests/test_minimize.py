@@ -3,12 +3,14 @@ import textwrap
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import function_specs_st
+from conftest import covers_st, function_specs_st
 from dsopforge import (
     ContractViolation,
     Cover,
     Cube,
+    DimensionMismatch,
     FunctionSpec,
     MinimizerBackend,
     MinimizerBackendError,
@@ -28,6 +30,21 @@ def c(s):
 
 def cov(*strings, n=None):
     return Cover.from_strings(strings, n=n)
+
+
+def reference_expand(p, valid):
+    """Greedy ascending expand that tests each whole raised cube
+    against the point set of `valid`."""
+    inside = cover_point_mask(valid)
+    mask, bits = p.mask, p.bits
+    for i in range(p.n):
+        b = 1 << i
+        if not mask & b:
+            continue
+        trial = Cube(p.n, mask & ~b, bits & ~b)
+        if trial.point_mask() & ~inside == 0:
+            mask, bits = trial.mask, trial.bits
+    return Cube(p.n, mask, bits)
 
 
 def script(tmp_path, body, name="fakemin.py"):
@@ -62,6 +79,20 @@ class TestExpand:
         assert seed.point_mask() & ~out.point_mask() == 0
         assert cover_contains_cube(valid, out)
 
+    @given(st.integers(1, 8), st.data())
+    def test_mirror_probe_matches_whole_cube_reference(self, n, data):
+        valid = data.draw(covers_st(n=n, min_cubes=1, max_cubes=8))
+        # any subcube of a valid cube is a legal seed
+        base = data.draw(st.sampled_from(valid.cubes))
+        extra = data.draw(st.integers(0, (1 << n) - 1)) & ~base.mask
+        values = data.draw(st.integers(0, (1 << n) - 1)) & extra
+        seed = Cube(n, base.mask | extra, base.bits | values)
+        assert expand_cube(seed, valid) == reference_expand(seed, valid)
+
+    def test_width_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            expand_cube(c("01"), cov("01-"))
+
 
 class TestIrredundant:
     def test_drops_duplicate(self):
@@ -83,6 +114,10 @@ class TestIrredundant:
         out = irredundant(full, f.on)
         assert set(out.cubes) <= set(full.cubes)
         assert cover_point_mask(f.on) & ~cover_point_mask(out) == 0
+
+    def test_width_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            irredundant(cov("0-"), cov("0--"))
 
 
 class TestBackendConfig:

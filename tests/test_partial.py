@@ -37,6 +37,17 @@ E2 = PartialSpec(
 E2_GOLDEN = cov("01--", "1-1-", "0-0-", "11-1")
 
 
+def first_pass_spec(spec):
+    """on = unique.on + shared.on, dc = unique.dc + shared.dc: the
+    function partial_dsop re-minimizes first (and the CLI reports)."""
+    n = spec.n
+    return FunctionSpec(
+        n,
+        Cover(n, spec.unique.on.cubes + spec.shared.on.cubes),
+        Cover(n, spec.unique.dc.cubes + spec.shared.dc.cubes),
+    )
+
+
 class TestPartialBreak:
     def test_split_with_reusable_remainder(self):
         Q, R = partial_break(c("-1-1"), c("01--"), E2)
@@ -101,6 +112,29 @@ class TestPartialDsop:
         spec = PartialSpec(unique=FunctionSpec(n, Cover(n)), shared=shared)
         out = partial_dsop(spec)
         assert set(out.cubes) == set(build_sop(shared).cubes)
+
+    def test_given_sop_replaces_only_the_first_build(self, monkeypatch):
+        calls = []
+
+        def counting(g, backend=None):
+            calls.append(g)
+            return build_sop(g, backend)
+
+        monkeypatch.setattr(partial_mod, "build_sop", counting)
+        plain = partial_dsop(E2)
+        passes = len(calls)
+        assert calls[0] == first_pass_spec(E2)
+        calls.clear()
+        assert partial_dsop(E2, sop=build_sop(first_pass_spec(E2))) == plain
+        assert len(calls) == passes - 1
+
+    @given(partial_specs_st(max_n=7))
+    @settings(max_examples=60)
+    def test_given_first_pass_sop_changes_nothing(self, spec):
+        first = first_pass_spec(spec)
+        for cfg in (DsopConfig(), DsopConfig(variant=4)):
+            sop = build_sop(first, cfg.backend)
+            assert partial_dsop(spec, cfg, sop=sop) == partial_dsop(spec, cfg)
 
     @given(partial_specs_st(max_n=7))
     @settings(max_examples=80)
