@@ -4,7 +4,7 @@ The pieces compose bottom-up: `cubes` is the bit-level cube algebra,
 `covers` adds cube lists, containment and tautology checking, `minimize`
 rebuilds small SOPs between splitting rounds, `engine` turns an SOP into
 a pairwise-disjoint cover, `partial` relaxes disjointness on a shared
-region, `verify` holds the point-level oracles, and `pla`/`cli` do the
+region, `verify` holds the exact cube-level oracles, and `pla`/`cli` do the
 file format and command-line plumbing.
 """
 

@@ -152,10 +152,9 @@ def _report_violations(name: str, reports: Iterable[VerificationReport]) -> None
     for j, report in enumerate(reports):
         if report.ok:
             continue
-        where = "sampled" if report.sampled else "exhaustive"
         print(
             f"dsopforge: {name} output {j}: {len(report.violations)}"
-            f" violation(s) found ({where} check)",
+            " violation(s) found (exact check)",
             file=sys.stderr,
         )
         for minterm, constraint, observed in report.violations[:5]:
@@ -186,10 +185,7 @@ def cmd_dsop(args: argparse.Namespace) -> int:
 
     verified = False
     if args.verify:
-        reports = [
-            verify_dsop(f, res, max_enum=args.max_enum)
-            for f, res in zip(specs, results)
-        ]
+        reports = [verify_dsop(f, res) for f, res in zip(specs, results)]
         if not all(r.ok for r in reports):
             _report_violations(args.input, reports)
             return 4
@@ -277,10 +273,7 @@ def cmd_pdsop(args: argparse.Namespace) -> int:
         name = Path(args.unique).name
         verified = False
         if args.verify:
-            reports = [
-                verify_dsop(f, res, max_enum=args.max_enum)
-                for f, res in zip(specs, results)
-            ]
+            reports = [verify_dsop(f, res) for f, res in zip(specs, results)]
             if not all(r.ok for r in reports):
                 _report_violations(name, reports)
                 return 4
@@ -316,8 +309,7 @@ def cmd_pdsop(args: argparse.Namespace) -> int:
         verified = False
         if args.verify:
             reports = [
-                verify_partial_dsop(spec, res, max_enum=args.max_enum)
-                for spec, res in zip(pspecs, results)
+                verify_partial_dsop(spec, res) for spec, res in zip(pspecs, results)
             ]
             if not all(r.ok for r in reports):
                 _report_violations(name, reports)
@@ -445,10 +437,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             sops = [build_sop(f, backend) for f in specs]
             results = [dsop(f, cfg, sop=sop) for f, sop in zip(specs, sops)]
             elapsed_ms = (time.perf_counter() - started) * 1000.0
-            reports = [
-                verify_dsop(f, res, max_enum=args.max_enum)
-                for f, res in zip(specs, results)
-            ]
+            reports = [verify_dsop(f, res) for f, res in zip(specs, results)]
             ok = all(r.ok for r in reports)
             stats = RunStats(
                 benchmark=path.name,
@@ -513,12 +502,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="SOP backend; default reads $DSOPFORGE_MINIMIZER, else builtin",
     )
     shared.add_argument("--jobs", type=int, default=1, help="worker threads")
-    shared.add_argument(
-        "--max-enum",
-        type=int,
-        default=24,
-        help="verify exhaustively up to this many inputs, sample beyond",
-    )
     shared.add_argument(
         "--drop-dc-only",
         action="store_true",

@@ -25,7 +25,6 @@ cost does not depend on 2**n.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .cubes import Cube, DimensionMismatch
@@ -49,8 +48,9 @@ ENUMERATION_CAP = 24
 class EnumerationCapExceeded(ValueError):
     """Point enumeration was requested over too wide a variable space.
 
-    Callers hitting this should switch to the seeded sampling mode that
-    the verification oracles expose instead of exhaustive enumeration.
+    Only the point-level helpers (cover_point_mask,
+    enumerate_minterm_counts, exact_min_dsop) raise it; containment and
+    the verification oracles work on cubes and need no enumeration.
     """
 
 
@@ -224,7 +224,6 @@ def is_tautology(cover: Cover) -> bool:
     return _recursive_tautology(cover.n, [(c.mask, c.bits) for c in cover.cubes])
 
 
-@lru_cache(maxsize=256)
 def cover_point_mask(cover: Cover) -> int:
     """Union of the cubes' point masks (bit m set iff minterm m covered).
 
@@ -233,7 +232,8 @@ def cover_point_mask(cover: Cover) -> int:
     """
     if cover.n > ENUMERATION_CAP + 2:
         raise EnumerationCapExceeded(
-            f"point mask over {cover.n} variables; use sampling instead"
+            f"point mask over {cover.n} variables; check containment "
+            "on cubes instead"
         )
     acc = 0
     for c in cover.cubes:
@@ -290,14 +290,14 @@ def cover_intersects_cube(cover: Cover, p: Cube) -> bool:
 def enumerate_minterm_counts(cover: Cover, limit_n: int = ENUMERATION_CAP) -> dict[int, int]:
     """Map each covered minterm to the number of cubes covering it.
 
-    Raises EnumerationCapExceeded when n exceeds limit_n; callers that
-    need larger spaces should use the sampling mode of the verification
-    oracles instead. The dict is sparse: uncovered minterms are absent.
+    Raises EnumerationCapExceeded when n exceeds limit_n; wider covers
+    are checked on cubes (cover_contains_cube, verify_dsop) instead.
+    The dict is sparse: uncovered minterms are absent.
     """
     if cover.n > limit_n:
         raise EnumerationCapExceeded(
             f"cannot enumerate 2**{cover.n} points (limit 2**{limit_n}); "
-            "use sampled verification"
+            "check containment on cubes instead"
         )
     counts: dict[int, int] = {}
     for c in cover.cubes:

@@ -1,10 +1,16 @@
 """Verification oracles and exact minimum baselines.
 
 verify_dsop / verify_partial_dsop check a result cover against its
-specification point by point. Up to the enumeration cap the check is
-exhaustive over all 2**n minterms (done on characteristic bitmasks);
-beyond the cap a seeded random sample is used instead and the report
-says so. Cube pairwise disjointness is always checked symbolically.
+specification exactly, for every n, on (mask, bits) cube pairs: each
+obligation is a containment question (a cube inside a union of cubes,
+answered by covers._pairs_contain) or an overlap between two result
+cubes. Overlaps are looked for only among the result cubes that touch
+one region cube (on and dc for a DSOP, the unique part for a partial
+DSOP); a DSOP overlap outside that region is also searched among the
+result cubes that leave the care set. A failed check names its witness
+minterms, found by splitting the offending cube one free variable at a
+time and dropping every half that holds none. No point masks are built
+and nothing is sampled, so the cost does not depend on 2**n.
 
 exact_min_dsop is a tiny-n reference: it enumerates every implicant of
 on+dc that touches the on-set and runs an iterative-deepening search
@@ -15,16 +21,17 @@ heuristic results can be compared against a true minimum.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .covers import (
     Cover,
     EnumerationCapExceeded,
     FunctionSpec,
+    _pairs_contain,
     cover_point_mask,
 )
-from .cubes import Cube, intersect
+from .cubes import Cube, DimensionMismatch, intersect
 from .partial import PartialSpec
 
 __all__ = [
@@ -35,11 +42,9 @@ __all__ = [
     "chain_family",
 ]
 
-DEFAULT_ENUM_CAP = 24
-DEFAULT_SAMPLES = 1_000_000
-DEFAULT_SAMPLE_SEED = 1729
-
 _MAX_REPORTED = 1000
+
+Pair = tuple[int, int]
 
 
 @dataclass(slots=True)
@@ -47,178 +52,178 @@ class VerificationReport:
     ok: bool
     violations: list[tuple[str, str, int]] = field(default_factory=list)
     mode: str = "dsop"
-    sampled: bool = False
-    seed: int | None = None
-    samples: int = 0
 
 
 def _minterm_string(index: int, n: int) -> str:
     return "".join("1" if index >> i & 1 else "0" for i in range(n))
 
 
-def _coverage_masks(result: Cover) -> tuple[int, int]:
-    covered = 0
-    multi = 0
-    for c in result.cubes:
-        pm = c.point_mask()
-        multi |= covered & pm
-        covered |= pm
-    return covered, multi
+def _pairs(cover: Cover, n: int) -> list[Pair]:
+    if cover.n != n:
+        raise DimensionMismatch(
+            f"{cover.n}-variable cover checked against a {n}-variable spec"
+        )
+    return [(c.mask, c.bits) for c in cover.cubes]
 
 
-def _observed(result: Cover, index: int) -> int:
-    return sum(1 for c in result.cubes if c.covers_minterm(index))
+def _witnesses(
+    n: int,
+    cubes: list[Pair],
+    inside: list[Pair] | None,
+    outside: list[Pair],
+    found: set[int],
+) -> None:
+    """Add to `found`, until it holds _MAX_REPORTED minterms, each
+    minterm of `cubes` that lies in the union of `inside` (anywhere in
+    the cubes when inside is None) and outside the union of `outside`.
+
+    Splits a cube one free variable at a time, highest index first, and
+    drops each half that holds no such minterm, so every subcube kept
+    leads to at least one.
+    """
+    full = (1 << n) - 1
+    stack = [(m, b, inside, outside) for m, b in reversed(cubes)]
+    while stack and len(found) < _MAX_REPORTED:
+        m, b, ins, outs = stack.pop()
+        if ins is None:
+            if _pairs_contain(n, outs, m, b):
+                continue
+        else:
+            # the parts of `inside` within this subcube
+            ins = [(im | m, ib | b) for im, ib in ins if not (im & m) & (ib ^ b)]
+            if all(_pairs_contain(n, outs, im, ib) for im, ib in ins):
+                continue
+        free = full & ~m
+        if not free:
+            found.add(b)
+            continue
+        outs = [(om, ob) for om, ob in outs if not (om & m) & (ob ^ b)]
+        v = 1 << (free.bit_length() - 1)
+        stack.append((m | v, b | v, ins, outs))
+        stack.append((m | v, b, ins, outs))
 
 
-def _report_bits(
+def _overlapping(near: list[tuple[int, int, int]]) -> Iterator[tuple[int, int]]:
+    """Yield (i, j) for each pair of (index, mask, bits) entries of
+    `near`, in list order, that share a point."""
+    for a, (i, im, ib) in enumerate(near):
+        for j, jm, jb in near[a + 1 :]:
+            if not (im & jm) & (ib ^ jb):
+                yield i, j
+
+
+def _overlaps(
+    items: list[Pair], region: list[Pair]
+) -> Iterator[tuple[int, int, int]]:
+    """Yield (i, j, r) for each pair i < j of `items` that share a point
+    and both touch region cube r. A pair whose overlap meets the region
+    is yielded at least once; other pairs may be yielded too."""
+    for r, (rm, rb) in enumerate(region):
+        near = [
+            (i, m, b) for i, (m, b) in enumerate(items) if not (m & rm) & (b ^ rb)
+        ]
+        for i, j in _overlapping(near):
+            yield i, j, r
+
+
+def _meet(p: Pair, q: Pair) -> Pair:
+    return p[0] | q[0], p[1] | q[1]
+
+
+def _report(
     violations: list[tuple[str, str, int]],
-    bad: int,
+    found: set[int],
     constraint: str,
-    result: Cover,
+    items: list[Pair],
     n: int,
 ) -> None:
-    while bad and len(violations) < _MAX_REPORTED:
-        b = bad & -bad
-        bad ^= b
-        idx = b.bit_length() - 1
-        violations.append(
-            (_minterm_string(idx, n), constraint, _observed(result, idx))
-        )
+    for m in sorted(found)[: _MAX_REPORTED - len(violations)]:
+        observed = sum(1 for cm, cb in items if m & cm == cb)
+        violations.append((_minterm_string(m, n), constraint, observed))
 
 
-def _pairwise_violations(result: Cover) -> list[tuple[str, str, int]]:
-    out: list[tuple[str, str, int]] = []
-    cubes = result.cubes
-    for i in range(len(cubes)):
-        for j in range(i + 1, len(cubes)):
-            x = intersect(cubes[i], cubes[j])
-            if x is not None:
-                out.append((x.to_string(), "pairwise-disjoint", 2))
-                if len(out) >= _MAX_REPORTED:
-                    return out
-    return out
-
-
-def _sampled_check(
-    constraints: list[tuple[Cover, str]],
-    result: Cover,
-    n: int,
-    samples: int,
-    seed: int,
-) -> list[tuple[str, str, int]]:
-    """Check per-minterm constraints on a random sample of the space.
-
-    `constraints` lists (region cover, constraint) pairs in priority
-    order; the first region containing a sampled minterm decides which
-    constraint applies, and minterms in no region must be uncovered.
-    """
-    rng = random.Random(seed)
-    violations: list[tuple[str, str, int]] = []
-    for _ in range(samples):
-        m = rng.getrandbits(n)
-        count = _observed(result, m)
-        constraint = "==0"
-        for region, wanted in constraints:
-            if any(c.covers_minterm(m) for c in region.cubes):
-                constraint = wanted
-                break
-        bad = (
-            (constraint == "==1" and count != 1)
-            or (constraint == "<=1" and count > 1)
-            or (constraint == ">=1" and count < 1)
-            or (constraint == "==0" and count != 0)
-        )
-        if bad and constraint != "any":
-            violations.append((_minterm_string(m, n), constraint, count))
-            if len(violations) >= _MAX_REPORTED:
-                break
-    return violations
-
-
-def verify_dsop(
-    f: FunctionSpec,
-    result: Cover,
-    *,
-    max_enum: int = DEFAULT_ENUM_CAP,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SAMPLE_SEED,
-) -> VerificationReport:
+def verify_dsop(f: FunctionSpec, result: Cover) -> VerificationReport:
     """Check that `result` is a disjoint cover of f.
 
     Cubes must be pairwise disjoint, every on-minterm covered exactly
     once, every off-minterm uncovered; don't-care minterms are free
-    (disjointness already caps them at one). Exhaustive up to
-    2**max_enum points, sampled with the given seed beyond that.
+    (disjointness already caps them at one). Exact for every n:
+    every on cube must lie inside the result and every result cube
+    inside on + dc, and overlapping result cubes are reported as a
+    pairwise-disjoint violation, plus "==1" at each on-minterm they
+    share.
     """
+    n = f.n
+    res = _pairs(result, n)
+    on = _pairs(f.on, n)
+    care = on + _pairs(f.dc, n)
+    uncovered: set[int] = set()
+    _witnesses(n, on, None, res, uncovered)
+    # result cubes leaving the care set; two of them may overlap outside it
+    stray = [i for i, (m, b) in enumerate(res) if not _pairs_contain(n, care, m, b)]
+    off: set[int] = set()
+    _witnesses(n, [res[i] for i in stray], None, care, off)
+    pairs: set[tuple[int, int]] = set()
+    multi: set[int] = set()
+    for i, j, r in _overlaps(res, care):
+        pairs.add((i, j))
+        if r < len(on):
+            _witnesses(n, [_meet(res[i], res[j])], [on[r]], [], multi)
+        if len(pairs) >= _MAX_REPORTED:
+            break
+    # an overlap outside the care set lies in two stray cubes
+    for i, j in _overlapping([(i, *res[i]) for i in stray]):
+        if len(pairs) >= _MAX_REPORTED:
+            break
+        pairs.add((i, j))
+    cubes = result.cubes
     report = VerificationReport(ok=True, mode="dsop")
-    report.violations.extend(_pairwise_violations(result))
-    if f.n <= max_enum:
-        on_m = cover_point_mask(f.on)
-        dc_m = cover_point_mask(f.dc)
-        covered, multi = _coverage_masks(result)
-        _report_bits(report.violations, on_m & ~covered, "==1", result, f.n)
-        _report_bits(report.violations, on_m & multi, "==1", result, f.n)
-        space = (1 << (1 << f.n)) - 1
-        off = space & ~(on_m | dc_m)
-        _report_bits(report.violations, off & covered, "==0", result, f.n)
-    else:
-        report.sampled = True
-        report.seed = seed
-        report.samples = samples
-        report.violations.extend(
-            _sampled_check(
-                [(f.on, "==1"), (f.dc, "any")], result, f.n, samples, seed
-            )
-        )
+    for i, j in sorted(pairs):
+        x = intersect(cubes[i], cubes[j])
+        report.violations.append((x.to_string(), "pairwise-disjoint", 2))
+    _report(report.violations, uncovered, "==1", res, n)
+    _report(report.violations, multi, "==1", res, n)
+    _report(report.violations, off, "==0", res, n)
     report.ok = not report.violations
     return report
 
 
-def verify_partial_dsop(
-    spec: PartialSpec,
-    result: Cover,
-    *,
-    max_enum: int = DEFAULT_ENUM_CAP,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SAMPLE_SEED,
-) -> VerificationReport:
+def verify_partial_dsop(spec: PartialSpec, result: Cover) -> VerificationReport:
     """Check a partial disjoint cover: unique.on exactly once, unique.dc
     at most once, shared.on at least once, shared.dc unconstrained, off
     uncovered. Region priority follows that order should the given
-    PartialSpec's parts accidentally overlap."""
-    report = VerificationReport(ok=True, mode="partial")
+    PartialSpec's parts accidentally overlap. Exact for every n: only
+    overlaps of result cubes inside the unique part can break a rule
+    there, so only those are looked for."""
     n = spec.n
-    if n <= max_enum:
-        on_u = cover_point_mask(spec.unique.on)
-        dc_u = cover_point_mask(spec.unique.dc) & ~on_u
-        on_s = cover_point_mask(spec.shared.on) & ~(on_u | dc_u)
-        dc_s = cover_point_mask(spec.shared.dc) & ~(on_u | dc_u | on_s)
-        covered, multi = _coverage_masks(result)
-        _report_bits(report.violations, on_u & ~covered, "==1", result, n)
-        _report_bits(report.violations, on_u & multi, "==1", result, n)
-        _report_bits(report.violations, dc_u & multi, "<=1", result, n)
-        _report_bits(report.violations, on_s & ~covered, ">=1", result, n)
-        space = (1 << (1 << n)) - 1
-        off = space & ~(on_u | dc_u | on_s | dc_s)
-        _report_bits(report.violations, off & covered, "==0", result, n)
-    else:
-        report.sampled = True
-        report.seed = seed
-        report.samples = samples
-        report.violations.extend(
-            _sampled_check(
-                [
-                    (spec.unique.on, "==1"),
-                    (spec.unique.dc, "<=1"),
-                    (spec.shared.on, ">=1"),
-                    (spec.shared.dc, "any"),
-                ],
-                result,
-                n,
-                samples,
-                seed,
-            )
-        )
+    res = _pairs(result, n)
+    on_u = _pairs(spec.unique.on, n)
+    dc_u = _pairs(spec.unique.dc, n)
+    on_s = _pairs(spec.shared.on, n)
+    every = on_u + dc_u + on_s + _pairs(spec.shared.dc, n)
+    uncovered: set[int] = set()
+    _witnesses(n, on_u, None, res, uncovered)
+    unique = on_u + dc_u
+    multi_on: set[int] = set()
+    multi_dc: set[int] = set()
+    for i, j, r in _overlaps(res, unique):
+        x = [_meet(res[i], res[j])]
+        if r < len(on_u):
+            _witnesses(n, x, [unique[r]], [], multi_on)
+        else:
+            _witnesses(n, x, [unique[r]], on_u, multi_dc)
+        if len(multi_on) >= _MAX_REPORTED:
+            break
+    short: set[int] = set()
+    _witnesses(n, on_s, None, res + unique, short)
+    off: set[int] = set()
+    _witnesses(n, res, None, every, off)
+    report = VerificationReport(ok=True, mode="partial")
+    _report(report.violations, uncovered, "==1", res, n)
+    _report(report.violations, multi_on, "==1", res, n)
+    _report(report.violations, multi_dc, "<=1", res, n)
+    _report(report.violations, short, ">=1", res, n)
+    _report(report.violations, off, "==0", res, n)
     report.ok = not report.violations
     return report
 

@@ -1,4 +1,6 @@
 import json
+import random
+import re
 import shutil
 import stat
 import sys
@@ -36,16 +38,24 @@ def passthrough(tmp_path):
     )
 
 
-def wrong_universe(tmp_path):
+def wrong_universe(tmp_path, n=4):
     return script(
         tmp_path,
-        """
-        print(".i 4")
+        f"""
+        print(".i {n}")
         print(".o 1")
-        print("---- 1")
+        print("{'-' * n} 1")
         print(".e")
         """,
     )
+
+
+def wide_pla(n=40, k=8, seed=7):
+    """k random cubes over n inputs, about a fifth of positions bound, so
+    that they overlap; 2**40 points are far past any point enumeration."""
+    rng = random.Random(seed)
+    rows = ["".join(rng.choice("--------01") for _ in range(n)) for _ in range(k)]
+    return f".i {n}\n.o 1\n" + "".join(f"{r} 1\n" for r in rows) + ".e\n"
 
 
 class TestDsopCommand:
@@ -162,6 +172,34 @@ class TestDsopCommand:
         assert code == 4
         assert not out.exists()
         assert "==0" in capsys.readouterr().err
+
+    def test_verify_at_40_inputs(self, tmp_path, capsys):
+        src = tmp_path / "wide.pla"
+        src.write_text(wide_pla())
+        out = tmp_path / "out.pla"
+        assert main(["dsop", str(src), "--verify", "-o", str(out)]) == 0
+        assert split_outputs(parse_pla(out.read_text()))[0].n == 40
+
+    def test_verify_failure_at_40_inputs_names_a_witness(self, tmp_path, capsys):
+        src = tmp_path / "wide.pla"
+        src.write_text(wide_pla())
+        out = tmp_path / "out.pla"
+        code = main(
+            [
+                "dsop",
+                str(src),
+                "--minimizer",
+                f"external:{wrong_universe(tmp_path, 40)}",
+                "--verify",
+                "-o",
+                str(out),
+            ]
+        )
+        assert code == 4
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "(exact check)" in err
+        assert re.search(r"^  [01]{40}: expected coverage ==0, observed 1$", err, re.M)
 
     def test_env_var_selects_backend(self, tmp_path, monkeypatch):
         tool = passthrough(tmp_path)

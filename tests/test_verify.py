@@ -1,19 +1,26 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import function_specs_st
+from conftest import covers_st, cubes_st, function_specs_st, partial_specs_st
 from dsopforge import (
     Cover,
     Cube,
+    DimensionMismatch,
     EnumerationCapExceeded,
     FunctionSpec,
     PartialSpec,
     chain_family,
+    cover_point_mask,
+    disjoint_sharp,
     dsop,
     exact_min_dsop,
+    intersect,
+    partial_dsop,
     verify_dsop,
     verify_partial_dsop,
 )
+from dsopforge.verify import _MAX_REPORTED
 
 
 def c(s):
@@ -22,6 +29,38 @@ def c(s):
 
 def cov(*strings, n=None):
     return Cover.from_strings(strings, n=n)
+
+
+# widths beyond any point enumeration: 2**26 and 2**40 minterms
+WIDE = (26, 40)
+# ON_POINT has x0 = 1, so it lies in the on cube "1-..."; OFF_POINT has
+# x0 = x1 = x2 = 0, so it is off in both wide specs below
+ON_POINT = 0x5A5A5A5
+OFF_POINT = 0x3C3C3C38
+
+
+def minterm(n, bits):
+    return Cube(n, (1 << n) - 1, bits & ((1 << n) - 1))
+
+
+@pytest.fixture
+def no_point_masks(monkeypatch):
+    """Fail the test if any point mask gets built."""
+
+    def refuse(self):
+        raise AssertionError("point mask built")
+
+    monkeypatch.setattr(Cube, "point_mask", refuse)
+
+
+def wide_dsop_case(n):
+    """x0 + !x0 x1 with dc !x0 !x1 x2, and its two-cube DSOP."""
+    f = FunctionSpec(
+        n,
+        cov("1" + "-" * (n - 1), "01" + "-" * (n - 2)),
+        cov("001" + "-" * (n - 3)),
+    )
+    return f, f.on
 
 
 class TestVerifyDsop:
@@ -52,21 +91,37 @@ class TestVerifyDsop:
         f = FunctionSpec(2, cov("00"), cov("01"))
         assert verify_dsop(f, cov("0-")).ok
 
-    def test_sampled_mode_accepts(self):
-        n = 26
-        f = FunctionSpec(n, cov("1" + "-" * (n - 1)))
-        report = verify_dsop(f, f.on, samples=2000)
-        assert report.ok
-        assert report.sampled
-        assert report.samples == 2000
-        assert report.seed is not None
+    def test_width_mismatch_raises(self):
+        f = FunctionSpec(2, cov("00"))
+        with pytest.raises(DimensionMismatch):
+            verify_dsop(f, cov("000"))
+        spec = PartialSpec(unique=f, shared=FunctionSpec(2, Cover(2)))
+        with pytest.raises(DimensionMismatch):
+            verify_partial_dsop(spec, cov("000"))
 
-    def test_sampled_mode_catches_off_coverage(self):
-        n = 26
-        f = FunctionSpec(n, cov("1" + "-" * (n - 1)))
-        report = verify_dsop(f, cov("-" * n), samples=2000)
-        assert not report.ok
-        assert any(kind == "==0" for _, kind, _ in report.violations)
+    @pytest.mark.usefixtures("no_point_masks")
+    def test_exact_at_wide_n_accepts_correct_cover(self):
+        for n in WIDE:
+            f, good = wide_dsop_case(n)
+            report = verify_dsop(f, good)
+            assert report.ok and report.violations == []
+
+    @pytest.mark.usefixtures("no_point_masks")
+    def test_exact_at_wide_n_catches_missing_on_minterm(self):
+        for n in WIDE:
+            f, good = wide_dsop_case(n)
+            w = minterm(n, ON_POINT)
+            pieces = disjoint_sharp(good.cubes[0], w)
+            report = verify_dsop(f, Cover(n, tuple(pieces) + good.cubes[1:]))
+            assert report.violations == [(w.to_string(), "==1", 0)]
+
+    @pytest.mark.usefixtures("no_point_masks")
+    def test_exact_at_wide_n_catches_off_coverage(self):
+        for n in WIDE:
+            f, good = wide_dsop_case(n)
+            u = minterm(n, OFF_POINT)
+            report = verify_dsop(f, Cover(n, good.cubes + (u,)))
+            assert report.violations == [(u.to_string(), "==0", 1)]
 
 
 class TestVerifyPartial:
@@ -109,14 +164,27 @@ class TestVerifyPartial:
         report = verify_partial_dsop(spec, cov("0-", "11"))
         assert ("01", "==0", 1) in report.violations
 
-    def test_sampled_mode(self):
-        n = 26
-        spec = PartialSpec(
-            unique=FunctionSpec(n, cov("1" + "-" * (n - 1))),
-            shared=FunctionSpec(n, Cover(n)),
-        )
-        report = verify_partial_dsop(spec, spec.unique.on, samples=2000)
-        assert report.ok and report.sampled
+    @pytest.mark.usefixtures("no_point_masks")
+    def test_exact_at_wide_n(self):
+        for n in WIDE:
+            spec = PartialSpec(
+                unique=FunctionSpec(
+                    n, cov("1" + "-" * (n - 1)), cov("01" + "-" * (n - 2))
+                ),
+                shared=FunctionSpec(n, cov("001" + "-" * (n - 3))),
+            )
+            # the second cube repeats shared points and uses unique dc once
+            good = cov("1" + "-" * (n - 1), "0-1" + "-" * (n - 3))
+            assert verify_partial_dsop(spec, good).ok
+            w = minterm(n, ON_POINT)
+            pieces = disjoint_sharp(good.cubes[0], w)
+            report = verify_partial_dsop(
+                spec, Cover(n, tuple(pieces) + good.cubes[1:])
+            )
+            assert report.violations == [(w.to_string(), "==1", 0)]
+            u = minterm(n, OFF_POINT)
+            report = verify_partial_dsop(spec, Cover(n, good.cubes + (u,)))
+            assert report.violations == [(u.to_string(), "==0", 1)]
 
 
 class TestExactMinDsop:
@@ -170,3 +238,139 @@ class TestChainFamily:
     def test_rejects_zero_links(self):
         with pytest.raises(ValueError):
             chain_family(0)
+
+
+# --- independent point-mask oracle (small n only) --------------------------
+
+
+def _minterm(index, n):
+    return "".join("1" if index >> i & 1 else "0" for i in range(n))
+
+
+def _mask_report(result, checks):
+    """Violations by enumeration: `checks` lists (bad-minterm mask,
+    constraint), each reported lowest minterm first."""
+    out = []
+    for bad, constraint in checks:
+        while bad and len(out) < _MAX_REPORTED:
+            low = bad & -bad
+            bad ^= low
+            m = low.bit_length() - 1
+            seen = sum(1 for q in result.cubes if q.covers_minterm(m))
+            out.append((_minterm(m, result.n), constraint, seen))
+    return out
+
+
+def _coverage(result):
+    covered = multi = 0
+    for q in result.cubes:
+        pm = q.point_mask()
+        multi |= covered & pm
+        covered |= pm
+    return covered, multi
+
+
+def mask_verify_dsop(f, result):
+    out = []
+    cubes = result.cubes
+    for i in range(len(cubes)):
+        for j in range(i + 1, len(cubes)):
+            x = intersect(cubes[i], cubes[j])
+            if x is not None and len(out) < _MAX_REPORTED:
+                out.append((x.to_string(), "pairwise-disjoint", 2))
+    on = cover_point_mask(f.on)
+    care = on | cover_point_mask(f.dc)
+    covered, multi = _coverage(result)
+    space = (1 << (1 << f.n)) - 1
+    out += _mask_report(
+        result,
+        [(on & ~covered, "==1"), (on & multi, "==1"), (space & ~care & covered, "==0")],
+    )
+    return out[:_MAX_REPORTED]
+
+
+def mask_verify_partial(spec, result):
+    on_u = cover_point_mask(spec.unique.on)
+    dc_u = cover_point_mask(spec.unique.dc) & ~on_u
+    on_s = cover_point_mask(spec.shared.on) & ~(on_u | dc_u)
+    dc_s = cover_point_mask(spec.shared.dc)
+    covered, multi = _coverage(result)
+    space = (1 << (1 << spec.n)) - 1
+    return _mask_report(
+        result,
+        [
+            (on_u & ~covered, "==1"),
+            (on_u & multi, "==1"),
+            (dc_u & multi, "<=1"),
+            (on_s & ~covered, ">=1"),
+            (space & ~(on_u | dc_u | on_s | dc_s) & covered, "==0"),
+        ],
+    )
+
+
+@st.composite
+def corrupted(draw, result):
+    """The result as given, or with one cube dropped, added or duplicated."""
+    cubes = list(result.cubes)
+    how = draw(st.sampled_from(("keep", "drop", "add", "duplicate")))
+    at = draw(st.integers(0, len(cubes)))
+    if how == "drop" and cubes:
+        del cubes[at % len(cubes)]
+    elif how == "add":
+        cubes.insert(at, draw(cubes_st(n=result.n)))
+    elif how == "duplicate" and cubes:
+        cubes.insert(at, cubes[draw(st.integers(0, len(cubes) - 1))])
+    return Cover(result.n, tuple(cubes))
+
+
+@st.composite
+def dsop_cases(draw):
+    f = draw(function_specs_st(max_n=8))
+    if draw(st.booleans()):
+        base = dsop(f)
+    else:
+        base = draw(covers_st(n=f.n, max_cubes=8))
+    return f, draw(corrupted(base))
+
+
+@st.composite
+def partial_cases(draw):
+    if draw(st.booleans()):
+        spec = draw(partial_specs_st(max_n=8))
+        base = partial_dsop(spec)
+    else:
+        # parts drawn independently, so they may overlap
+        n = draw(st.integers(1, 8))
+        spec = PartialSpec(
+            unique=draw(function_specs_st(n=n, max_on=4, max_dc=3)),
+            shared=draw(function_specs_st(n=n, max_on=3, max_dc=3)),
+        )
+        base = draw(covers_st(n=n, max_cubes=8))
+    return spec, draw(corrupted(base))
+
+
+def _agree(report, want):
+    assert report.ok == (not want)
+    if len(want) < _MAX_REPORTED and len(report.violations) < _MAX_REPORTED:
+        assert report.violations == want
+
+
+class TestAgainstPointMasks:
+    @given(dsop_cases())
+    @settings(max_examples=300)
+    def test_dsop_matches_mask_oracle(self, case):
+        f, result = case
+        _agree(verify_dsop(f, result), mask_verify_dsop(f, result))
+
+    @given(partial_cases())
+    @settings(max_examples=300)
+    def test_partial_matches_mask_oracle(self, case):
+        spec, result = case
+        _agree(verify_partial_dsop(spec, result), mask_verify_partial(spec, result))
+
+    def test_full_report_is_capped(self):
+        n = 12
+        f = FunctionSpec(n, cov("0" * n))
+        report = verify_dsop(f, cov("-" * n))
+        assert len(report.violations) == _MAX_REPORTED
+        assert report.violations == mask_verify_dsop(f, cov("-" * n))
