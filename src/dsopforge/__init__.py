@@ -2,10 +2,11 @@
 
 The pieces compose bottom-up: `cubes` is the bit-level cube algebra,
 `covers` adds cube lists, containment and tautology checking, `minimize`
-rebuilds small SOPs between splitting rounds, `engine` turns an SOP into
-a pairwise-disjoint cover, `partial` relaxes disjointness on a shared
-region, `verify` holds the exact cube-level oracles, and `pla`/`cli` do the
-file format and command-line plumbing.
+rebuilds small SOPs between splitting rounds, `engine` holds the weights,
+sort orders and split policies that turn an SOP into a disjoint cover,
+`partial` runs the one selection loop (a full DSOP is a partial DSOP
+with an empty shared region), `verify` holds the exact cube-level
+oracles, and `pla`/`cli` do the file format and command-line plumbing.
 """
 
 from .covers import (

@@ -63,6 +63,7 @@ STATS_NOTES = (
 )
 
 _SORT_FLAGS = {"dw": SORT_DIMENSION_WEIGHT, "wd": SORT_WEIGHT_DIMENSION}
+_SORT_NAMES = {policy: flag for flag, policy in _SORT_FLAGS.items()}
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -129,16 +130,18 @@ def _emit_pla(args: argparse.Namespace, text: str) -> None:
         Path(args.output).write_text(text, encoding="utf-8")
 
 
+def _write_stats_json(path: str, rows: Iterable[RunStats]) -> None:
+    payload = {
+        "schema": STATS_SCHEMA,
+        "notes": list(STATS_NOTES),
+        "rows": [asdict(row) for row in rows],
+    }
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
 def _emit_stats(args: argparse.Namespace, stats: RunStats) -> None:
     if args.stats:
-        payload = {
-            "schema": STATS_SCHEMA,
-            "notes": list(STATS_NOTES),
-            "rows": [asdict(stats)],
-        }
-        Path(args.stats).write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-        )
+        _write_stats_json(args.stats, [stats])
     print(
         f"{stats.benchmark}: sop={stats.sop_size} dsop={stats.dsop_size}"
         f" variant={stats.variant} sort={stats.sort}"
@@ -165,45 +168,67 @@ def _report_violations(name: str, reports: Iterable[VerificationReport]) -> None
             )
 
 
-def cmd_dsop(args: argparse.Namespace) -> int:
-    pla = _read_pla(args.input)
-    specs = split_outputs(pla)
-    backend = _resolve_backend(args.minimizer)
-    cfg = DsopConfig(
-        variant=args.variant,
-        sort=_SORT_FLAGS[args.sort],
-        drop_dc_only=args.drop_dc_only,
-        backend=backend,
-    )
+def _solve_pla(
+    name: str,
+    pla: PlaFile,
+    specs: Sequence[FunctionSpec] | Sequence[PartialSpec],
+    partial: bool,
+    cfg: DsopConfig,
+    jobs: int,
+    verify: bool,
+) -> tuple[RunStats, list[Cover], list[VerificationReport]]:
+    """Solve every output of one PLA: the one pipeline of all subcommands.
 
+    specs are PartialSpecs for partial_dsop when `partial` is set, and
+    FunctionSpecs for dsop otherwise. Each pass-1 SOP is built once and
+    handed to the solver as sop=; elapsed_ms times the SOPs plus the
+    solving. The reports are empty unless `verify` is set.
+    """
+    firsts = [s.combined() for s in specs] if partial else specs
+    solve = partial_dsop if partial else dsop
+    check = verify_partial_dsop if partial else verify_dsop
     started = time.perf_counter()
-    sops = _map_ordered(lambda f: build_sop(f, backend), specs, args.jobs)
+    sops = _map_ordered(lambda f: build_sop(f, cfg.backend), firsts, jobs)
     results = _map_ordered(
-        lambda fs: dsop(fs[0], cfg, sop=fs[1]), list(zip(specs, sops)), args.jobs
+        lambda ss: solve(ss[0], cfg, sop=ss[1]), list(zip(specs, sops)), jobs
     )
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-
-    verified = False
-    if args.verify:
-        reports = [verify_dsop(f, res) for f, res in zip(specs, results)]
-        if not all(r.ok for r in reports):
-            _report_violations(args.input, reports)
-            return 4
-        verified = True
-
+    reports = [check(s, res) for s, res in zip(specs, results)] if verify else []
     stats = RunStats(
-        benchmark=Path(args.input).name,
+        benchmark=name,
         inputs=pla.num_inputs,
         outputs=pla.num_outputs,
         sop_size=merged_product_count(sops),
         dsop_size=merged_product_count(results),
-        variant=args.variant,
-        sort=args.sort,
-        drop_dc_only=args.drop_dc_only,
-        backend=backend.describe(),
+        variant=cfg.variant,
+        sort=_SORT_NAMES[cfg.sort],
+        drop_dc_only=cfg.drop_dc_only,
+        backend=cfg.backend.describe(),
         elapsed_ms=round(elapsed_ms, 3),
-        verified=verified,
+        verified=verify and all(r.ok for r in reports),
     )
+    return stats, results, reports
+
+
+def _run_and_emit(
+    args: argparse.Namespace,
+    name: str,
+    pla: PlaFile,
+    specs: Sequence[FunctionSpec] | Sequence[PartialSpec],
+    partial: bool,
+) -> int:
+    cfg = DsopConfig(
+        variant=args.variant,
+        sort=_SORT_FLAGS[args.sort],
+        drop_dc_only=args.drop_dc_only,
+        backend=_resolve_backend(args.minimizer),
+    )
+    stats, results, reports = _solve_pla(
+        name, pla, specs, partial, cfg, args.jobs, args.verify
+    )
+    if args.verify and not stats.verified:
+        _report_violations(name, reports)
+        return 4
     _emit_pla(
         args,
         write_pla(
@@ -217,27 +242,41 @@ def cmd_dsop(args: argparse.Namespace) -> int:
     return 0
 
 
-def _pdsop_specs(args: argparse.Namespace) -> tuple[str, PlaFile, list[PartialSpec]]:
-    """Assemble one PartialSpec per output from the argument forms."""
+def cmd_dsop(args: argparse.Namespace) -> int:
+    pla = _read_pla(args.input)
+    return _run_and_emit(args, Path(args.input).name, pla, split_outputs(pla), False)
+
+
+def _pdsop_specs(
+    args: argparse.Namespace,
+) -> tuple[str, PlaFile, list[FunctionSpec] | list[PartialSpec], bool]:
+    """Assemble one spec per output from the argument forms; the flag
+    says whether they are PartialSpecs (else FunctionSpecs for dsop)."""
+    if args.shared is not None and args.dc_policy is not None:
+        raise ValueError(
+            "--dc-policy is for the single-file form only; with two files"
+            " the second one is the shared region"
+        )
     pla_u = _read_pla(args.unique)
+    name = Path(args.unique).name
     if args.shared is not None:
         pla_s = _read_pla(args.shared)
-        if pla_s.num_inputs != pla_u.num_inputs:
-            raise ValueError(
-                f"{args.unique} has {pla_u.num_inputs} inputs but"
-                f" {args.shared} has {pla_s.num_inputs}"
-            )
-        if pla_s.num_outputs != pla_u.num_outputs:
-            raise ValueError(
-                f"{args.unique} has {pla_u.num_outputs} outputs but"
-                f" {args.shared} has {pla_s.num_outputs}"
-            )
+        for what, u, s in (
+            ("inputs", pla_u.num_inputs, pla_s.num_inputs),
+            ("outputs", pla_u.num_outputs, pla_s.num_outputs),
+        ):
+            if u != s:
+                raise ValueError(
+                    f"{args.unique} has {u} {what} but {args.shared} has {s}"
+                )
         specs = [
             PartialSpec(unique=u, shared=s)
             for u, s in zip(split_outputs(pla_u), split_outputs(pla_s))
         ]
-        name = f"{Path(args.unique).name}+{Path(args.shared).name}"
-        return name, pla_u, specs
+        return f"{name}+{Path(args.shared).name}", pla_u, specs, True
+    if args.dc_policy == "once":
+        # Each dc point may be used at most once: that is plain dsop.
+        return name, pla_u, split_outputs(pla_u), False
     # Single-file form: the function's dc-set becomes the shared region.
     n = pla_u.num_inputs
     empty = Cover(n)
@@ -248,126 +287,28 @@ def _pdsop_specs(args: argparse.Namespace) -> tuple[str, PlaFile, list[PartialSp
         )
         for f in split_outputs(pla_u)
     ]
-    return Path(args.unique).name, pla_u, specs
+    return name, pla_u, specs, True
 
 
 def cmd_pdsop(args: argparse.Namespace) -> int:
-    backend = _resolve_backend(args.minimizer)
-    cfg = DsopConfig(
-        variant=args.variant,
-        sort=_SORT_FLAGS[args.sort],
-        drop_dc_only=args.drop_dc_only,
-        backend=backend,
-    )
-
-    if args.shared is None and args.dc_policy == "once":
-        # Each dc point may be used at most once: that is plain dsop.
-        pla = _read_pla(args.unique)
-        specs = split_outputs(pla)
-        started = time.perf_counter()
-        sops = _map_ordered(lambda f: build_sop(f, backend), specs, args.jobs)
-        results = _map_ordered(
-            lambda fs: dsop(fs[0], cfg, sop=fs[1]), list(zip(specs, sops)), args.jobs
-        )
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
-        name = Path(args.unique).name
-        verified = False
-        if args.verify:
-            reports = [verify_dsop(f, res) for f, res in zip(specs, results)]
-            if not all(r.ok for r in reports):
-                _report_violations(name, reports)
-                return 4
-            verified = True
-        pla_out = write_pla(
-            results,
-            input_labels=pla.input_labels,
-            output_labels=pla.output_labels,
-            ptype=pla.ptype,
-        )
-        sop_size = merged_product_count(sops)
-    else:
-        name, pla, pspecs = _pdsop_specs(args)
-        for spec in pspecs:
-            spec.validate_disjoint()
-        full = [
-            FunctionSpec(
-                spec.n,
-                Cover(spec.n, spec.unique.on.cubes + spec.shared.on.cubes),
-                Cover(spec.n, spec.unique.dc.cubes + spec.shared.dc.cubes),
-            )
-            for spec in pspecs
-        ]
-        started = time.perf_counter()
-        sops = _map_ordered(lambda f: build_sop(f, backend), full, args.jobs)
-        # full[i] is partial_dsop's first-pass spec, so its SOP is reused
-        results = _map_ordered(
-            lambda ss: partial_dsop(ss[0], cfg, sop=ss[1]),
-            list(zip(pspecs, sops)),
-            args.jobs,
-        )
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
-        verified = False
-        if args.verify:
-            reports = [
-                verify_partial_dsop(spec, res) for spec, res in zip(pspecs, results)
-            ]
-            if not all(r.ok for r in reports):
-                _report_violations(name, reports)
-                return 4
-            verified = True
-        pla_out = write_pla(
-            results,
-            input_labels=pla.input_labels,
-            output_labels=pla.output_labels,
-            ptype=pla.ptype,
-        )
-        sop_size = merged_product_count(sops)
-
-    stats = RunStats(
-        benchmark=name,
-        inputs=pla.num_inputs,
-        outputs=pla.num_outputs,
-        sop_size=sop_size,
-        dsop_size=merged_product_count(results),
-        variant=args.variant,
-        sort=args.sort,
-        drop_dc_only=args.drop_dc_only,
-        backend=backend.describe(),
-        elapsed_ms=round(elapsed_ms, 3),
-        verified=verified,
-    )
-    _emit_pla(args, pla_out)
-    _emit_stats(args, stats)
-    return 0
+    return _run_and_emit(args, *_pdsop_specs(args))
 
 
-def _parse_int_list(raw: str, allowed: Iterable[int], flag: str) -> list[int]:
-    out: list[int] = []
+def _parse_list(raw: str, flag: str, parse: Callable[[str], _T | None]) -> list[_T]:
+    """Comma list of distinct entries, in order; parse gives None for
+    an entry it cannot use."""
+    out: list[_T] = []
     for piece in raw.split(","):
         piece = piece.strip()
         if not piece:
             continue
-        if not piece.isdigit() or int(piece) not in allowed:
+        value = parse(piece)
+        if value is None:
             raise ValueError(f"{flag} got unusable entry {piece!r}")
-        if int(piece) not in out:
-            out.append(int(piece))
+        if value not in out:
+            out.append(value)
     if not out:
         raise ValueError(f"{flag} selected nothing")
-    return out
-
-
-def _parse_sort_list(raw: str) -> list[str]:
-    out: list[str] = []
-    for piece in raw.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        if piece not in _SORT_FLAGS:
-            raise ValueError(f"--sorts got unusable entry {piece!r}")
-        if piece not in out:
-            out.append(piece)
-    if not out:
-        raise ValueError("--sorts selected nothing")
     return out
 
 
@@ -407,8 +348,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not files:
         print(f"dsopforge: no .pla files in {directory}", file=sys.stderr)
         return 2
-    variants = _parse_int_list(args.variants, range(1, 6), "--variants")
-    sorts = _parse_sort_list(args.sorts)
+    variants = _parse_list(
+        args.variants,
+        "--variants",
+        lambda v: int(v) if v.isdigit() and int(v) in range(1, 6) else None,
+    )
+    sorts = _parse_list(args.sorts, "--sorts", lambda s: s if s in _SORT_FLAGS else None)
     backend = _resolve_backend(args.minimizer)
 
     grid = [
@@ -433,32 +378,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 drop_dc_only=args.drop_dc_only,
                 backend=backend,
             )
-            started = time.perf_counter()
-            sops = [build_sop(f, backend) for f in specs]
-            results = [dsop(f, cfg, sop=sop) for f, sop in zip(specs, sops)]
-            elapsed_ms = (time.perf_counter() - started) * 1000.0
-            reports = [verify_dsop(f, res) for f, res in zip(specs, results)]
-            ok = all(r.ok for r in reports)
-            stats = RunStats(
-                benchmark=path.name,
-                inputs=pla.num_inputs,
-                outputs=pla.num_outputs,
-                sop_size=merged_product_count(sops),
-                dsop_size=merged_product_count(results),
-                variant=variant,
-                sort=sort,
-                drop_dc_only=args.drop_dc_only,
-                backend=backend.describe(),
-                elapsed_ms=round(elapsed_ms, 3),
-                verified=ok,
-            )
-            if not ok:
-                return stats, (label, 4, "verification failed")
-            return stats, None
+            stats, _, _ = _solve_pla(path.name, pla, specs, False, cfg, 1, True)
         except PlaParseError as exc:
             return None, (label, 2, str(exc))
         except MinimizerBackendError as exc:
             return None, (label, 3, str(exc))
+        if not stats.verified:
+            return stats, (label, 4, "verification failed")
+        return stats, None
 
     outcomes = _map_ordered(one, grid, args.jobs)
     for stats, failure in outcomes:
@@ -475,14 +402,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             for row in rows:
                 writer.writerow(asdict(row))
     if args.json:
-        payload = {
-            "schema": STATS_SCHEMA,
-            "notes": list(STATS_NOTES),
-            "rows": [asdict(row) for row in rows],
-        }
-        Path(args.json).write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-        )
+        _write_stats_json(args.json, rows)
 
     if rows:
         print(_render_pivot(rows))
@@ -553,9 +473,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--dc-policy",
         choices=("once", "many"),
-        default="many",
+        default=None,
         help="single-file form only: may the file's don't-care points be"
-        " covered once (plain disjoint cover) or many times",
+        " covered once (plain disjoint cover) or many times (default)",
     )
     p.set_defaults(func=cmd_pdsop)
 

@@ -13,6 +13,13 @@ every overlapping peer is split against it, with five selectable
 policies for where the split fragments go (kept for the next round,
 re-queued into the working set, or accompanied by their neighbours).
 Fragments left at the end of a pass form the cover for the next round.
+
+A full DSOP is a partial DSOP whose shared region is empty, so dsop()
+runs the one selection loop in `partial` (partial._select) with an
+empty shared part and the full-DSOP don't-care rule: f.dc is seen by
+the first pass only. This module holds the pieces the loop is built
+from: weights, sort order, isolated-cube detection and the five
+fragment policies (_apply_opt).
 """
 
 from __future__ import annotations
@@ -20,15 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .covers import Cover, FunctionSpec, cover_intersects_cube, normalize
-from .cubes import (
-    Cube,
-    ContractViolation,
-    common_literal_count,
-    disjoint_sharp,
-    intersect,
-)
-from .minimize import MinimizerBackend, build_sop
+from .covers import Cover, FunctionSpec, cover_intersects_cube
+from .cubes import Cube, ContractViolation, common_literal_count, intersect
+from .minimize import MinimizerBackend
 
 __all__ = [
     "SORT_DIMENSION_WEIGHT",
@@ -47,10 +48,6 @@ __all__ = [
 SORT_DIMENSION_WEIGHT = "dimension_weight"
 SORT_WEIGHT_DIMENSION = "weight_dimension"
 SORT_POLICIES = (SORT_DIMENSION_WEIGHT, SORT_WEIGHT_DIMENSION)
-
-# test hook: called with (iteration, committed cube list) once per outer pass
-_OUTER_HOOK = None
-
 
 class ProgressError(RuntimeError):
     """The outer loop exceeded its iteration budget without converging."""
@@ -95,18 +92,7 @@ def _overlaps(p: Cube, q: Cube) -> bool:
 def weight_all(cover: Cover | Sequence[Cube]) -> list[WeightedCube]:
     """Weight every cube against its peers; -1 marks isolated cubes."""
     cubes = list(cover.cubes) if isinstance(cover, Cover) else list(cover)
-    out: list[WeightedCube] = []
-    for i, c in enumerate(cubes):
-        total = 0
-        hit = False
-        k = c.literal_count
-        for j, d in enumerate(cubes):
-            if i == j or not _overlaps(c, d):
-                continue
-            hit = True
-            total += k - common_literal_count(c, d) - 1
-        out.append(WeightedCube(c, total if hit else -1))
-    return out
+    return [WeightedCube(c, _weight_at(cubes, i)) for i, c in enumerate(cubes)]
 
 
 def _sort_key(policy: str):
@@ -129,22 +115,17 @@ def covers_only_dc(p: Cube, original_on: Cover) -> bool:
     return not cover_intersects_cube(original_on, p)
 
 
-def _weight_at(P: list[WeightedCube], i: int) -> int:
-    p = P[i].cube
+def _weight_at(cubes: Sequence[Cube], i: int) -> int:
+    p = cubes[i]
     k = p.literal_count
     total = 0
     hit = False
-    for j, w in enumerate(P):
-        if j == i or not _overlaps(p, w.cube):
+    for j, d in enumerate(cubes):
+        if j == i or not _overlaps(p, d):
             continue
         hit = True
-        total += k - common_literal_count(p, w.cube) - 1
+        total += k - common_literal_count(p, d) - 1
     return total if hit else -1
-
-
-def _reweight_all(P: list[WeightedCube]) -> None:
-    for i in range(len(P)):
-        P[i] = WeightedCube(P[i].cube, _weight_at(P, i))
 
 
 def _apply_opt(
@@ -168,19 +149,18 @@ def _apply_opt(
        trit string) goes back into P; the rest go to B; P is reweighted
        and re-sorted.
     """
-    if variant == 1:
+    if variant <= 3:
         B.extend(fragments)
-    elif variant == 2:
-        B.extend(fragments)
+    if variant == 2:
         touched = False
-        for i in range(len(P)):
-            if _overlaps(q, P[i].cube):
-                P[i] = WeightedCube(P[i].cube, _weight_at(P, i))
+        cubes = [w.cube for w in P]
+        for i, c in enumerate(cubes):
+            if _overlaps(q, c):
+                P[i] = WeightedCube(c, _weight_at(cubes, i))
                 touched = True
         if touched:
             P.sort(key=_sort_key(sort))
     elif variant == 3:
-        B.extend(fragments)
         moved = [w.cube for w in P if _overlaps(q, w.cube)]
         if moved:
             P[:] = [w for w in P if not _overlaps(q, w.cube)]
@@ -190,18 +170,18 @@ def _apply_opt(
             P.append(WeightedCube(fragments[0], 0))
         else:
             B.extend(fragments)
-        _reweight_all(P)
-        P.sort(key=_sort_key(sort))
-    else:  # variant 5
-        if fragments:
-            bi = min(
-                range(len(fragments)),
-                key=lambda k: (-fragments[k].dimension, fragments[k].to_string()),
-            )
-            P.append(WeightedCube(fragments[bi], 0))
-            B.extend(fragments[:bi] + fragments[bi + 1 :])
-        _reweight_all(P)
-        P.sort(key=_sort_key(sort))
+    elif variant == 5 and fragments:
+        bi = min(
+            range(len(fragments)),
+            key=lambda k: (-fragments[k].dimension, fragments[k].to_string()),
+        )
+        P.append(WeightedCube(fragments[bi], 0))
+        B.extend(fragments[:bi] + fragments[bi + 1 :])
+    if variant >= 4:
+        # full reweight, then re-sort
+        cubes = [w.cube for w in P]
+        weighted = (WeightedCube(c, _weight_at(cubes, i)) for i, c in enumerate(cubes))
+        P[:] = sorted(weighted, key=_sort_key(sort))
 
 
 def _split_isolated(cubes: list[Cube]) -> tuple[list[Cube], list[Cube]]:
@@ -233,57 +213,8 @@ def dsop(
     pass then uses it instead of re-minimizing f, so a caller that
     already built it (say, to report its size) pays for it once.
     """
-    cfg = cfg or DsopConfig()
-    n = f.n
-    original_on = normalize(f.on)
-    if not original_on.cubes:
-        return Cover(n)
-    committed: list[Cube] = []
-    todo_on = f.on
-    todo_dc = f.dc
-    outer = 0
-    while todo_on.cubes:
-        outer += 1
-        if outer > cfg.max_outer_iterations:
-            raise ProgressError(
-                f"no convergence after {cfg.max_outer_iterations} passes"
-            )
-        if sop is None:
-            sop = build_sop(FunctionSpec(n, todo_on, todo_dc), cfg.backend)
-        todo_dc = Cover(n)
-        isolated, rest = _split_isolated(list(sop.cubes))
-        for c in isolated:
-            if cfg.drop_dc_only and covers_only_dc(c, original_on):
-                continue
-            committed.append(c)
-        P = sort_cubes(weight_all(rest), cfg.sort)
-        B: list[Cube] = []
-        while P:
-            p = P.pop(0).cube
-            if cfg.drop_dc_only and covers_only_dc(p, original_on):
-                continue
-            committed.append(p)
-            while True:
-                qi = -1
-                for i, w in enumerate(P):
-                    if _overlaps(p, w.cube):
-                        qi = i
-                        break
-                if qi < 0:
-                    break
-                q = P.pop(qi).cube
-                fragments = disjoint_sharp(q, p)
-                _apply_opt(cfg.variant, cfg.sort, q, fragments, P, B)
-            if B:
-                kept: list[Cube] = []
-                for r in B:
-                    if _overlaps(p, r):
-                        kept.extend(disjoint_sharp(r, p))
-                    else:
-                        kept.append(r)
-                B = kept
-        todo_on = Cover(n, tuple(B))
-        sop = None
-        if _OUTER_HOOK is not None:
-            _OUTER_HOOK(outer, list(committed))
-    return Cover(n, tuple(committed))
+    # the loop lives in partial, which imports this module
+    from .partial import PartialSpec, _select
+
+    spec = PartialSpec(unique=f, shared=FunctionSpec(f.n, Cover(f.n)))
+    return _select(spec, cfg or DsopConfig(), sop, full=True)

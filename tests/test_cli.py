@@ -298,6 +298,37 @@ class TestPdsopCommand:
         assert main(["dsop", src, "-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("policy", ["once", "many"])
+    def test_dc_policy_with_two_files_exits_2(self, tmp_path, capsys, policy):
+        out = tmp_path / "out.pla"
+        code = main(
+            [
+                "pdsop",
+                str(FIXTURES / "straddle_d.pla"),
+                str(FIXTURES / "straddle_s.pla"),
+                "--dc-policy",
+                policy,
+                "-o",
+                str(out),
+            ]
+        )
+        assert code == 2
+        assert "single-file form" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dc_policy_defaults_to_many(self, tmp_path):
+        # reusing the dc cube 1-11 lets 111- stay whole under "many"
+        src = tmp_path / "reuse.pla"
+        src.write_text(".i 4\n.o 1\n-0-0 1\n1-10 1\n1-11 -\n.e\n")
+        outs = {}
+        for policy in (None, "many", "once"):
+            out = tmp_path / f"{policy}.pla"
+            flags = [] if policy is None else ["--dc-policy", policy]
+            assert main(["pdsop", str(src), *flags, "-o", str(out)]) == 0
+            outs[policy] = out.read_bytes()
+        assert outs[None] == outs["many"]
+        assert outs[None] != outs["once"]
+
     def test_dc_policy_many_verifies(self, tmp_path):
         out = tmp_path / "out.pla"
         code = main(

@@ -22,7 +22,7 @@ from dsopforge import (
     verify_dsop,
     weight_all,
 )
-from dsopforge import engine as engine_mod
+from dsopforge import partial as partial_mod
 from dsopforge.engine import _apply_opt, _weight_at
 
 
@@ -191,7 +191,7 @@ class TestDsop:
             calls.append(g)
             return build_sop(g, backend)
 
-        monkeypatch.setattr(engine_mod, "build_sop", counting)
+        monkeypatch.setattr(partial_mod, "build_sop", counting)
         plain = dsop(DEMO_F)
         passes = len(calls)
         calls.clear()
@@ -225,7 +225,7 @@ class TestDropDcOnly:
                 return cov(*self.FIRST_SOP)
             return normalize(f.on)
 
-        monkeypatch.setattr(engine_mod, "build_sop", fake)
+        monkeypatch.setattr(partial_mod, "build_sop", fake)
         return FunctionSpec(3, cov(*self.ON), cov(*self.DC))
 
     def test_flag_discards_without_splitting(self, monkeypatch):
@@ -246,7 +246,7 @@ class TestOuterHook:
     def test_committed_grows_and_stays_disjoint(self, monkeypatch):
         seen = []
         monkeypatch.setattr(
-            engine_mod, "_OUTER_HOOK", lambda outer, committed: seen.append((outer, committed))
+            partial_mod, "_OUTER_HOOK", lambda outer, committed: seen.append((outer, committed))
         )
         dsop(DEMO_F, DsopConfig(variant=1))
         assert [outer for outer, _ in seen] == list(range(1, len(seen) + 1))

@@ -1,7 +1,14 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import ALL_CONFIGS, covers_st, function_specs_st, partial_specs_st
+from conftest import (
+    ALL_CONFIGS,
+    covers_st,
+    cubes_st,
+    function_specs_st,
+    partial_specs_st,
+)
 from dsopforge import (
     ContractViolation,
     Cover,
@@ -11,6 +18,7 @@ from dsopforge import (
     PartialSpec,
     cover_contains_cube,
     cover_point_mask,
+    disjoint_sharp,
     dsop,
     build_sop,
     intersect,
@@ -48,7 +56,38 @@ def first_pass_spec(spec):
     )
 
 
+def three_way_break(q, p, spec):
+    """partial_break's earlier rule, kept as an oracle: an overlap inside
+    the shared region spares q, one inside the unique region splits q
+    with nothing reusable, and any other overlap splits q and reports
+    its shared slices."""
+    x = intersect(q, p)
+    shared_all = spec.shared_cover()
+    if cover_contains_cube(shared_all, x):
+        return [], []
+    if cover_contains_cube(spec.unique_cover(), x):
+        return disjoint_sharp(q, p), []
+    reusable = []
+    for s in shared_all.cubes:
+        piece = intersect(x, s)
+        if piece is not None:
+            reusable.append(piece)
+    return disjoint_sharp(q, p), reusable
+
+
 class TestPartialBreak:
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_matches_the_three_way_rule_on_disjoint_specs(self, data):
+        spec = data.draw(partial_specs_st(max_n=7))
+        pool = list(spec.unique_cover().cubes + spec.shared_cover().cubes)
+        cubes = cubes_st(n=spec.n)
+        if pool:
+            cubes = st.one_of(st.sampled_from(pool), cubes)
+        q, p = data.draw(cubes), data.draw(cubes)
+        assume(intersect(q, p) is not None)
+        assert partial_break(q, p, spec) == three_way_break(q, p, spec)
+
     def test_split_with_reusable_remainder(self):
         Q, R = partial_break(c("-1-1"), c("01--"), E2)
         assert [x.to_string() for x in Q] == ["11-1"]
@@ -136,11 +175,25 @@ class TestPartialDsop:
             sop = build_sop(first, cfg.backend)
             assert partial_dsop(spec, cfg, sop=sop) == partial_dsop(spec, cfg)
 
-    @given(partial_specs_st(max_n=7))
-    @settings(max_examples=80)
-    def test_random_specs_verify(self, spec):
-        out = partial_dsop(spec)
+    @given(partial_specs_st(max_n=7), st.sampled_from(ALL_CONFIGS))
+    @settings(max_examples=200)
+    def test_random_specs_verify(self, spec, cfg):
+        out = partial_dsop(spec, cfg)
         report = verify_partial_dsop(spec, out)
+        assert report.ok, report.violations[:5]
+
+    @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: f"v{c.variant}-{c.sort}")
+    def test_shared_overlap_neighbours_survive_reweighting(self, cfg):
+        # Variants 2, 4 and 5 replace the P entries when they reweight.
+        # Remembering the neighbours kept whole by the id() of those
+        # entries let a freed id come back on another neighbour, which
+        # was then never split: here 1--0-0 and 1-0--0 both came out,
+        # covering unique points 100000 and 110000 twice.
+        spec = PartialSpec(
+            unique=FunctionSpec(6, cov("1-01-0", "-0-000", "11-000")),
+            shared=FunctionSpec(6, cov("-1--01", "---010")),
+        )
+        report = verify_partial_dsop(spec, partial_dsop(spec, cfg))
         assert report.ok, report.violations[:5]
 
     @given(partial_specs_st(max_n=7))
