@@ -14,30 +14,13 @@ from collections import Counter
 from dsopforge import (
     SORT_DIMENSION_WEIGHT,
     SORT_WEIGHT_DIMENSION,
-    Cover,
-    Cube,
     DsopConfig,
-    FunctionSpec,
     dsop,
     exact_min_dsop,
 )
+from variant_grid import rand_function
 
 SORTS = {"dw": SORT_DIMENSION_WEIGHT, "wd": SORT_WEIGHT_DIMENSION}
-
-
-def rand_cube(rng, n, bind):
-    return Cube.from_string(
-        "".join(
-            rng.choice("01") if rng.random() < bind else "-" for _ in range(n)
-        )
-    )
-
-
-def rand_function(rng, n):
-    bind = rng.uniform(0.2, 0.8)
-    on = [rand_cube(rng, n, bind) for _ in range(rng.randint(1, 6))]
-    dc = [rand_cube(rng, n, bind) for _ in range(rng.randint(0, 3))]
-    return FunctionSpec(n, Cover(n, tuple(on)), Cover(n, tuple(dc)))
 
 
 def main(argv=None) -> int:

@@ -18,8 +18,7 @@ A full DSOP is a partial DSOP whose shared region is empty, so dsop()
 runs the one selection loop in `partial` (partial._select) with an
 empty shared part and the full-DSOP don't-care rule: f.dc is seen by
 the first pass only. This module holds the pieces the loop is built
-from: weights, sort order, isolated-cube detection and the five
-fragment policies (_apply_opt).
+from: weights, sort order and the five fragment policies (_apply_opt).
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ class DsopConfig:
     sort: str = SORT_DIMENSION_WEIGHT
     drop_dc_only: bool = False
     backend: MinimizerBackend = field(default_factory=MinimizerBackend.builtin)
-    max_outer_iterations: int = 10000
 
     def __post_init__(self) -> None:
         if self.variant not in (1, 2, 3, 4, 5):
@@ -90,7 +88,13 @@ def _overlaps(p: Cube, q: Cube) -> bool:
 
 
 def weight_all(cover: Cover | Sequence[Cube]) -> list[WeightedCube]:
-    """Weight every cube against its peers; -1 marks isolated cubes."""
+    """Weight every cube against its peers.
+
+    A cube overlapping no peer weighs -1. On an absorption-free cover
+    (no duplicates, no cube inside another, as normalize and build_sop
+    return) every term is >= 0, so -1 then means exactly that the cube
+    is isolated; a peer inside the cube would add a -1 term of its own.
+    """
     cubes = list(cover.cubes) if isinstance(cover, Cover) else list(cover)
     return [WeightedCube(c, _weight_at(cubes, i)) for i, c in enumerate(cubes)]
 
@@ -118,13 +122,17 @@ def covers_only_dc(p: Cube, original_on: Cover) -> bool:
 def _weight_at(cubes: Sequence[Cube], i: int) -> int:
     p = cubes[i]
     k = p.literal_count
+    pm, pb = p.mask, p.bits
     total = 0
     hit = False
     for j, d in enumerate(cubes):
-        if j == i or not _overlaps(p, d):
+        # overlapping cubes agree wherever both are bound, so the
+        # common literals are the shared bound positions
+        common = pm & d.mask
+        if j == i or common & (pb ^ d.bits):
             continue
         hit = True
-        total += k - common_literal_count(p, d) - 1
+        total += k - common.bit_count() - 1
     return total if hit else -1
 
 
@@ -184,19 +192,6 @@ def _apply_opt(
         P[:] = sorted(weighted, key=_sort_key(sort))
 
 
-def _split_isolated(cubes: list[Cube]) -> tuple[list[Cube], list[Cube]]:
-    isolated: list[Cube] = []
-    rest: list[Cube] = []
-    for i, c in enumerate(cubes):
-        alone = True
-        for j, d in enumerate(cubes):
-            if i != j and _overlaps(c, d):
-                alone = False
-                break
-        (isolated if alone else rest).append(c)
-    return isolated, rest
-
-
 def dsop(
     f: FunctionSpec, cfg: DsopConfig | None = None, *, sop: Cover | None = None
 ) -> Cover:
@@ -211,7 +206,9 @@ def dsop(
 
     `sop`, when given, must be build_sop(f, cfg.backend): the first
     pass then uses it instead of re-minimizing f, so a caller that
-    already built it (say, to report its size) pays for it once.
+    already built it (say, to report its size) pays for it once. Like
+    every build_sop result it must be absorption-free, since the loop
+    commits the cubes weight_all weighs -1 without splitting anything.
     """
     # the loop lives in partial, which imports this module
     from .partial import PartialSpec, _select

@@ -9,11 +9,12 @@ synthesis keep cubes whole where a full DSOP would have to split them.
 
 A full DSOP is the special case with an empty shared region: `dsop`
 and `partial_dsop` are thin wrappers over one loop, `_select`. Each
-outer pass re-minimizes what is left, commits isolated cubes, and
-selects the rest greedily; a neighbour q of a selected cube p stays
-whole when q & p lies in the shared region and goes through
-partial_break otherwise. With no shared region every split is a plain
-disjoint sharp and the region tests are skipped.
+outer pass re-minimizes what is left, weights it once, commits the
+isolated cubes (weight -1), and selects the rest greedily; a
+neighbour q of a selected cube p stays whole when q & p lies in the
+shared region and goes through partial_break otherwise. With no
+shared region every split is a plain disjoint sharp and the region
+tests are skipped.
 
 The don't-care rule stays per mode. dsop drops f.dc after the first
 pass; partial_dsop keeps the unique dc points no committed cube has
@@ -35,14 +36,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .covers import Cover, FunctionSpec, cover_contains_cube, normalize
+from .covers import Cover, FunctionSpec, cover_contains_cube
 from .cubes import Cube, ContractViolation, disjoint_sharp, intersect
 from .engine import (
     DsopConfig,
     ProgressError,
     _apply_opt,
     _overlaps,
-    _split_isolated,
     covers_only_dc,
     sort_cubes,
     weight_all,
@@ -51,12 +51,8 @@ from .minimize import build_sop
 
 __all__ = ["PartialSpec", "partial_break", "partial_dsop"]
 
-# test hooks, both fired from _select: _OUTER_HOOK with (iteration,
-# committed cube list) once per outer pass; _DC_FEEDBACK_HOOK with
-# (reusable cubes, committed cube list) whenever overlap points are fed
-# back into the don't-care pool
-_OUTER_HOOK = None
-_DC_FEEDBACK_HOOK = None
+# outer passes _select may run before it raises ProgressError
+_MAX_PASSES = 10000
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,7 +154,6 @@ def _select(
     """
     n = spec.n
     first = spec.combined()
-    original_on = normalize(first.on)
     shared = spec.shared_cover()
     committed: list[Cube] = []
     todo_on = first.on
@@ -172,10 +167,7 @@ def _select(
             if cover_contains_cube(shared, intersect(q, p)):
                 return None
             fragments, reusable = partial_break(q, p, spec)
-            if reusable:
-                dc_many.extend(reusable)
-                if _DC_FEEDBACK_HOOK is not None:
-                    _DC_FEEDBACK_HOOK(list(reusable), list(committed))
+            dc_many.extend(reusable)
             return fragments
 
     else:
@@ -183,7 +175,7 @@ def _select(
 
     def commit(c: Cube) -> bool:
         # False: drop_dc_only discards c, which then splits nothing
-        if cfg.drop_dc_only and covers_only_dc(c, original_on):
+        if cfg.drop_dc_only and covers_only_dc(c, first.on):
             return False
         committed.append(c)
         if dc_once:
@@ -193,10 +185,8 @@ def _select(
     outer = 0
     while todo_on.cubes:
         outer += 1
-        if outer > cfg.max_outer_iterations:
-            raise ProgressError(
-                f"no convergence after {cfg.max_outer_iterations} passes"
-            )
+        if outer > _MAX_PASSES:
+            raise ProgressError(f"no convergence after {_MAX_PASSES} passes")
         if sop is None:
             sop = build_sop(
                 FunctionSpec(n, todo_on, Cover(n, tuple(dc_once + dc_many))),
@@ -204,10 +194,12 @@ def _select(
             )
         if full:
             dc_once.clear()
-        isolated, rest = _split_isolated(list(sop.cubes))
-        for c in isolated:
-            commit(c)
-        P = sort_cubes(weight_all(rest), cfg.sort)
+        # sop is absorption-free, so -1 marks exactly the isolated cubes
+        weighted = weight_all(sop)
+        for w in weighted:
+            if w.weight < 0:
+                commit(w.cube)
+        P = sort_cubes([w for w in weighted if w.weight >= 0], cfg.sort)
         B: list[Cube] = []
         while P:
             p = P.pop(0).cube
@@ -236,8 +228,6 @@ def _select(
                 B = _subtract_all(B, p, split)
         todo_on = Cover(n, tuple(B))
         sop = None
-        if _OUTER_HOOK is not None:
-            _OUTER_HOOK(outer, list(committed))
     return Cover(n, tuple(committed))
 
 
@@ -255,7 +245,8 @@ def partial_dsop(
     partial_break keep feeding it. ValueError when the parts overlap.
 
     `sop`, when given, must be build_sop(spec.combined(), cfg.backend):
-    the first pass then uses it instead of re-minimizing.
+    the first pass then uses it instead of re-minimizing. Like every
+    build_sop result it must be absorption-free.
     """
     spec.validate_disjoint()
     return _select(spec, cfg or DsopConfig(), sop, full=False)

@@ -78,6 +78,8 @@ def parse_pla(text: str) -> PlaFile:
             directive, args = tokens[0], tokens[1:]
             if directive == ".i":
                 num_inputs = _int_arg(args, ".i", lineno)
+                if num_inputs == 0:
+                    raise PlaParseError(".i needs at least one input", lineno)
             elif directive == ".o":
                 num_outputs = _int_arg(args, ".o", lineno)
             elif directive == ".p":

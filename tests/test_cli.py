@@ -18,6 +18,7 @@ from dsopforge import (
     parse_pla,
     split_outputs,
 )
+from dsopforge import partial as partial_mod
 from dsopforge.cli import RunStats, main
 
 
@@ -420,6 +421,16 @@ class TestBenchCommand:
         body = csv_path.read_text()
         assert "overlap4.pla" in body, "good files still produce rows"
 
+    def test_zero_input_file_recorded_run_continues(self, tmp_path, capsys):
+        d = self._bench_dir(tmp_path, ["overlap4.pla", "chain2.pla"])
+        (d / "noinputs.pla").write_text(".i 0\n.o 1\n1\n.e\n")
+        code = main(["bench", str(d), "--variants", "1", "--sorts", "dw"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "FAILED noinputs.pla" in captured.err
+        assert "line 1" in captured.err
+        assert "chain2.pla" in captured.out and "overlap4.pla" in captured.out
+
     def test_empty_directory_exits_2(self, tmp_path):
         d = tmp_path / "empty"
         d.mkdir()
@@ -453,12 +464,7 @@ class TestInternalErrors:
         assert self._run(capsys) == 5
 
     def test_progress_error_exits_5(self, monkeypatch, capsys):
-        real = cli.DsopConfig
-
-        def capped(**kwargs):
-            return real(max_outer_iterations=0, **kwargs)
-
-        monkeypatch.setattr(cli, "DsopConfig", capped)
+        monkeypatch.setattr(partial_mod, "_MAX_PASSES", 0)
         assert self._run(capsys) == 5
 
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import ALL_CONFIGS, function_specs_st
+from conftest import ALL_CONFIGS, covers_st, function_specs_st
 from dsopforge import (
     SORT_DIMENSION_WEIGHT,
     SORT_WEIGHT_DIMENSION,
@@ -16,6 +16,7 @@ from dsopforge import (
     chain_family,
     cover_contains_cube,
     dsop,
+    intersect,
     normalize,
     relative_weight,
     sort_cubes,
@@ -57,6 +58,17 @@ class TestWeights:
     def test_isolated_cubes_get_sentinel(self):
         got = {w.cube.to_string(): w.weight for w in weight_all(cov("00-", "11-"))}
         assert got == {"00-": -1, "11-": -1}
+
+    @given(covers_st(max_n=6, max_cubes=8))
+    def test_sentinel_marks_exactly_the_isolated_cubes(self, cover):
+        # the selection loop commits every -1 cube unsplit, which is
+        # sound only on the absorption-free covers build_sop returns
+        cubes = normalize(cover).cubes
+        for i, w in enumerate(weight_all(cubes)):
+            alone = all(
+                intersect(w.cube, d) is None for j, d in enumerate(cubes) if j != i
+            )
+            assert (w.weight == -1) == alone
 
 
 class TestSort:
@@ -165,9 +177,10 @@ class TestDsop:
         b = dsop(DEMO_F, DsopConfig(variant=3))
         assert a == b
 
-    def test_progress_guard_trips_when_capped(self):
+    def test_progress_guard_trips_when_capped(self, monkeypatch):
+        monkeypatch.setattr(partial_mod, "_MAX_PASSES", 1)
         with pytest.raises(ProgressError):
-            dsop(DEMO_F, DsopConfig(variant=1, max_outer_iterations=1))
+            dsop(DEMO_F, DsopConfig(variant=1))
 
     @pytest.mark.parametrize("m,want", [(2, 3), (3, 7)])
     @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: f"v{c.variant}-{c.sort}")
@@ -241,20 +254,3 @@ class TestDropDcOnly:
         assert set(out.to_strings()) == {"-1-", "001"}
         assert verify_dsop(f, out).ok
 
-
-class TestOuterHook:
-    def test_committed_grows_and_stays_disjoint(self, monkeypatch):
-        seen = []
-        monkeypatch.setattr(
-            partial_mod, "_OUTER_HOOK", lambda outer, committed: seen.append((outer, committed))
-        )
-        dsop(DEMO_F, DsopConfig(variant=1))
-        assert [outer for outer, _ in seen] == list(range(1, len(seen) + 1))
-        sizes = [len(committed) for _, committed in seen]
-        assert sizes == sorted(sizes)
-        from dsopforge import intersect
-
-        final = seen[-1][1]
-        for i in range(len(final)):
-            for j in range(i + 1, len(final)):
-                assert intersect(final[i], final[j]) is None

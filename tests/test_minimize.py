@@ -15,6 +15,7 @@ from dsopforge import (
     MinimizerBackend,
     MinimizerBackendError,
     build_sop,
+    contains,
     cover_contains_cube,
     cover_intersects_cube,
     cover_point_mask,
@@ -170,6 +171,16 @@ class TestBuiltin:
     @given(function_specs_st(max_n=7))
     def test_deterministic(self, f):
         assert build_sop(f) == build_sop(f)
+
+    @pytest.mark.parametrize("backend", ["builtin", "identity"])
+    @given(f=function_specs_st(max_n=7, max_on=8))
+    def test_result_is_absorption_free(self, backend, f):
+        # the selection loop reads weight -1 as "isolated", which holds
+        # only when no cube of the SOP equals or contains another
+        cubes = build_sop(f, MinimizerBackend(backend)).cubes
+        for i, p in enumerate(cubes):
+            for j, q in enumerate(cubes):
+                assert i == j or not contains(p, q)
 
 
 class TestExternal:

@@ -21,6 +21,7 @@ from dsopforge import (
     disjoint_sharp,
     dsop,
     build_sop,
+    contains,
     intersect,
     partial_break,
     partial_dsop,
@@ -212,37 +213,62 @@ class TestPartialDsop:
 
 
 class TestDcFeedback:
-    def test_reusable_cubes_are_already_covered(self, monkeypatch):
+    """Observes the loop through partial_break and build_sop, which the
+    loop looks up in dsopforge.partial at call time."""
+
+    def _record(self, monkeypatch):
         events = []
-        monkeypatch.setattr(
-            partial_mod,
-            "_DC_FEEDBACK_HOOK",
-            lambda reusable, committed: events.append((reusable, committed)),
+
+        def breaking(q, p, spec):
+            fragments, reusable = partial_break(q, p, spec)
+            events.append(("break", p, list(reusable)))
+            return fragments, reusable
+
+        def building(f, backend=None):
+            events.append(("pass", f.dc, None))
+            return build_sop(f, backend)
+
+        monkeypatch.setattr(partial_mod, "partial_break", breaking)
+        monkeypatch.setattr(partial_mod, "build_sop", building)
+        return events
+
+    def _check(self, events, out):
+        """Every reusable slice lies inside the p it was split against,
+        that p is in the result, and every later pass has the slice in
+        its dc-set. Returns how many (slice, later pass) pairs held."""
+        fed: list = []
+        checked = 0
+        for kind, cube_or_dc, reusable in events:
+            if kind == "break":
+                assert cube_or_dc in out.cubes
+                for r in reusable:
+                    assert contains(cube_or_dc, r)
+                fed.extend(reusable)
+            else:
+                for r in fed:
+                    assert cover_contains_cube(cube_or_dc, r)
+                checked += len(fed)
+        return checked
+
+    def test_reusable_cubes_are_already_covered(self, monkeypatch):
+        events = self._record(monkeypatch)
+        out = partial_dsop(E2, DsopConfig(variant=1))
+        assert any(k == "break" and r for k, _, r in events), (
+            "the worked example feeds a remainder back"
         )
-        partial_dsop(E2, DsopConfig(variant=1))
-        assert events, "the worked example feeds a remainder back"
-        for reusable, committed in events:
-            done = Cover(E2.n, tuple(committed))
-            for r in reusable:
-                assert cover_contains_cube(done, r)
+        assert self._check(events, out) > 0, "a later pass sees the feedback"
 
     def test_feedback_happens_on_random_specs_too(self, monkeypatch):
         import random
 
         from conftest import rand_partial_spec
 
-        events = []
-        monkeypatch.setattr(
-            partial_mod,
-            "_DC_FEEDBACK_HOOK",
-            lambda reusable, committed: events.append((reusable, committed)),
-        )
+        events = self._record(monkeypatch)
         rng = random.Random(2024)
+        checked = 0
         for _ in range(50):
             spec = rand_partial_spec(rng, rng.randint(2, 7))
             events.clear()
-            partial_dsop(spec)
-            for reusable, committed in events:
-                done = Cover(spec.n, tuple(committed))
-                for r in reusable:
-                    assert cover_contains_cube(done, r)
+            out = partial_dsop(spec)
+            checked += self._check(events, out)
+        assert checked > 0

@@ -82,6 +82,11 @@ class TestParse:
         with pytest.raises(PlaParseError, match="missing"):
             parse_pla("# nothing here\n")
 
+    def test_zero_inputs_rejected_at_the_directive(self):
+        with pytest.raises(PlaParseError, match="at least one input") as info:
+            parse_pla("# no variables\n.i 0\n.o 1\n1\n.e\n")
+        assert info.value.line == 2
+
     def test_error_carries_line_number(self):
         with pytest.raises(PlaParseError) as info:
             parse_pla(".i 2\n.o 1\n.bogus\n")
