@@ -16,7 +16,6 @@ from .covers import (
     cover_contains_cube,
     cover_intersects_cube,
     cover_point_mask,
-    enumerate_minterm_counts,
     is_tautology,
     normalize,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "cover_contains_cube",
     "cover_intersects_cube",
     "cover_point_mask",
-    "enumerate_minterm_counts",
     "is_tautology",
     "normalize",
     "MinimizerBackend",

@@ -34,23 +34,21 @@ __all__ = [
     "FunctionSpec",
     "EnumerationCapExceeded",
     "normalize",
-    "cofactor",
     "is_tautology",
     "cover_contains_cube",
     "cover_intersects_cube",
     "cover_point_mask",
-    "enumerate_minterm_counts",
 ]
 
-ENUMERATION_CAP = 24
+ENUMERATION_CAP = 26
 
 
 class EnumerationCapExceeded(ValueError):
     """Point enumeration was requested over too wide a variable space.
 
-    Only the point-level helpers (cover_point_mask,
-    enumerate_minterm_counts, exact_min_dsop) raise it; containment and
-    the verification oracles work on cubes and need no enumeration.
+    Only the point-level helpers (cover_point_mask, exact_min_dsop)
+    raise it; containment and the verification oracles work on cubes
+    and need no enumeration.
     """
 
 
@@ -155,24 +153,6 @@ def normalize(cover: Cover) -> Cover:
     return Cover(cover.n, tuple(kept))
 
 
-def cofactor(cover: Cover, p: Cube) -> Cover:
-    """Restrict the cover to the subspace of p.
-
-    Cubes disjoint from p are dropped; the rest have every position
-    bound in p freed. Duplicates in the result are kept as-is. The
-    result, read over p's free variables, is the function inside p.
-    """
-    if cover.n != p.n:
-        raise DimensionMismatch("cofactor cube width differs from cover")
-    keep_mask = ~p.mask
-    out = []
-    for c in cover.cubes:
-        if (c.mask & p.mask) & (c.bits ^ p.bits):
-            continue
-        out.append(Cube(cover.n, c.mask & keep_mask, c.bits & keep_mask))
-    return Cover(cover.n, tuple(out))
-
-
 def _recursive_tautology(n: int, items: list[tuple[int, int]]) -> bool:
     """Tautology of a cover given as (mask, bits) pairs."""
     while True:
@@ -230,7 +210,7 @@ def cover_point_mask(cover: Cover) -> int:
     Only sensible for small n; guarded to keep the 2**n-bit integers
     from exhausting memory on mistaken calls.
     """
-    if cover.n > ENUMERATION_CAP + 2:
+    if cover.n > ENUMERATION_CAP:
         raise EnumerationCapExceeded(
             f"point mask over {cover.n} variables; check containment "
             "on cubes instead"
@@ -285,30 +265,3 @@ def cover_intersects_cube(cover: Cover, p: Cube) -> bool:
         if not (c.mask & p.mask) & (c.bits ^ p.bits):
             return True
     return False
-
-
-def enumerate_minterm_counts(cover: Cover, limit_n: int = ENUMERATION_CAP) -> dict[int, int]:
-    """Map each covered minterm to the number of cubes covering it.
-
-    Raises EnumerationCapExceeded when n exceeds limit_n; wider covers
-    are checked on cubes (cover_contains_cube, verify_dsop) instead.
-    The dict is sparse: uncovered minterms are absent.
-    """
-    if cover.n > limit_n:
-        raise EnumerationCapExceeded(
-            f"cannot enumerate 2**{cover.n} points (limit 2**{limit_n}); "
-            "check containment on cubes instead"
-        )
-    counts: dict[int, int] = {}
-    for c in cover.cubes:
-        free = [i for i in range(cover.n) if not c.mask & (1 << i)]
-        base = c.bits
-        for k in range(1 << len(free)):
-            m = base
-            kk = k
-            for pos in free:
-                if kk & 1:
-                    m |= 1 << pos
-                kk >>= 1
-            counts[m] = counts.get(m, 0) + 1
-    return counts

@@ -78,15 +78,6 @@ class Cube:
         """The all-free cube covering every point of the n-space."""
         return cls(n, 0, 0)
 
-    @classmethod
-    def from_minterm(cls, n: int, index: int) -> "Cube":
-        """The fully bound cube for one minterm; bit i of `index` is the
-        value of variable i."""
-        space = (1 << n) - 1
-        if index & ~space:
-            raise ValueError(f"minterm {index} out of range for n={n}")
-        return cls(n, space, index)
-
     def to_string(self) -> str:
         out = []
         for i in range(self.n):
@@ -114,14 +105,6 @@ class Cube:
     def dimension(self) -> int:
         """Number of free variables; the cube covers 2**dimension points."""
         return self.n - self.mask.bit_count()
-
-    @property
-    def is_minterm(self) -> bool:
-        return self.mask == (1 << self.n) - 1
-
-    @property
-    def is_universe(self) -> bool:
-        return self.mask == 0
 
     def covers_minterm(self, index: int) -> bool:
         """True iff the minterm (bit i = value of variable i) lies in the cube."""

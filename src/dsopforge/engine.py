@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .covers import Cover, FunctionSpec, cover_intersects_cube
+from .covers import Cover, FunctionSpec
 from .cubes import Cube, ContractViolation, common_literal_count, intersect
 from .minimize import MinimizerBackend
 
@@ -40,7 +40,6 @@ __all__ = [
     "relative_weight",
     "weight_all",
     "sort_cubes",
-    "covers_only_dc",
     "dsop",
 ]
 
@@ -112,11 +111,6 @@ def sort_cubes(weighted: Iterable[WeightedCube], policy: str) -> list[WeightedCu
     if policy not in SORT_POLICIES:
         raise ValueError(f"unknown sort policy {policy!r}")
     return sorted(weighted, key=_sort_key(policy))
-
-
-def covers_only_dc(p: Cube, original_on: Cover) -> bool:
-    """True when p covers no point of the original on-set."""
-    return not cover_intersects_cube(original_on, p)
 
 
 def _weight_at(cubes: Sequence[Cube], i: int) -> int:

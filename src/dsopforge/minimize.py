@@ -1,12 +1,15 @@
 """SOP re-minimization backends.
 
-Every backend takes an incompletely specified function and returns a
-cover P with: every cube of P inside on+dc, every on-minterm covered,
-and every cube of P intersecting the on-set (no dc-only cubes). The
-builtin backend is a small expand/irredundant loop; it never increases
-the cube count of the normalized on-set. The identity backend just
-normalizes. The external backend shells out to an espresso-style
-binary that reads a PLA path argument and prints a PLA on stdout.
+Every backend takes an incompletely specified function and returns an
+absorption-free cover P with every cube of P inside on+dc and every
+on-minterm covered. The builtin backend is a small expand/irredundant
+loop; it never increases the cube count of the normalized on-set. The
+identity backend just normalizes. Both grow every cube of P from an on
+cube, so neither returns dc-only cubes. The external backend shells out
+to an espresso-style binary that reads a PLA path argument and prints a
+PLA on stdout; it may return dc-only cubes (--drop-dc-only discards
+them), and a result that breaks either containment rule raises
+MinimizerBackendError naming the offending cube.
 """
 
 from __future__ import annotations
@@ -212,7 +215,16 @@ def _external_sop(f: FunctionSpec, path: str) -> Cover:
             f"minimizer {path!r} returned a {pla.num_inputs}-input, "
             f"{pla.num_outputs}-output PLA for a {f.n}-input single-output function"
         )
-    return normalize(split_outputs(pla)[0].on)
+    sop = normalize(split_outputs(pla)[0].on)
+    for cubes, region, fault in (
+        (sop.cubes, f.care_cover().cubes, "covers points outside on+dc"),
+        (f.on.cubes, sop.cubes, "is an on cube the result does not cover"),
+    ):
+        items = [(c.mask, c.bits) for c in region]
+        for c in cubes:
+            if not _pairs_contain(f.n, items, c.mask, c.bits):
+                raise MinimizerBackendError(f"minimizer {path!r}: cube {c} {fault}")
+    return sop
 
 
 def build_sop(f: FunctionSpec, backend: MinimizerBackend | None = None) -> Cover:

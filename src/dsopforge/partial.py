@@ -36,14 +36,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .covers import Cover, FunctionSpec, cover_contains_cube
+from .covers import Cover, FunctionSpec, cover_contains_cube, cover_intersects_cube
 from .cubes import Cube, ContractViolation, disjoint_sharp, intersect
 from .engine import (
     DsopConfig,
     ProgressError,
     _apply_opt,
     _overlaps,
-    covers_only_dc,
     sort_cubes,
     weight_all,
 )
@@ -175,7 +174,7 @@ def _select(
 
     def commit(c: Cube) -> bool:
         # False: drop_dc_only discards c, which then splits nothing
-        if cfg.drop_dc_only and covers_only_dc(c, first.on):
+        if cfg.drop_dc_only and not cover_intersects_cube(first.on, c):
             return False
         committed.append(c)
         if dc_once:

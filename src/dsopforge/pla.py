@@ -76,12 +76,16 @@ def parse_pla(text: str) -> PlaFile:
         tokens = line.split()
         if tokens[0].startswith("."):
             directive, args = tokens[0], tokens[1:]
+            if directive in (".i", ".o") and rows:
+                raise PlaParseError(f"{directive} after table rows", lineno)
             if directive == ".i":
                 num_inputs = _int_arg(args, ".i", lineno)
                 if num_inputs == 0:
                     raise PlaParseError(".i needs at least one input", lineno)
             elif directive == ".o":
                 num_outputs = _int_arg(args, ".o", lineno)
+                if num_outputs == 0:
+                    raise PlaParseError(".o needs at least one output", lineno)
             elif directive == ".p":
                 declared = _int_arg(args, ".p", lineno)
             elif directive == ".type":

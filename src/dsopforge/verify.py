@@ -51,7 +51,6 @@ Pair = tuple[int, int]
 class VerificationReport:
     ok: bool
     violations: list[tuple[str, str, int]] = field(default_factory=list)
-    mode: str = "dsop"
 
 
 def _minterm_string(index: int, n: int) -> str:
@@ -177,7 +176,7 @@ def verify_dsop(f: FunctionSpec, result: Cover) -> VerificationReport:
             break
         pairs.add((i, j))
     cubes = result.cubes
-    report = VerificationReport(ok=True, mode="dsop")
+    report = VerificationReport(ok=True)
     for i, j in sorted(pairs):
         x = intersect(cubes[i], cubes[j])
         report.violations.append((x.to_string(), "pairwise-disjoint", 2))
@@ -218,7 +217,7 @@ def verify_partial_dsop(spec: PartialSpec, result: Cover) -> VerificationReport:
     _witnesses(n, on_s, None, res + unique, short)
     off: set[int] = set()
     _witnesses(n, res, None, every, off)
-    report = VerificationReport(ok=True, mode="partial")
+    report = VerificationReport(ok=True)
     _report(report.violations, uncovered, "==1", res, n)
     _report(report.violations, multi_on, "==1", res, n)
     _report(report.violations, multi_dc, "<=1", res, n)

@@ -12,6 +12,8 @@ import pytest
 from conftest import FIXTURES
 from dsopforge import (
     ContractViolation,
+    Cover,
+    Cube,
     DimensionMismatch,
     cli,
     cover_point_mask,
@@ -48,6 +50,14 @@ def wrong_universe(tmp_path, n=4):
         print("{'-' * n} 1")
         print(".e")
         """,
+    )
+
+
+def solve_to_universe(monkeypatch):
+    """Make the CLI's full-DSOP solver return the all-free cube, which
+    covers every off-point of the input."""
+    monkeypatch.setattr(
+        cli, "dsop", lambda f, cfg, *, sop=None: Cover(f.n, (Cube.universe(f.n),))
     )
 
 
@@ -156,15 +166,14 @@ class TestDsopCommand:
         assert main(["dsop", str(FIXTURES / "overlap4.pla"), "--minimizer", "x"]) == 2
 
     def test_verification_failure_exits_4_and_writes_nothing(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, monkeypatch
     ):
+        solve_to_universe(monkeypatch)
         out = tmp_path / "out.pla"
         code = main(
             [
                 "dsop",
                 str(FIXTURES / "overlap4.pla"),
-                "--minimizer",
-                f"external:{wrong_universe(tmp_path)}",
                 "--verify",
                 "-o",
                 str(out),
@@ -181,7 +190,10 @@ class TestDsopCommand:
         assert main(["dsop", str(src), "--verify", "-o", str(out)]) == 0
         assert split_outputs(parse_pla(out.read_text()))[0].n == 40
 
-    def test_verify_failure_at_40_inputs_names_a_witness(self, tmp_path, capsys):
+    def test_verify_failure_at_40_inputs_names_a_witness(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        solve_to_universe(monkeypatch)
         src = tmp_path / "wide.pla"
         src.write_text(wide_pla())
         out = tmp_path / "out.pla"
@@ -189,8 +201,6 @@ class TestDsopCommand:
             [
                 "dsop",
                 str(src),
-                "--minimizer",
-                f"external:{wrong_universe(tmp_path, 40)}",
                 "--verify",
                 "-o",
                 str(out),
@@ -201,6 +211,41 @@ class TestDsopCommand:
         err = capsys.readouterr().err
         assert "(exact check)" in err
         assert re.search(r"^  [01]{40}: expected coverage ==0, observed 1$", err, re.M)
+
+    @pytest.mark.parametrize("verify", [[], ["--verify"]], ids=["plain", "verify"])
+    @pytest.mark.parametrize("n", [4, 40])
+    def test_wrong_backend_exits_3_and_writes_nothing(
+        self, tmp_path, capsys, n, verify
+    ):
+        # the backend's all-free cube covers off-points: the backend is
+        # at fault, so the exit is 3 whether or not the result is verified
+        src = FIXTURES / "overlap4.pla"
+        if n != 4:
+            src = tmp_path / "wide.pla"
+            src.write_text(wide_pla(n))
+        out = tmp_path / "out.pla"
+        code = main(
+            [
+                "dsop",
+                str(src),
+                "--minimizer",
+                f"external:{wrong_universe(tmp_path, n)}",
+                *verify,
+                "-o",
+                str(out),
+            ]
+        )
+        assert code == 3
+        assert not out.exists()
+        assert f"cube {'-' * n} covers points outside on+dc" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["dsop", "pdsop"])
+    def test_zero_outputs_exit_2_naming_file_and_line(self, tmp_path, capsys, command):
+        bad = tmp_path / "nooutputs.pla"
+        bad.write_text(".i 2\n.o 0\n11\n.e\n")
+        assert main([command, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "nooutputs.pla: line 2: .o needs at least one output" in err
 
     def test_env_var_selects_backend(self, tmp_path, monkeypatch):
         tool = passthrough(tmp_path)
@@ -430,6 +475,17 @@ class TestBenchCommand:
         assert "FAILED noinputs.pla" in captured.err
         assert "line 1" in captured.err
         assert "chain2.pla" in captured.out and "overlap4.pla" in captured.out
+
+    def test_zero_output_file_recorded_run_continues(self, tmp_path, capsys):
+        d = self._bench_dir(tmp_path, ["overlap4.pla", "chain2.pla"])
+        (d / "nooutputs.pla").write_text(".i 2\n.o 0\n11\n.e\n")
+        code = main(["bench", str(d), "--variants", "1", "--sorts", "dw"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "FAILED nooutputs.pla" in captured.err
+        assert "line 2" in captured.err
+        assert "chain2.pla" in captured.out and "overlap4.pla" in captured.out
+        assert "nooutputs.pla" not in captured.out
 
     def test_empty_directory_exits_2(self, tmp_path):
         d = tmp_path / "empty"

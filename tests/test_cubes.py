@@ -39,13 +39,8 @@ class TestConstruction:
         with pytest.raises(ContractViolation):
             Cube(2, 0b100, 0)
 
-    def test_universe_and_minterm(self):
+    def test_universe(self):
         assert Cube.universe(3).to_string() == "---"
-        assert Cube.universe(3).is_universe
-        m = Cube.from_minterm(3, 0b101)
-        assert m.to_string() == "101"
-        assert m.is_minterm
-        assert not m.is_universe
 
     @given(st.integers(1, 10), st.data())
     def test_covers_minterm_matches_trits(self, n, data):

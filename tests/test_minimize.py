@@ -55,6 +55,12 @@ def script(tmp_path, body, name="fakemin.py"):
     return str(path)
 
 
+def printing(tmp_path, rows):
+    """A minimizer that prints a fixed 3-input PLA whatever it is given."""
+    lines = [".i 3", ".o 1", *rows, ".e"]
+    return script(tmp_path, "".join(f"print({s!r})\n" for s in lines))
+
+
 class TestExpand:
     def test_frees_lowest_variables_first(self):
         # both 0-0- and 01-- are reachable; the ascending scan frees x1
@@ -226,3 +232,22 @@ class TestExternal:
         f = FunctionSpec(2, cov("01"))
         with pytest.raises(MinimizerBackendError, match="input"):
             build_sop(f, MinimizerBackend.external(path))
+
+    @pytest.mark.parametrize(
+        "rows, fault",
+        [
+            (["--- 1"], "cube --- covers points outside on\\+dc"),
+            (["11- 1"], "cube 0-1 is an on cube the result does not cover"),
+        ],
+    )
+    def test_result_breaking_the_contract_names_the_cube(self, tmp_path, rows, fault):
+        path = printing(tmp_path, rows)
+        f = FunctionSpec(3, cov("11-", "0-1"), cov("000"))
+        with pytest.raises(MinimizerBackendError, match=fault):
+            build_sop(f, MinimizerBackend.external(path))
+
+    def test_dc_only_cubes_are_allowed(self, tmp_path):
+        path = printing(tmp_path, ["11- 1", "0-1 1", "000 1"])
+        f = FunctionSpec(3, cov("11-", "0-1"), cov("000"))
+        out = build_sop(f, MinimizerBackend.external(path))
+        assert out == cov("11-", "0-1", "000")

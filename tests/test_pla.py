@@ -72,6 +72,8 @@ class TestParse:
             (".o 1\n0 1\n.e\n", "before .i/.o"),
             (".i 2\n.ilb a b c\n.o 1\n0- 1\n.e\n", ".ilb"),
             (".i 2\n.o 2\n.ob f\n0- 11\n.e\n", ".ob"),
+            (".i 2\n.o 1\n11 1\n.i 3\n111 1\n.e\n", ".i after table rows"),
+            (".i 2\n.o 1\n11 1\n.o 2\n11 11\n.e\n", ".o after table rows"),
         ],
     )
     def test_rejects_malformed_text(self, text, fragment):
@@ -85,6 +87,11 @@ class TestParse:
     def test_zero_inputs_rejected_at_the_directive(self):
         with pytest.raises(PlaParseError, match="at least one input") as info:
             parse_pla("# no variables\n.i 0\n.o 1\n1\n.e\n")
+        assert info.value.line == 2
+
+    def test_zero_outputs_rejected_at_the_directive(self):
+        with pytest.raises(PlaParseError, match="at least one output") as info:
+            parse_pla(".i 2\n.o 0\n11\n.e\n")
         assert info.value.line == 2
 
     def test_error_carries_line_number(self):
