@@ -6,7 +6,8 @@ rebuilds small SOPs between splitting rounds, `engine` holds the weights,
 sort orders and split policies that turn an SOP into a disjoint cover,
 `partial` runs the one selection loop (a full DSOP is a partial DSOP
 with an empty shared region), `verify` holds the exact cube-level
-oracles, and `pla`/`cli` do the file format and command-line plumbing.
+checker (verify_dsop is verify_partial_dsop on the same empty shared
+region), and `pla`/`cli` do the file format and command-line plumbing.
 """
 
 from .covers import (

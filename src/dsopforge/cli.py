@@ -123,13 +123,6 @@ def _read_pla(path: str) -> PlaFile:
         raise PlaParseError(f"{path}: {exc}") from None
 
 
-def _emit_pla(args: argparse.Namespace, text: str) -> None:
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        Path(args.output).write_text(text, encoding="utf-8")
-
-
 def _write_stats_json(path: str, rows: Iterable[RunStats]) -> None:
     payload = {
         "schema": STATS_SCHEMA,
@@ -139,9 +132,21 @@ def _write_stats_json(path: str, rows: Iterable[RunStats]) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _emit_stats(args: argparse.Namespace, stats: RunStats) -> None:
+def _emit(args: argparse.Namespace, text: str, stats: RunStats) -> None:
+    """Write the --stats JSON, then the result PLA, then the summary.
+    Should the PLA write fail, the stats file goes too, so a failed run
+    leaves neither behind."""
     if args.stats:
         _write_stats_json(args.stats, [stats])
+    try:
+        if args.output == "-":
+            sys.stdout.write(text)
+        else:
+            Path(args.output).write_text(text, encoding="utf-8")
+    except OSError:
+        if args.stats:
+            Path(args.stats).unlink(missing_ok=True)
+        raise
     print(
         f"{stats.benchmark}: sop={stats.sop_size} dsop={stats.dsop_size}"
         f" variant={stats.variant} sort={stats.sort}"
@@ -229,16 +234,13 @@ def _run_and_emit(
     if args.verify and not stats.verified:
         _report_violations(name, reports)
         return 4
-    _emit_pla(
-        args,
-        write_pla(
-            results,
-            input_labels=pla.input_labels,
-            output_labels=pla.output_labels,
-            ptype=pla.ptype,
-        ),
+    text = write_pla(
+        results,
+        input_labels=pla.input_labels,
+        output_labels=pla.output_labels,
+        ptype=pla.ptype,
     )
-    _emit_stats(args, stats)
+    _emit(args, text, stats)
     return 0
 
 

@@ -4,12 +4,14 @@ Only the single-table subset needed here is supported: .i/.o/.p/.type/
 .ilb/.ob/.e directives, '#' comments, and f or fd table types. Rows
 carry one input cube and one output column string each; split_outputs
 turns the table into one FunctionSpec per output, and write_pla merges
-per-output covers back into shared rows so a cube used by several
-outputs is emitted (and counted) once.
+per-output on-covers back into shared rows so a cube used by several
+outputs is emitted (and counted) once. The declared .p count is checked
+to be an integer and otherwise ignored.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -51,7 +53,6 @@ class PlaFile:
     rows: tuple[tuple[Cube, str], ...] = ()
     input_labels: tuple[str, ...] | None = None
     output_labels: tuple[str, ...] | None = None
-    declared_products: int | None = None
 
 
 def _int_arg(args: list[str], directive: str, lineno: int) -> int:
@@ -64,7 +65,6 @@ def parse_pla(text: str) -> PlaFile:
     num_inputs: int | None = None
     num_outputs: int | None = None
     ptype = "fd"
-    declared: int | None = None
     ilb: tuple[str, ...] | None = None
     ob: tuple[str, ...] | None = None
     rows: list[tuple[Cube, str]] = []
@@ -87,7 +87,7 @@ def parse_pla(text: str) -> PlaFile:
                 if num_outputs == 0:
                     raise PlaParseError(".o needs at least one output", lineno)
             elif directive == ".p":
-                declared = _int_arg(args, ".p", lineno)
+                _int_arg(args, ".p", lineno)
             elif directive == ".type":
                 if len(args) != 1 or args[0] not in _TYPES:
                     raise PlaParseError(
@@ -135,7 +135,6 @@ def parse_pla(text: str) -> PlaFile:
         rows=tuple(rows),
         input_labels=ilb,
         output_labels=ob,
-        declared_products=declared,
     )
 
 
@@ -170,14 +169,12 @@ def write_pla(
     input_labels: Sequence[str] | None = None,
     output_labels: Sequence[str] | None = None,
     ptype: str = "fd",
-    dc_covers: Sequence[Cover | None] | None = None,
 ) -> str:
-    """Serialize per-output on-covers (and optional dc-covers) as PLA text.
+    """Serialize per-output on-covers as PLA text.
 
-    Rows are merged: each distinct cube gets one row with a '1' (or '-')
-    in every output it serves, in first-appearance order. A cube listed
-    as both on and dc for the same output is a contradiction and raises
-    ValueError, as does passing dc cubes with ptype 'f'.
+    Rows are merged: each distinct cube gets one row with a '1' in every
+    output it serves, in first-appearance order (the covers' i-th cubes,
+    output by output, before their (i+1)-th).
     """
     if not covers:
         raise ValueError("write_pla needs at least one output cover")
@@ -186,38 +183,12 @@ def write_pla(
     n = covers[0].n
     if any(cover.n != n for cover in covers):
         raise ValueError("output covers disagree on input width")
-    if dc_covers is not None and len(dc_covers) != len(covers):
-        raise ValueError("dc_covers must align with covers by output index")
 
-    streams: list[list[tuple[Cube, str]]] = []
-    for j, cover in enumerate(covers):
-        stream = [(c, "1") for c in cover.cubes]
-        dc = dc_covers[j] if dc_covers is not None else None
-        if dc is not None and dc.cubes:
-            if ptype != "fd":
-                raise ValueError("don't-care rows need table type fd")
-            if dc.n != n:
-                raise ValueError("dc cover disagrees on input width")
-            stream.extend((c, "-") for c in dc.cubes)
-        streams.append(stream)
-
-    order: list[Cube] = []
     out_chars: dict[Cube, list[str]] = {}
-    depth = max((len(s) for s in streams), default=0)
-    for i in range(depth):
-        for j, stream in enumerate(streams):
-            if i >= len(stream):
-                continue
-            cube, ch = stream[i]
-            if cube not in out_chars:
-                out_chars[cube] = ["0"] * len(covers)
-                order.append(cube)
-            prev = out_chars[cube][j]
-            if prev != "0" and prev != ch:
-                raise ValueError(
-                    f"cube {cube} is both on and don't-care for output {j}"
-                )
-            out_chars[cube][j] = ch
+    for row in itertools.zip_longest(*(cover.cubes for cover in covers)):
+        for j, cube in enumerate(row):
+            if cube is not None:
+                out_chars.setdefault(cube, ["0"] * len(covers))[j] = "1"
 
     lines = [f".i {n}", f".o {len(covers)}"]
     if input_labels is not None:
@@ -232,8 +203,8 @@ def write_pla(
         lines.append(".ob " + " ".join(output_labels))
     if ptype != "fd":
         lines.append(f".type {ptype}")
-    lines.append(f".p {len(order)}")
-    for cube in order:
-        lines.append(f"{cube.to_string()} {''.join(out_chars[cube])}")
+    lines.append(f".p {len(out_chars)}")
+    for cube, chars in out_chars.items():
+        lines.append(f"{cube.to_string()} {''.join(chars)}")
     lines.append(".e")
     return "\n".join(lines) + "\n"

@@ -1,16 +1,20 @@
 """Verification oracles and exact minimum baselines.
 
-verify_dsop / verify_partial_dsop check a result cover against its
-specification exactly, for every n, on (mask, bits) cube pairs: each
-obligation is a containment question (a cube inside a union of cubes,
-answered by covers._pairs_contain) or an overlap between two result
-cubes. Overlaps are looked for only among the result cubes that touch
-one region cube (on and dc for a DSOP, the unique part for a partial
-DSOP); a DSOP overlap outside that region is also searched among the
-result cubes that leave the care set. A failed check names its witness
-minterms, found by splitting the offending cube one free variable at a
-time and dropping every half that holds none. No point masks are built
-and nothing is sampled, so the cost does not depend on 2**n.
+verify_partial_dsop checks a result cover against its specification
+exactly, for every n, on (mask, bits) cube pairs: each obligation is a
+containment question (a cube inside a union of cubes, answered by
+covers._pairs_contain) or an overlap between two result cubes.
+Overlaps are looked for only among the result cubes that touch one
+cube of the unique part, since only there can a repeat break a rule.
+verify_dsop is verify_partial_dsop with an empty shared region: the
+on-set is covered exactly once, the dc-set at most once, the off-set
+never, so two overlapping cubes always break one of those rules at a
+point they share. Every violation is (minterm, rule, observed): a
+witness minterm, the rule it breaks ("==1", "<=1", ">=1" or "==0"),
+and how many result cubes cover it. Witnesses are found by splitting
+the offending cube one free variable at a time and dropping every half
+that holds none. No point masks are built and nothing is sampled, so
+the cost does not depend on 2**n.
 
 exact_min_dsop is a tiny-n reference: it enumerates every implicant of
 on+dc that touches the on-set and runs an iterative-deepening search
@@ -31,7 +35,7 @@ from .covers import (
     _pairs_contain,
     cover_point_mask,
 )
-from .cubes import Cube, DimensionMismatch, intersect
+from .cubes import Cube, DimensionMismatch
 from .partial import PartialSpec
 
 __all__ = [
@@ -49,8 +53,11 @@ Pair = tuple[int, int]
 
 @dataclass(slots=True)
 class VerificationReport:
-    ok: bool
     violations: list[tuple[str, str, int]] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def _minterm_string(index: int, n: int) -> str:
@@ -102,15 +109,6 @@ def _witnesses(
         stack.append((m | v, b, ins, outs))
 
 
-def _overlapping(near: list[tuple[int, int, int]]) -> Iterator[tuple[int, int]]:
-    """Yield (i, j) for each pair of (index, mask, bits) entries of
-    `near`, in list order, that share a point."""
-    for a, (i, im, ib) in enumerate(near):
-        for j, jm, jb in near[a + 1 :]:
-            if not (im & jm) & (ib ^ jb):
-                yield i, j
-
-
 def _overlaps(
     items: list[Pair], region: list[Pair]
 ) -> Iterator[tuple[int, int, int]]:
@@ -121,8 +119,10 @@ def _overlaps(
         near = [
             (i, m, b) for i, (m, b) in enumerate(items) if not (m & rm) & (b ^ rb)
         ]
-        for i, j in _overlapping(near):
-            yield i, j, r
+        for a, (i, im, ib) in enumerate(near):
+            for j, jm, jb in near[a + 1 :]:
+                if not (im & jm) & (ib ^ jb):
+                    yield i, j, r
 
 
 def _meet(p: Pair, q: Pair) -> Pair:
@@ -142,49 +142,15 @@ def _report(
 
 
 def verify_dsop(f: FunctionSpec, result: Cover) -> VerificationReport:
-    """Check that `result` is a disjoint cover of f.
-
-    Cubes must be pairwise disjoint, every on-minterm covered exactly
-    once, every off-minterm uncovered; don't-care minterms are free
-    (disjointness already caps them at one). Exact for every n:
-    every on cube must lie inside the result and every result cube
-    inside on + dc, and overlapping result cubes are reported as a
-    pairwise-disjoint violation, plus "==1" at each on-minterm they
-    share.
-    """
-    n = f.n
-    res = _pairs(result, n)
-    on = _pairs(f.on, n)
-    care = on + _pairs(f.dc, n)
-    uncovered: set[int] = set()
-    _witnesses(n, on, None, res, uncovered)
-    # result cubes leaving the care set; two of them may overlap outside it
-    stray = [i for i, (m, b) in enumerate(res) if not _pairs_contain(n, care, m, b)]
-    off: set[int] = set()
-    _witnesses(n, [res[i] for i in stray], None, care, off)
-    pairs: set[tuple[int, int]] = set()
-    multi: set[int] = set()
-    for i, j, r in _overlaps(res, care):
-        pairs.add((i, j))
-        if r < len(on):
-            _witnesses(n, [_meet(res[i], res[j])], [on[r]], [], multi)
-        if len(pairs) >= _MAX_REPORTED:
-            break
-    # an overlap outside the care set lies in two stray cubes
-    for i, j in _overlapping([(i, *res[i]) for i in stray]):
-        if len(pairs) >= _MAX_REPORTED:
-            break
-        pairs.add((i, j))
-    cubes = result.cubes
-    report = VerificationReport(ok=True)
-    for i, j in sorted(pairs):
-        x = intersect(cubes[i], cubes[j])
-        report.violations.append((x.to_string(), "pairwise-disjoint", 2))
-    _report(report.violations, uncovered, "==1", res, n)
-    _report(report.violations, multi, "==1", res, n)
-    _report(report.violations, off, "==0", res, n)
-    report.ok = not report.violations
-    return report
+    """Check that `result` is a disjoint cover of f: every on-minterm
+    covered exactly once ("==1"), every don't-care at most once
+    ("<=1"), every off-minterm never ("==0"). Two overlapping result
+    cubes share a point in one of those three regions, so they always
+    break one of the rules there. This is verify_partial_dsop with an
+    empty shared region, exact for every n."""
+    return verify_partial_dsop(
+        PartialSpec(unique=f, shared=FunctionSpec(f.n, Cover(f.n))), result
+    )
 
 
 def verify_partial_dsop(spec: PartialSpec, result: Cover) -> VerificationReport:
@@ -217,13 +183,12 @@ def verify_partial_dsop(spec: PartialSpec, result: Cover) -> VerificationReport:
     _witnesses(n, on_s, None, res + unique, short)
     off: set[int] = set()
     _witnesses(n, res, None, every, off)
-    report = VerificationReport(ok=True)
+    report = VerificationReport()
     _report(report.violations, uncovered, "==1", res, n)
     _report(report.violations, multi_on, "==1", res, n)
     _report(report.violations, multi_dc, "<=1", res, n)
     _report(report.violations, short, ">=1", res, n)
     _report(report.violations, off, "==0", res, n)
-    report.ok = not report.violations
     return report
 
 

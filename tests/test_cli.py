@@ -183,6 +183,38 @@ class TestDsopCommand:
         assert not out.exists()
         assert "==0" in capsys.readouterr().err
 
+    def test_verify_failure_names_witness_minterms(self, capsys, monkeypatch):
+        # the on cubes of overlap4 cover the on-set but overlap
+        monkeypatch.setattr(cli, "dsop", lambda f, cfg, *, sop=None: f.on)
+        code = main(["dsop", str(FIXTURES / "overlap4.pla"), "--verify", "-o", "-"])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = [ln for ln in captured.err.splitlines() if ln.startswith("  ")]
+        assert lines
+        for line in lines:
+            assert re.fullmatch(
+                r"  [01]{4}: expected coverage ==1, observed [2-9]", line
+            ), line
+
+    @pytest.mark.parametrize("bad", ["stats", "output"])
+    def test_unwritable_path_exits_2_and_writes_nothing(self, tmp_path, capsys, bad):
+        paths = {"stats": tmp_path / "s.json", "output": tmp_path / "o.pla"}
+        paths[bad] = tmp_path / "no" / "such" / "dir" / paths[bad].name
+        code = main(
+            [
+                "dsop",
+                str(FIXTURES / "overlap4.pla"),
+                "-o",
+                str(paths["output"]),
+                "--stats",
+                str(paths["stats"]),
+            ]
+        )
+        assert code == 2
+        assert not any(p.exists() for p in paths.values())
+        assert "No such file or directory" in capsys.readouterr().err
+
     def test_verify_at_40_inputs(self, tmp_path, capsys):
         src = tmp_path / "wide.pla"
         src.write_text(wide_pla())

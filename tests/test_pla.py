@@ -32,7 +32,6 @@ class TestParse:
         assert pla.num_inputs == 4
         assert pla.num_outputs == 1
         assert pla.ptype == "fd"
-        assert pla.declared_products == 4
         assert [cube.to_string() for cube, _ in pla.rows] == [
             "0-0-",
             "-1-1",
@@ -132,20 +131,17 @@ class TestMergedCount:
 class TestWrite:
     def test_merges_shared_rows(self):
         text = write_pla([cov("1-1", "01-"), cov("1-1", "001")])
+        assert ".p 3\n" in text
         pla = parse_pla(text)
-        assert pla.declared_products == 3
         assert len(pla.rows) == 3
         by_cube = {cube.to_string(): out for cube, out in pla.rows}
         assert by_cube["1-1"] == "11"
 
     def test_round_trip_per_output(self):
         covers = [cov("1-1", "01-"), cov("001")]
-        dcs = [cov("110"), None]
-        back = split_outputs(parse_pla(write_pla(covers, dc_covers=dcs)))
+        back = split_outputs(parse_pla(write_pla(covers)))
         assert set(back[0].on.cubes) == set(covers[0].cubes)
-        assert set(back[0].dc.cubes) == set(dcs[0].cubes)
         assert set(back[1].on.cubes) == set(covers[1].cubes)
-        assert len(back[1].dc) == 0
 
     def test_labels_round_trip(self):
         text = write_pla(
@@ -154,14 +150,6 @@ class TestWrite:
         pla = parse_pla(text)
         assert pla.input_labels == ("a", "b")
         assert pla.output_labels == ("f",)
-
-    def test_on_dc_conflict_rejected(self):
-        with pytest.raises(ValueError, match="both on and don't-care"):
-            write_pla([cov("01")], dc_covers=[cov("01")])
-
-    def test_f_type_cannot_carry_dc(self):
-        with pytest.raises(ValueError, match="fd"):
-            write_pla([cov("01")], ptype="f", dc_covers=[cov("00")])
 
     def test_f_type_annotates_header(self):
         text = write_pla([cov("01")], ptype="f")
@@ -191,11 +179,9 @@ class TestWrite:
         specs = split_outputs(pla)
         text = write_pla(
             [f.on for f in specs],
-            dc_covers=[f.dc for f in specs],
             input_labels=pla.input_labels,
             output_labels=pla.output_labels,
         )
         back = split_outputs(parse_pla(text))
         for before, after in zip(specs, back):
             assert cover_point_mask(before.on) == cover_point_mask(after.on)
-            assert cover_point_mask(before.dc) == cover_point_mask(after.dc)

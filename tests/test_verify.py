@@ -15,7 +15,6 @@ from dsopforge import (
     disjoint_sharp,
     dsop,
     exact_min_dsop,
-    intersect,
     partial_dsop,
     verify_dsop,
     verify_partial_dsop,
@@ -78,8 +77,23 @@ class TestVerifyDsop:
         f = FunctionSpec(2, cov("0-"))
         report = verify_dsop(f, cov("0-", "00"))
         assert not report.ok
-        assert ("00", "pairwise-disjoint", 2) in report.violations
         assert ("00", "==1", 2) in report.violations
+
+    def test_overlap_counts_every_covering_cube(self):
+        f = FunctionSpec(3, cov("0--"), cov("1--"))
+        report = verify_dsop(f, cov("---", "0--", "00-"))
+        assert report.violations == [
+            ("000", "==1", 3),
+            ("010", "==1", 2),
+            ("001", "==1", 3),
+            ("011", "==1", 2),
+        ]
+
+    def test_flags_overlap_inside_dont_cares(self):
+        f = FunctionSpec(2, cov("00"), cov("01"))
+        report = verify_dsop(f, cov("0-", "01"))
+        assert not report.ok
+        assert report.violations == [("01", "<=1", 2)]
 
     def test_flags_covered_off_point(self):
         f = FunctionSpec(2, cov("00"))
@@ -270,25 +284,6 @@ def _coverage(result):
     return covered, multi
 
 
-def mask_verify_dsop(f, result):
-    out = []
-    cubes = result.cubes
-    for i in range(len(cubes)):
-        for j in range(i + 1, len(cubes)):
-            x = intersect(cubes[i], cubes[j])
-            if x is not None and len(out) < _MAX_REPORTED:
-                out.append((x.to_string(), "pairwise-disjoint", 2))
-    on = cover_point_mask(f.on)
-    care = on | cover_point_mask(f.dc)
-    covered, multi = _coverage(result)
-    space = (1 << (1 << f.n)) - 1
-    out += _mask_report(
-        result,
-        [(on & ~covered, "==1"), (on & multi, "==1"), (space & ~care & covered, "==0")],
-    )
-    return out[:_MAX_REPORTED]
-
-
 def mask_verify_partial(spec, result):
     on_u = cover_point_mask(spec.unique.on)
     dc_u = cover_point_mask(spec.unique.dc) & ~on_u
@@ -349,6 +344,11 @@ def partial_cases(draw):
     return spec, draw(corrupted(base))
 
 
+def empty_shared(f):
+    """The partial spec verify_dsop checks f against."""
+    return PartialSpec(unique=f, shared=FunctionSpec(f.n, Cover(f.n)))
+
+
 def _agree(report, want):
     assert report.ok == (not want)
     if len(want) < _MAX_REPORTED and len(report.violations) < _MAX_REPORTED:
@@ -360,7 +360,7 @@ class TestAgainstPointMasks:
     @settings(max_examples=300)
     def test_dsop_matches_mask_oracle(self, case):
         f, result = case
-        _agree(verify_dsop(f, result), mask_verify_dsop(f, result))
+        _agree(verify_dsop(f, result), mask_verify_partial(empty_shared(f), result))
 
     @given(partial_cases())
     @settings(max_examples=300)
@@ -373,4 +373,4 @@ class TestAgainstPointMasks:
         f = FunctionSpec(n, cov("0" * n))
         report = verify_dsop(f, cov("-" * n))
         assert len(report.violations) == _MAX_REPORTED
-        assert report.violations == mask_verify_dsop(f, cov("-" * n))
+        assert report.violations == mask_verify_partial(empty_shared(f), cov("-" * n))
