@@ -127,29 +127,102 @@ class FunctionSpec:
         return Cover(self.n, self.on.cubes + self.dc.cubes)
 
 
+def slots_of(x: int) -> Iterator[int]:
+    """The set bits of x, lowest first: the slots of a CubeIndex bitset."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+class CubeIndex:
+    """Cubes over n variables, transposed: word-parallel over cubes.
+
+    Each added cube gets the next slot (0, 1, ...). For every variable
+    v, zero[v] is the bitset of the slots whose cube binds v to 0 and
+    one[v] the bitset of those binding it to 1; `live` holds the slots
+    not discarded. A query about a cube c is then a few bitset
+    operations per variable instead of one test per indexed cube:
+    the cubes sharing a point with c are the live slots with no
+    literal opposing one of c's. Slots are never reused, and a
+    discarded slot keeps its literal bits; queries mask with `live`.
+    """
+
+    __slots__ = ("n", "cubes", "zero", "one", "live")
+
+    def __init__(self, n: int, cubes: Iterable[Cube] = ()) -> None:
+        self.n = n
+        self.cubes: list[Cube] = []
+        self.zero = [0] * n
+        self.one = [0] * n
+        self.live = 0
+        for c in cubes:
+            self.add(c)
+
+    def add(self, c: Cube) -> int:
+        """Index c in a new live slot and return the slot."""
+        if c.n != self.n:
+            raise DimensionMismatch(
+                f"index over {self.n} variables given a {c.n}-variable cube"
+            )
+        s = len(self.cubes)
+        self.cubes.append(c)
+        slot = 1 << s
+        self.live |= slot
+        zero, one = self.zero, self.one
+        m, bits = c.mask, c.bits
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            if bits & low:
+                one[v] |= slot
+            else:
+                zero[v] |= slot
+            m ^= low
+        return s
+
+    def discard(self, s: int) -> None:
+        self.live &= ~(1 << s)
+
+    def overlapping(self, c: Cube) -> int:
+        """Live slots whose cube shares a point with c (c's own slot
+        too, when c is indexed and live): those binding no variable
+        against c."""
+        zero, one = self.zero, self.one
+        against = 0
+        m, bits = c.mask, c.bits
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            against |= zero[v] if bits & low else one[v]
+            m ^= low
+        return self.live & ~against
+
+
 def normalize(cover: Cover) -> Cover:
     """Drop duplicate cubes and cubes contained in another cube.
 
     Keeps the first occurrence of duplicates and preserves the relative
     order of the survivors. The result is absorption-free and has the
-    same point set.
+    same point set. The cubes overlapping each cube come from a
+    CubeIndex over the cover, a few bitset operations per cube and
+    variable, and only those are tested as containers: no test runs on
+    a pair of disjoint cubes.
     """
     cubes = cover.cubes
-    pairs = [(c.mask, c.bits) for c in cubes]
+    index = CubeIndex(cover.n, cubes)
     kept: list[Cube] = []
-    for i, (cm, cb) in enumerate(pairs):
-        absorbed = False
-        for j, (dm, db) in enumerate(pairs):
-            # skip d unless it contains c: every literal of d is in c
-            if i == j or dm & ~cm or (db ^ cb) & dm:
-                continue
-            # equal cubes: the earliest occurrence survives
-            if dm == cm and j > i:
-                continue
-            absorbed = True
-            break
-        if not absorbed:
-            kept.append(cubes[i])
+    for i, c in enumerate(cubes):
+        # a container of c overlaps it and binds no variable c leaves
+        # free; one before c absorbs it even when equal (the earliest of
+        # equal cubes survives), one after c only when strictly larger
+        cm = c.mask
+        if not any(
+            j < i or cubes[j].mask != cm
+            for j in slots_of(index.overlapping(c) & ~(1 << i))
+            if not cubes[j].mask & ~cm
+        ):
+            kept.append(c)
     return Cover(cover.n, tuple(kept))
 
 

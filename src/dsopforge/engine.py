@@ -18,7 +18,20 @@ A full DSOP is a partial DSOP whose shared region is empty, so dsop()
 runs the one selection loop in `partial` (partial._select) with an
 empty shared part and the full-DSOP don't-care rule: f.dc is seen by
 the first pass only. This module holds the pieces the loop is built
-from: weights, sort order and the five fragment policies (_apply_opt).
+from: weights, sort order, the pool P of cubes a pass selects from,
+and the five fragment policies (_apply_opt).
+
+Weights never come from a scan over pairs of cubes. A covers.CubeIndex
+holds, for each variable, the bitset of the cubes binding it to 0 and
+the bitset of those binding it to 1. The peers of c are then the cubes
+with no literal opposing one of c's, and the sum of its common
+literals with them is one popcount per literal of c, so weight_all
+costs a few bitset operations per cube and literal. Inside a pass, P
+(_Pool) keeps such an index and, under the variants that publish
+fresh weights (2, 4 and 5), a running (total, count) per cube,
+started from the weights weight_all gave: a cube leaving or entering
+P updates only its neighbours' sums, and P's weights are published
+from those sums, never recomputed from scratch.
 """
 
 from __future__ import annotations
@@ -26,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .covers import Cover, FunctionSpec
+from .covers import Cover, CubeIndex, FunctionSpec, slots_of
 from .cubes import Cube, ContractViolation, common_literal_count, intersect
 from .minimize import MinimizerBackend
 
@@ -82,8 +95,46 @@ def relative_weight(p: Cube, q: Cube) -> int:
     return p.literal_count - common_literal_count(p, q) - 1
 
 
-def _overlaps(p: Cube, q: Cube) -> bool:
-    return not (p.mask & q.mask) & (p.bits ^ q.bits)
+def _tie_key(c: Cube) -> int:
+    """An int ordering cubes of one width as their trit strings do.
+
+    Read character i of the string as the base-4 digit mask_i + bits_i
+    ('-' 0, '0' 1, '1' 2), character 0 the most significant; the
+    numbers then compare as the strings do, at a fraction of the cost
+    of building them.
+    """
+    spec = f"0{c.n}b"
+    return int(format(c.mask, spec)[::-1], 4) + int(format(c.bits, spec)[::-1], 4)
+
+
+def _weigh(index: CubeIndex, s: int) -> tuple[int, int]:
+    """(total, count) of the cube in slot s against the other live
+    cubes it overlaps, count being how many there are.
+
+    Two overlapping cubes agree wherever both are bound, so their common
+    literals are the variables both bind: summed over the peers that is
+    one popcount per literal of the cube, against the slots binding it
+    alike.
+    """
+    zero, one = index.zero, index.one
+    c = index.cubes[s]
+    against = 0
+    alike = []
+    m, bits = c.mask, c.bits
+    while m:
+        low = m & -m
+        v = low.bit_length() - 1
+        if bits & low:
+            against |= zero[v]
+            alike.append(one[v])
+        else:
+            against |= one[v]
+            alike.append(zero[v])
+        m ^= low
+    peers = index.live & ~against & ~(1 << s)
+    count = peers.bit_count()
+    common = sum(map(int.bit_count, map(peers.__and__, alike)))
+    return count * (len(alike) - 1) - common, count
 
 
 def weight_all(cover: Cover | Sequence[Cube]) -> list[WeightedCube]:
@@ -93,15 +144,26 @@ def weight_all(cover: Cover | Sequence[Cube]) -> list[WeightedCube]:
     (no duplicates, no cube inside another, as normalize and build_sop
     return) every term is >= 0, so -1 then means exactly that the cube
     is isolated; a peer inside the cube would add a -1 term of its own.
+
+    The peers come from a CubeIndex over the cover: per cube, a few
+    bitset operations per literal, not a test per pair of cubes. The
+    cubes must share one width; DimensionMismatch otherwise.
     """
     cubes = list(cover.cubes) if isinstance(cover, Cover) else list(cover)
-    return [WeightedCube(c, _weight_at(cubes, i)) for i, c in enumerate(cubes)]
+    if not cubes:
+        return []
+    index = CubeIndex(cubes[0].n, cubes)
+    out = []
+    for s, c in enumerate(cubes):
+        total, count = _weigh(index, s)
+        out.append(WeightedCube(c, total if count else -1))
+    return out
 
 
 def _sort_key(policy: str):
     if policy == SORT_DIMENSION_WEIGHT:
-        return lambda w: (-w.cube.dimension, w.weight, w.cube.to_string())
-    return lambda w: (w.weight, -w.cube.dimension, w.cube.to_string())
+        return lambda w: (-w.cube.dimension, w.weight, _tie_key(w.cube))
+    return lambda w: (w.weight, -w.cube.dimension, _tie_key(w.cube))
 
 
 def sort_cubes(weighted: Iterable[WeightedCube], policy: str) -> list[WeightedCube]:
@@ -113,77 +175,175 @@ def sort_cubes(weighted: Iterable[WeightedCube], policy: str) -> list[WeightedCu
     return sorted(weighted, key=_sort_key(policy))
 
 
-def _weight_at(cubes: Sequence[Cube], i: int) -> int:
-    p = cubes[i]
-    k = p.literal_count
-    pm, pb = p.mask, p.bits
-    total = 0
-    hit = False
-    for j, d in enumerate(cubes):
-        # overlapping cubes agree wherever both are bound, so the
-        # common literals are the shared bound positions
-        common = pm & d.mask
-        if j == i or common & (pb ^ d.bits):
-            continue
-        hit = True
-        total += k - common.bit_count() - 1
-    return total if hit else -1
+class _Pool:
+    """P: the cubes a pass may still select, in selection order.
+
+    Each cube holds a slot of a CubeIndex, which answers "which cubes of
+    P overlap c" without scanning P. Removal only marks a slot dead;
+    the order list keeps dead slots until the next re-sort, so popping
+    and deleting cost no list shifts. `rank` gives each live slot's
+    place in the order, -1 once it left P.
+
+    Variants 2, 4 and 5 publish fresh weights, so under them every cube
+    of P also keeps a running (total, count) over its overlapping peers
+    in P. A cube leaving or entering P updates only its neighbours'
+    sums, and publishing a weight is a lookup, not a rescan of P.
+
+    The weights P starts from must be those of its cubes against each
+    other, as weight_all gives them over a cover whose other cubes
+    overlap none of P's (the isolated ones the loop commits first): the
+    running totals start from them, and only the counts are looked up.
+    """
+
+    def __init__(
+        self, n: int, variant: int, sort: str, weighted: Iterable[WeightedCube]
+    ) -> None:
+        weighted = list(weighted)
+        self.variant = variant
+        self.sort = sort
+        cubes = [w.cube for w in weighted]
+        self.index = index = CubeIndex(n, cubes)
+        k = len(cubes)
+        self.order = list(range(k))
+        self.head = 0
+        self.rank = list(range(k))
+        self.weight = [w.weight for w in weighted]  # as last published
+        # only a re-sort reads these
+        self.lits = [c.literal_count for c in cubes]
+        self.tie = [_tie_key(c) for c in cubes]
+        self.track = variant in (2, 4, 5)
+        self.total: list[int] = []
+        self.count: list[int] = []
+        if self.track:
+            self.count = [index.overlapping(c).bit_count() - 1 for c in cubes]
+            self.total = [w.weight if m else 0 for w, m in zip(weighted, self.count)]
+
+    def __bool__(self) -> bool:
+        return bool(self.index.live)
+
+    def slots(self) -> list[int]:
+        """The live slots in selection order."""
+        rank = self.rank
+        return [s for s in self.order[self.head :] if rank[s] >= 0]
+
+    def first(self, near: int, kept: set[Cube]) -> int:
+        """The live slot in `near` that comes first in selection order
+        and whose cube is not in `kept`; -1 when there is none."""
+        rank, cubes = self.rank, self.index.cubes
+        best, best_rank = -1, len(self.order)
+        for s in slots_of(near & self.index.live):
+            if rank[s] < best_rank and not (kept and cubes[s] in kept):
+                best, best_rank = s, rank[s]
+        return best
+
+    def pop(self) -> Cube:
+        """Remove and return the first cube of P, which is not empty."""
+        order, rank = self.order, self.rank
+        while rank[order[self.head]] < 0:
+            self.head += 1
+        s = order[self.head]
+        self.head += 1
+        self.remove(s)
+        return self.index.cubes[s]
+
+    def remove(self, s: int) -> None:
+        self.index.discard(s)
+        self.rank[s] = -1
+        if self.track:
+            self._shift(s, -1)
+
+    def push(self, c: Cube) -> None:
+        """Append c to P, published weight 0 until the next publish."""
+        s = self.index.add(c)
+        self.rank.append(len(self.order))
+        self.order.append(s)
+        self.weight.append(0)
+        self.lits.append(c.literal_count)
+        self.tie.append(_tie_key(c))
+        if self.track:
+            total, count = _weigh(self.index, s)
+            self.total.append(total)
+            self.count.append(count)
+            self._shift(s, 1)
+
+    def _shift(self, s: int, sign: int) -> None:
+        # slot s left P (sign -1) or entered it (+1): each overlapping
+        # peer t gains or loses the term lits[t] - common - 1
+        index, lits, total, count = self.index, self.lits, self.total, self.count
+        cm = index.cubes[s].mask
+        for t in slots_of(index.overlapping(index.cubes[s]) & ~(1 << s)):
+            total[t] += sign * (lits[t] - (cm & index.cubes[t].mask).bit_count() - 1)
+            count[t] += sign
+
+    def publish(self, slots: Iterable[int]) -> None:
+        """Set the weights of `slots` to their running sums."""
+        weight, total, count = self.weight, self.total, self.count
+        for s in slots:
+            weight[s] = total[s] if count[s] else -1
+
+    def resort(self) -> None:
+        """Re-sort P by its published weights under the sort policy."""
+        live = self.slots()
+        weight, lits, tie = self.weight, self.lits, self.tie
+        # -dimension orders as the literal count does, the width being fixed
+        if self.sort == SORT_DIMENSION_WEIGHT:
+            live.sort(key=lambda s: (lits[s], weight[s], tie[s]))
+        else:
+            live.sort(key=lambda s: (weight[s], lits[s], tie[s]))
+        self.order = live
+        self.head = 0
+        rank = self.rank
+        for i, s in enumerate(live):
+            rank[s] = i
 
 
-def _apply_opt(
-    variant: int,
-    sort: str,
-    q: Cube,
-    fragments: list[Cube],
-    P: list[WeightedCube],
-    B: list[Cube],
-) -> None:
-    """Dispatch the split fragments of q according to the variant.
+def _apply_opt(q: Cube, fragments: list[Cube], P: _Pool, B: list[Cube]) -> None:
+    """Dispatch the split fragments of q, which just left P, according
+    to P's variant.
 
     1: fragments wait in B for the next round.
-    2: like 1, but cubes of P that overlapped q are reweighted against
-       the current P and the whole of P is re-sorted.
+    2: like 1, but cubes of P that overlapped q get their weights
+       against the current P published, and the whole of P is
+       re-sorted; other cubes keep the weights they had.
     3: fragments and every P cube overlapping q all move to B; the
        neighbours leave P unbroken.
-    4: a single fragment goes back into P (re-sorted after a full
-       reweight); several go to B.
+    4: a single fragment goes back into P; several go to B. Then every
+       weight is published and P re-sorted.
     5: the biggest fragment (largest dimension, ties to the ascending
-       trit string) goes back into P; the rest go to B; P is reweighted
-       and re-sorted.
+       trit string) goes back into P; the rest go to B; every weight is
+       published and P re-sorted.
+
+    The neighbours of q come from P's index, and the published weights
+    from the running sums P keeps, so no variant rescans P.
     """
+    variant = P.variant
     if variant <= 3:
         B.extend(fragments)
     if variant == 2:
-        touched = False
-        cubes = [w.cube for w in P]
-        for i, c in enumerate(cubes):
-            if _overlaps(q, c):
-                P[i] = WeightedCube(c, _weight_at(cubes, i))
-                touched = True
-        if touched:
-            P.sort(key=_sort_key(sort))
+        near = P.index.overlapping(q)
+        if near:
+            P.publish(slots_of(near))
+            P.resort()
     elif variant == 3:
-        moved = [w.cube for w in P if _overlaps(q, w.cube)]
-        if moved:
-            P[:] = [w for w in P if not _overlaps(q, w.cube)]
-            B.extend(moved)
+        moved = sorted(slots_of(P.index.overlapping(q)), key=P.rank.__getitem__)
+        for s in moved:
+            P.remove(s)
+        B.extend(P.index.cubes[s] for s in moved)
     elif variant == 4:
         if len(fragments) == 1:
-            P.append(WeightedCube(fragments[0], 0))
+            P.push(fragments[0])
         else:
             B.extend(fragments)
     elif variant == 5 and fragments:
         bi = min(
             range(len(fragments)),
-            key=lambda k: (-fragments[k].dimension, fragments[k].to_string()),
+            key=lambda k: (-fragments[k].dimension, _tie_key(fragments[k])),
         )
-        P.append(WeightedCube(fragments[bi], 0))
+        P.push(fragments[bi])
         B.extend(fragments[:bi] + fragments[bi + 1 :])
     if variant >= 4:
-        # full reweight, then re-sort
-        cubes = [w.cube for w in P]
-        weighted = (WeightedCube(c, _weight_at(cubes, i)) for i, c in enumerate(cubes))
-        P[:] = sorted(weighted, key=_sort_key(sort))
+        P.publish(P.slots())
+        P.resort()
 
 
 def dsop(

@@ -42,7 +42,7 @@ from .engine import (
     DsopConfig,
     ProgressError,
     _apply_opt,
-    _overlaps,
+    _Pool,
     sort_cubes,
     weight_all,
 )
@@ -130,8 +130,10 @@ def _subtract_all(cubes: list[Cube], p: Cube, split) -> list[Cube]:
     """Each cube overlapping p replaced by split(cube, p); a cube for
     which split returns None stays as it is."""
     out: list[Cube] = []
+    pm, pb = p.mask, p.bits
     for c in cubes:
-        fragments = split(c, p) if _overlaps(c, p) else None
+        overlaps = not (c.mask & pm) & (c.bits ^ pb)
+        fragments = split(c, p) if overlaps else None
         if fragments is None:
             out.append(c)
         else:
@@ -198,31 +200,35 @@ def _select(
         for w in weighted:
             if w.weight < 0:
                 commit(w.cube)
-        P = sort_cubes([w for w in weighted if w.weight >= 0], cfg.sort)
+        P = _Pool(
+            n,
+            cfg.variant,
+            cfg.sort,
+            sort_cubes([w for w in weighted if w.weight >= 0], cfg.sort),
+        )
         B: list[Cube] = []
         while P:
-            p = P.pop(0).cube
+            p = P.pop()
             if not commit(p):
                 continue
+            # p's neighbours in P; a fragment requeued below is a piece
+            # of some q outside p, so it never joins them
+            near = P.index.overlapping(p)
             # neighbours whose overlap with p is shared: they stay whole.
-            # Held by value, since reweighting replaces the P entries.
+            # Held by value, so an equal cube elsewhere in P stays too.
             kept: set[Cube] = set()
             while True:
-                qi = -1
-                for i, w in enumerate(P):
-                    if _overlaps(p, w.cube) and w.cube not in kept:
-                        qi = i
-                        break
-                if qi < 0:
+                qs = P.first(near, kept)
+                if qs < 0:
                     break
-                q = P[qi].cube
+                q = P.index.cubes[qs]
                 fragments = split(q, p)
                 if fragments is None:
                     kept.add(q)
                     continue
-                del P[qi]
+                P.remove(qs)
                 if fragments or full:
-                    _apply_opt(cfg.variant, cfg.sort, q, fragments, P, B)
+                    _apply_opt(q, fragments, P, B)
             if B:
                 B = _subtract_all(B, p, split)
         todo_on = Cover(n, tuple(B))

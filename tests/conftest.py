@@ -58,6 +58,26 @@ def covers_st(draw, n=None, max_n=8, min_cubes=0, max_cubes=6):
 
 
 @st.composite
+def crowded_covers_st(draw, max_n=8, min_cubes=0, max_cubes=150):
+    """Covers rich in duplicates and nested cubes: each cube after the
+    first is a fresh one or a drawn earlier cube with some of its free
+    positions bound (itself when none are). Past 64 cubes, the bitsets
+    of a CubeIndex over the cover span more than one machine word."""
+    n = draw(st.integers(1, max_n))
+    top = (1 << n) - 1
+    cubes = []
+    for _ in range(draw(st.integers(min_cubes, max_cubes))):
+        if cubes and draw(st.booleans()):
+            b = cubes[draw(st.integers(0, len(cubes) - 1))]
+            extra = draw(st.integers(0, top)) & ~b.mask
+            bits = draw(st.integers(0, top)) & extra
+            cubes.append(Cube(n, b.mask | extra, b.bits | bits))
+        else:
+            cubes.append(draw(cubes_st(n=n)))
+    return Cover(n, tuple(cubes))
+
+
+@st.composite
 def function_specs_st(draw, n=None, max_n=8, max_on=6, max_dc=3):
     if n is None:
         n = draw(st.integers(1, max_n))
@@ -128,3 +148,45 @@ def rand_partial_spec(rng, n):
         unique=unique,
         shared=FunctionSpec(n, Cover(n, s_on), Cover(n, s_dc)),
     )
+
+
+# Pairwise references for the index-based weight_all and normalize.
+
+
+def pairwise_weight(cubes, i):
+    """Weight of cubes[i] against every other entry of `cubes`, one pair
+    at a time: the sum of literal_count - common - 1 over the entries
+    that overlap it, or -1 when none does."""
+    p = cubes[i]
+    k = p.literal_count
+    total = 0
+    hit = False
+    for j, d in enumerate(cubes):
+        # overlapping cubes agree wherever both are bound, so the
+        # common literals are the shared bound positions
+        common = p.mask & d.mask
+        if j == i or common & (p.bits ^ d.bits):
+            continue
+        hit = True
+        total += k - common.bit_count() - 1
+    return total if hit else -1
+
+
+def pairwise_normalize(cover):
+    """normalize, one pair at a time: a cube goes when another contains
+    it, except that of equal cubes the earliest stays."""
+    pairs = [(c.mask, c.bits) for c in cover.cubes]
+    kept = []
+    for i, (cm, cb) in enumerate(pairs):
+        absorbed = False
+        for j, (dm, db) in enumerate(pairs):
+            # skip d unless it contains c: every literal of d is in c
+            if i == j or dm & ~cm or (db ^ cb) & dm:
+                continue
+            if dm == cm and j > i:
+                continue
+            absorbed = True
+            break
+        if not absorbed:
+            kept.append(cover.cubes[i])
+    return Cover(cover.n, tuple(kept))

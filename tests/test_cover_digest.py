@@ -7,16 +7,26 @@ output order. Any change to either selection loop that moves a single
 cube, or reorders the output, changes the digest. Regenerate
 EXPECTED only for a change that is meant to move covers, and record
 the evidence for it.
+
+That population is small (at most 6 on-cubes, n <= 8), so the pool of
+cubes a pass selects from rarely passes one 64-bit word of an index
+bitset. WIDE_EXPECTED pins a second one of identity-backend functions
+and partial specs at n = 11-14 with 30-60 on-cubes, under the 10
+variant x sort configurations.
 """
 
 import hashlib
 import random
 
-from conftest import rand_partial_spec, rand_spec
+from conftest import rand_cover, rand_partial_spec, rand_spec
 from dsopforge import (
     SORT_POLICIES,
+    Cover,
     DsopConfig,
+    FunctionSpec,
     MinimizerBackend,
+    PartialSpec,
+    cover_intersects_cube,
     dsop,
     partial_dsop,
 )
@@ -25,6 +35,10 @@ SEED = 20260418
 CASES = 150
 
 EXPECTED = "30a36935ed7edc18f501284303262c6d8c40cf82153c52ddd0e9e198cb76fb24"
+
+WIDE_SEED = 20261021
+WIDE_CASES = 4
+WIDE_EXPECTED = "318becfcdec4c82adb8f4073518b861f8ce2ce924b388538d69b8325b00fc586"
 
 
 def _configs():
@@ -53,3 +67,47 @@ def _digest() -> str:
 
 def test_covers_match_the_pinned_digest():
     assert _digest() == EXPECTED
+
+
+def _wide_function(rng: random.Random) -> FunctionSpec:
+    n = rng.randint(11, 14)
+    on = rand_cover(rng, n, rng.randint(30, 60), bind=0.5)
+    return FunctionSpec(n, on, rand_cover(rng, n, rng.randint(0, 4), bind=0.7))
+
+
+def _wide_partial(rng: random.Random) -> PartialSpec:
+    # small shared cubes, kept where they miss every unique cube
+    n = rng.randint(11, 14)
+    on = rand_cover(rng, n, rng.randint(30, 60), bind=0.5)
+    shared = tuple(
+        c
+        for c in rand_cover(rng, n, 24, bind=0.75).cubes
+        if not cover_intersects_cube(on, c)
+    )
+    return PartialSpec(
+        unique=FunctionSpec(n, on), shared=FunctionSpec(n, Cover(n, shared))
+    )
+
+
+def _wide_digest() -> str:
+    rng = random.Random(WIDE_SEED)
+    functions, partials = [], []
+    for _ in range(WIDE_CASES):
+        functions.append(_wide_function(rng))
+        partials.append(_wide_partial(rng))
+    h = hashlib.sha256()
+    for variant in (1, 2, 3, 4, 5):
+        for sort in SORT_POLICIES:
+            cfg = DsopConfig(
+                variant=variant, sort=sort, backend=MinimizerBackend.identity()
+            )
+            for f in functions:
+                h.update(("d|" + ",".join(dsop(f, cfg).to_strings()) + "\n").encode())
+            for spec in partials:
+                out = partial_dsop(spec, cfg)
+                h.update(("p|" + ",".join(out.to_strings()) + "\n").encode())
+    return h.hexdigest()
+
+
+def test_wide_covers_match_the_pinned_digest():
+    assert _wide_digest() == WIDE_EXPECTED

@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import covers_st, cubes_st
+from conftest import covers_st, crowded_covers_st, cubes_st, pairwise_normalize
 from dsopforge import (
     Cover,
     Cube,
@@ -57,6 +57,16 @@ class TestNormalize:
 
     def test_keeps_first_of_equal_pair(self):
         assert normalize(cov("0-", "0-")).to_strings() == ["0-"]
+
+    @given(crowded_covers_st())
+    @settings(max_examples=80)
+    def test_matches_the_pairwise_reference(self, x):
+        assert normalize(x) == pairwise_normalize(x)
+
+    @given(crowded_covers_st(min_cubes=65))
+    @settings(max_examples=20)
+    def test_matches_the_pairwise_reference_past_one_word(self, x):
+        assert normalize(x) == pairwise_normalize(x)
 
     @given(covers_st(max_n=8))
     def test_preserves_point_set(self, x):

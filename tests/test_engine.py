@@ -1,15 +1,27 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
-from conftest import ALL_CONFIGS, covers_st, function_specs_st
+from conftest import (
+    ALL_CONFIGS,
+    covers_st,
+    crowded_covers_st,
+    function_specs_st,
+    pairwise_weight,
+    rand_cover,
+    rand_partial_spec,
+)
 from dsopforge import (
     SORT_DIMENSION_WEIGHT,
     SORT_WEIGHT_DIMENSION,
     ContractViolation,
     Cover,
     Cube,
+    DimensionMismatch,
     DsopConfig,
     FunctionSpec,
+    MinimizerBackend,
     ProgressError,
     WeightedCube,
     build_sop,
@@ -18,13 +30,14 @@ from dsopforge import (
     dsop,
     intersect,
     normalize,
+    partial_dsop,
     relative_weight,
     sort_cubes,
     verify_dsop,
     weight_all,
 )
 from dsopforge import partial as partial_mod
-from dsopforge.engine import _apply_opt, _weight_at
+from dsopforge.engine import _apply_opt, _Pool, _tie_key
 
 
 def c(s):
@@ -70,6 +83,26 @@ class TestWeights:
             )
             assert (w.weight == -1) == alone
 
+    def test_mixed_widths_raise(self):
+        # one index spans one width; a 2-variable cube cannot meet a
+        # 3-variable one, so no weight could be consistent
+        with pytest.raises(DimensionMismatch):
+            weight_all([c("01"), c("011")])
+
+    @given(crowded_covers_st())
+    @settings(max_examples=80)
+    def test_matches_the_pairwise_reference(self, cover):
+        cubes = list(cover.cubes)
+        got = [w.weight for w in weight_all(cover)]
+        assert got == [pairwise_weight(cubes, i) for i in range(len(cubes))]
+
+    @given(crowded_covers_st(min_cubes=65))
+    @settings(max_examples=20)
+    def test_matches_the_pairwise_reference_past_one_word(self, cover):
+        cubes = list(cover.cubes)
+        got = [w.weight for w in weight_all(cubes)]
+        assert got == [pairwise_weight(cubes, i) for i in range(len(cubes))]
+
 
 class TestSort:
     def test_dimension_weight_order_on_demo(self):
@@ -91,58 +124,105 @@ class TestSort:
         out = sort_cubes(weighted, SORT_DIMENSION_WEIGHT)
         assert [w.cube.to_string() for w in out] == ["0-0-", "1-1-"]
 
+    @given(crowded_covers_st(max_cubes=12))
+    def test_tie_key_orders_as_the_trit_string(self, cover):
+        cubes = list(cover.cubes)
+        assert sorted(cubes, key=_tie_key) == sorted(cubes, key=Cube.to_string)
+
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             sort_cubes([], "sideways")
 
 
+def pool(variant, *items):
+    """A selection pool P over 4 variables holding `items`, (trit
+    string, weight) pairs, in that order."""
+    weighted = [WeightedCube(c(s), w) for s, w in items]
+    return _Pool(4, variant, SORT_DIMENSION_WEIGHT, weighted)
+
+
+def entries(P):
+    """P's cubes in selection order, with their published weights."""
+    return [WeightedCube(P.index.cubes[s], P.weight[s]) for s in P.slots()]
+
+
 class TestApplyOpt:
     def test_variant_1_parks_fragments(self):
-        P = [WeightedCube(c("11--"), 99)]
+        P = pool(1, ("11--", 99))
         B = []
-        _apply_opt(1, SORT_DIMENSION_WEIGHT, c("1-1-"), [c("0100")], P, B)
+        _apply_opt(c("1-1-"), [c("0100")], P, B)
         assert B == [c("0100")]
-        assert P[0].weight == 99, "variant 1 leaves P alone"
+        assert entries(P)[0].weight == 99, "variant 1 leaves P alone"
 
     def test_variant_2_refreshes_only_neighbours_of_q(self):
         # 11-- overlaps q, 00-- does not; only the first weight is redone
-        P = [WeightedCube(c("11--"), 99), WeightedCube(c("00--"), 99)]
+        P = pool(2, ("11--", 99), ("00--", 99))
         B = []
-        _apply_opt(2, SORT_DIMENSION_WEIGHT, c("1-1-"), [c("0100")], P, B)
-        by_cube = {w.cube.to_string(): w.weight for w in P}
+        _apply_opt(c("1-1-"), [c("0100")], P, B)
+        by_cube = {w.cube.to_string(): w.weight for w in entries(P)}
         assert by_cube["11--"] == -1, "no overlapping peers left in P"
         assert by_cube["00--"] == 99, "untouched entries keep stale weight"
         assert B == [c("0100")]
 
     def test_variant_3_evicts_neighbours_whole(self):
-        P = [WeightedCube(c("11--"), 0), WeightedCube(c("00--"), 0)]
+        P = pool(3, ("11--", 0), ("00--", 0))
         B = []
-        _apply_opt(3, SORT_DIMENSION_WEIGHT, c("1-1-"), [c("0100")], P, B)
-        assert [w.cube for w in P] == [c("00--")]
+        _apply_opt(c("1-1-"), [c("0100")], P, B)
+        assert [w.cube for w in entries(P)] == [c("00--")]
         assert B == [c("0100"), c("11--")]
 
     def test_variant_4_requeues_single_fragment(self):
-        P = []
+        P = pool(4)
         B = []
-        _apply_opt(4, SORT_DIMENSION_WEIGHT, c("1-1-"), [c("0100")], P, B)
-        assert [w.cube for w in P] == [c("0100")]
+        _apply_opt(c("1-1-"), [c("0100")], P, B)
+        assert [w.cube for w in entries(P)] == [c("0100")]
         assert B == []
 
     def test_variant_4_parks_multiple_fragments(self):
-        P = [WeightedCube(c("0---"), 99)]
+        P = pool(4, ("0---", 99))
         B = []
-        _apply_opt(4, SORT_DIMENSION_WEIGHT, c("1-1-"), [c("0100"), c("0010")], P, B)
+        _apply_opt(c("1-1-"), [c("0100"), c("0010")], P, B)
         assert B == [c("0100"), c("0010")]
-        assert P[0].weight == -1, "variant 4 reweights everything"
+        assert entries(P)[0].weight == -1, "variant 4 reweights everything"
 
     def test_variant_5_requeues_biggest_fragment(self):
-        P = []
+        P = pool(5)
         B = []
         frags = [c("01--"), c("0-1-"), c("0000")]
-        _apply_opt(5, SORT_DIMENSION_WEIGHT, c("1---"), frags, P, B)
+        _apply_opt(c("1---"), frags, P, B)
         # two dimension-2 fragments tie; the lower trit string wins
-        assert [w.cube for w in P] == [c("0-1-")]
+        assert [w.cube for w in entries(P)] == [c("0-1-")]
         assert B == [c("01--"), c("0000")]
+
+    @pytest.mark.parametrize("variant", [2, 4, 5])
+    def test_published_weights_match_the_pairwise_reference(self, monkeypatch, variant):
+        # after every dispatch, the weights P publishes (all of them
+        # under variants 4 and 5, those of q's neighbours under 2) are
+        # the pairwise reference's against the current P
+        widest = []
+
+        def checked(q, fragments, P, B):
+            _apply_opt(q, fragments, P, B)
+            now = entries(P)
+            cubes = [w.cube for w in now]
+            for i, w in enumerate(now):
+                if variant == 2 and intersect(q, w.cube) is None:
+                    continue
+                assert w.weight == pairwise_weight(cubes, i), (q, w)
+            widest.append(len(P.index.cubes))
+
+        monkeypatch.setattr(partial_mod, "_apply_opt", checked)
+        rng = random.Random(8000 + variant)
+        identity = MinimizerBackend.identity()
+        for _ in range(3):
+            n = rng.randint(9, 12)
+            f = FunctionSpec(n, rand_cover(rng, n, rng.randint(50, 90), bind=0.6))
+            spec = rand_partial_spec(rng, n)
+            for sort in (SORT_DIMENSION_WEIGHT, SORT_WEIGHT_DIMENSION):
+                cfg = DsopConfig(variant=variant, sort=sort, backend=identity)
+                dsop(f, cfg)
+                partial_dsop(spec, cfg)
+        assert max(widest) > 64, "some P should span two bitset words"
 
 
 class TestDsop:
