@@ -24,7 +24,6 @@ from .cubes import (
     ContractViolation,
     Cube,
     DimensionMismatch,
-    common_literal_count,
     contains,
     disjoint_sharp,
     intersect,
@@ -37,7 +36,6 @@ from .engine import (
     ProgressError,
     WeightedCube,
     dsop,
-    relative_weight,
     sort_cubes,
     weight_all,
 )
@@ -72,7 +70,6 @@ __all__ = [
     "ContractViolation",
     "Cube",
     "DimensionMismatch",
-    "common_literal_count",
     "contains",
     "disjoint_sharp",
     "intersect",
@@ -96,7 +93,6 @@ __all__ = [
     "ProgressError",
     "WeightedCube",
     "dsop",
-    "relative_weight",
     "sort_cubes",
     "weight_all",
     "PartialSpec",

@@ -2,9 +2,10 @@
 
 Three subcommands: `dsop` turns a PLA into a disjoint cover per output,
 `pdsop` does the partial variant (two-file unique+shared form, or one
-file with --dc-policy choosing how its don't-cares may be reused), and
-`bench` sweeps a directory of PLA files over a variant/sort grid into a
-CSV/JSON report plus a size pivot table.
+file whose don't-cares become the shared region), and `bench` sweeps
+a directory of PLA files over a variant/sort grid into a CSV/JSON
+report plus a size pivot table. Every run is serial; `--jobs 1` and
+`pdsop FILE --dc-policy many` are accepted for compatibility only.
 
 Exit codes: 0 ok, 2 input/usage problems (PLA parse errors, shape or
 disjointness violations), 3 minimizer backend failure, 4 verification
@@ -12,7 +13,7 @@ failure, 5 internal error (a broken contract inside dsopforge:
 ContractViolation, DimensionMismatch or ProgressError; a bug, not a
 problem with the input). Stats JSON has the shape {"schema", "notes",
 "rows"} with one RunStats object per row; everything except elapsed_ms
-is deterministic for fixed inputs and flags, regardless of --jobs.
+is deterministic for fixed inputs and flags.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -66,7 +66,6 @@ _SORT_FLAGS = {"dw": SORT_DIMENSION_WEIGHT, "wd": SORT_WEIGHT_DIMENSION}
 _SORT_NAMES = {policy: flag for flag, policy in _SORT_FLAGS.items()}
 
 _T = TypeVar("_T")
-_R = TypeVar("_R")
 
 
 @dataclass(slots=True)
@@ -102,20 +101,10 @@ def _resolve_backend(flag: str | None) -> MinimizerBackend:
     )
 
 
-def _map_ordered(
-    fn: Callable[[_T], _R], items: Sequence[_T], jobs: int
-) -> list[_R]:
-    # pool.map keeps input order, so merged results stay deterministic.
-    if jobs > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _read_pla(path: str) -> PlaFile:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise PlaParseError(f"cannot read {path}: {exc}") from None
     try:
         return parse_pla(text)
@@ -179,7 +168,6 @@ def _solve_pla(
     specs: Sequence[FunctionSpec] | Sequence[PartialSpec],
     partial: bool,
     cfg: DsopConfig,
-    jobs: int,
     verify: bool,
 ) -> tuple[RunStats, list[Cover], list[VerificationReport]]:
     """Solve every output of one PLA: the one pipeline of all subcommands.
@@ -193,10 +181,8 @@ def _solve_pla(
     solve = partial_dsop if partial else dsop
     check = verify_partial_dsop if partial else verify_dsop
     started = time.perf_counter()
-    sops = _map_ordered(lambda f: build_sop(f, cfg.backend), firsts, jobs)
-    results = _map_ordered(
-        lambda ss: solve(ss[0], cfg, sop=ss[1]), list(zip(specs, sops)), jobs
-    )
+    sops = [build_sop(f, cfg.backend) for f in firsts]
+    results = [solve(s, cfg, sop=sop) for s, sop in zip(specs, sops)]
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     reports = [check(s, res) for s, res in zip(specs, results)] if verify else []
     stats = RunStats(
@@ -229,7 +215,7 @@ def _run_and_emit(
         backend=_resolve_backend(args.minimizer),
     )
     stats, results, reports = _solve_pla(
-        name, pla, specs, partial, cfg, args.jobs, args.verify
+        name, pla, specs, partial, cfg, args.verify
     )
     if args.verify and not stats.verified:
         _report_violations(name, reports)
@@ -251,9 +237,8 @@ def cmd_dsop(args: argparse.Namespace) -> int:
 
 def _pdsop_specs(
     args: argparse.Namespace,
-) -> tuple[str, PlaFile, list[FunctionSpec] | list[PartialSpec], bool]:
-    """Assemble one spec per output from the argument forms; the flag
-    says whether they are PartialSpecs (else FunctionSpecs for dsop)."""
+) -> tuple[str, PlaFile, list[PartialSpec]]:
+    """Assemble one PartialSpec per output from the argument forms."""
     if args.shared is not None and args.dc_policy is not None:
         raise ValueError(
             "--dc-policy is for the single-file form only; with two files"
@@ -275,10 +260,7 @@ def _pdsop_specs(
             PartialSpec(unique=u, shared=s)
             for u, s in zip(split_outputs(pla_u), split_outputs(pla_s))
         ]
-        return f"{name}+{Path(args.shared).name}", pla_u, specs, True
-    if args.dc_policy == "once":
-        # Each dc point may be used at most once: that is plain dsop.
-        return name, pla_u, split_outputs(pla_u), False
+        return f"{name}+{Path(args.shared).name}", pla_u, specs
     # Single-file form: the function's dc-set becomes the shared region.
     n = pla_u.num_inputs
     empty = Cover(n)
@@ -289,11 +271,11 @@ def _pdsop_specs(
         )
         for f in split_outputs(pla_u)
     ]
-    return name, pla_u, specs, True
+    return name, pla_u, specs
 
 
 def cmd_pdsop(args: argparse.Namespace) -> int:
-    return _run_and_emit(args, *_pdsop_specs(args))
+    return _run_and_emit(args, *_pdsop_specs(args), True)
 
 
 def _parse_list(raw: str, flag: str, parse: Callable[[str], _T | None]) -> list[_T]:
@@ -367,34 +349,28 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     failures: list[tuple[str, int, str]] = []
     rows: list[RunStats] = []
-
-    def one(item: tuple[Path, int, str]) -> tuple[RunStats, None] | tuple[None, tuple[str, int, str]]:
-        path, variant, sort = item
+    for path, variant, sort in grid:
         label = f"{path.name} variant={variant} sort={sort}"
         try:
             pla = _read_pla(str(path))
-            specs = split_outputs(pla)
             cfg = DsopConfig(
                 variant=variant,
                 sort=_SORT_FLAGS[sort],
                 drop_dc_only=args.drop_dc_only,
                 backend=backend,
             )
-            stats, _, _ = _solve_pla(path.name, pla, specs, False, cfg, 1, True)
+            stats, _, _ = _solve_pla(
+                path.name, pla, split_outputs(pla), False, cfg, True
+            )
         except PlaParseError as exc:
-            return None, (label, 2, str(exc))
+            failures.append((label, 2, str(exc)))
+            continue
         except MinimizerBackendError as exc:
-            return None, (label, 3, str(exc))
+            failures.append((label, 3, str(exc)))
+            continue
+        rows.append(stats)
         if not stats.verified:
-            return stats, (label, 4, "verification failed")
-        return stats, None
-
-    outcomes = _map_ordered(one, grid, args.jobs)
-    for stats, failure in outcomes:
-        if stats is not None:
-            rows.append(stats)
-        if failure is not None:
-            failures.append(failure)
+            failures.append((label, 4, "verification failed"))
 
     columns = [f.name for f in fields(RunStats)]
     if args.csv:
@@ -423,7 +399,13 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="builtin|external:PATH",
         help="SOP backend; default reads $DSOPFORGE_MINIMIZER, else builtin",
     )
-    shared.add_argument("--jobs", type=int, default=1, help="worker threads")
+    shared.add_argument(
+        "--jobs",
+        type=int,
+        choices=(1,),
+        default=1,
+        help="accepted for compatibility; runs are always serial",
+    )
     shared.add_argument(
         "--drop-dc-only",
         action="store_true",
@@ -474,10 +456,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--dc-policy",
-        choices=("once", "many"),
+        choices=("many",),
         default=None,
-        help="single-file form only: may the file's don't-care points be"
-        " covered once (plain disjoint cover) or many times (default)",
+        help="single-file form only, accepted for compatibility: the"
+        " file's don't-care points may be covered many times",
     )
     p.set_defaults(func=cmd_pdsop)
 

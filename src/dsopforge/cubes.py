@@ -23,7 +23,6 @@ __all__ = [
     "ContractViolation",
     "intersect",
     "contains",
-    "common_literal_count",
     "disjoint_sharp",
 ]
 
@@ -146,12 +145,6 @@ def contains(p: Cube, q: Cube) -> bool:
     appears in q with the same value)."""
     _check_same_n(p, q)
     return not (p.mask & ~q.mask) and not ((p.bits ^ q.bits) & p.mask)
-
-
-def common_literal_count(p: Cube, q: Cube) -> int:
-    """Number of variables bound to the same value in both cubes."""
-    _check_same_n(p, q)
-    return ((p.mask & q.mask) & ~(p.bits ^ q.bits)).bit_count()
 
 
 def disjoint_sharp(q: Cube, p: Cube) -> list[Cube]:

@@ -1,7 +1,8 @@
 """Disjoint sum-of-products synthesis driven by cube weights.
 
 The weight of a cube p against an overlapping peer q is
-literal_count(p) - common_literal_count(p, q) - 1: the number of
+literal_count(p) - common(p, q) - 1, where common(p, q) counts the
+variables both cubes bind to the same value: the number of
 fragments splitting q \\ p would create if p were selected first. A
 cube's weight is the sum over all peers it intersects, or -1 when it
 intersects none. Low weight means cheap to select.
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .covers import Cover, CubeIndex, FunctionSpec, slots_of
-from .cubes import Cube, ContractViolation, common_literal_count, intersect
+from .cubes import Cube
 from .minimize import MinimizerBackend
 
 __all__ = [
@@ -50,7 +51,6 @@ __all__ = [
     "WeightedCube",
     "DsopConfig",
     "ProgressError",
-    "relative_weight",
     "weight_all",
     "sort_cubes",
     "dsop",
@@ -82,17 +82,6 @@ class DsopConfig:
             raise ValueError(f"variant must be 1..5, got {self.variant}")
         if self.sort not in SORT_POLICIES:
             raise ValueError(f"unknown sort policy {self.sort!r}")
-
-
-def relative_weight(p: Cube, q: Cube) -> int:
-    """Fragments created in q when p is selected first; requires overlap.
-
-    Equals literal_count(p) - common_literal_count(p, q) - 1, which is
-    -1 exactly when q is contained in p (selection erases q outright).
-    """
-    if intersect(p, q) is None:
-        raise ContractViolation("relative_weight requires overlapping cubes")
-    return p.literal_count - common_literal_count(p, q) - 1
 
 
 def _tie_key(c: Cube) -> int:

@@ -10,9 +10,9 @@ synthesis keep cubes whole where a full DSOP would have to split them.
 A full DSOP is the special case with an empty shared region: `dsop`
 and `partial_dsop` are thin wrappers over one loop, `_select`. Each
 outer pass re-minimizes what is left, weights it once, commits the
-isolated cubes (weight -1), and selects the rest greedily; a
-neighbour q of a selected cube p stays whole when q & p lies in the
-shared region and goes through partial_break otherwise. With no
+isolated cubes (weight -1), and selects the rest greedily; each
+neighbour q of a selected cube p goes through partial_break, which
+keeps q whole when q & p lies in the shared region. With no
 shared region every split is a plain disjoint sharp and the region
 tests are skipped.
 
@@ -102,22 +102,23 @@ class PartialSpec:
 
 def partial_break(
     q: Cube, p: Cube, spec: PartialSpec
-) -> tuple[list[Cube], list[Cube]]:
+) -> tuple[list[Cube] | None, list[Cube]]:
     """Split q against a committed cube p, sparing shared-only overlaps.
 
     The spec's two parts must be point-disjoint. Returns (fragments,
     reusable). With x = q & p (required nonempty): x inside the shared
-    region yields ([], []) and q should stay whole; otherwise q is
-    split and `reusable` lists the shared slices of x, points already
-    covered by p that later passes may treat as don't cares. An x
-    inside the unique region meets no shared cube, so it has none.
+    region yields (None, []), and q stays whole; otherwise fragments
+    is disjoint_sharp(q, p), empty when p contains q, and `reusable`
+    lists the shared slices of x, points already covered by p that
+    later passes may treat as don't cares. An x inside the unique
+    region meets no shared cube, so it has none.
     """
     x = intersect(q, p)
     if x is None:
         raise ContractViolation("partial_break requires overlapping cubes")
     shared_all = spec.shared_cover()
     if cover_contains_cube(shared_all, x):
-        return [], []
+        return None, []
     reusable = []
     for s in shared_all.cubes:
         piece = intersect(x, s)
@@ -155,18 +156,15 @@ def _select(
     """
     n = spec.n
     first = spec.combined()
-    shared = spec.shared_cover()
     committed: list[Cube] = []
     todo_on = first.on
     dc_once = list(spec.unique.dc.cubes)
     dc_many = list(spec.shared.dc.cubes)
 
-    if shared.cubes:
+    if spec.shared_cover().cubes:
 
         def split(q: Cube, p: Cube) -> list[Cube] | None:
             # None: the overlap is shared, so q may stay whole
-            if cover_contains_cube(shared, intersect(q, p)):
-                return None
             fragments, reusable = partial_break(q, p, spec)
             dc_many.extend(reusable)
             return fragments

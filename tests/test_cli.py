@@ -61,6 +61,15 @@ def solve_to_universe(monkeypatch):
     )
 
 
+def exit_code(argv):
+    """main's return code, or the code of the SystemExit argparse
+    raises when it refuses an argument."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def wide_pla(n=40, k=8, seed=7):
     """k random cubes over n inputs, about a fifth of positions bound, so
     that they overlap; 2**40 points are far past any point enumeration."""
@@ -110,9 +119,10 @@ class TestDsopCommand:
         assert "verified=no" in captured.err
 
     def test_deterministic_across_runs_and_jobs(self, tmp_path):
+        # the third run passes the compatibility value --jobs 1
         outs = []
         stats = []
-        for i, jobs in enumerate(("1", "4", "1")):
+        for i, jobs in enumerate(([], [], ["--jobs", "1"])):
             out = tmp_path / f"out{i}.pla"
             st_path = tmp_path / f"stats{i}.json"
             assert (
@@ -120,8 +130,7 @@ class TestDsopCommand:
                     [
                         "dsop",
                         str(FIXTURES / "two_out.pla"),
-                        "--jobs",
-                        jobs,
+                        *jobs,
                         "-o",
                         str(out),
                         "--stats",
@@ -150,6 +159,13 @@ class TestDsopCommand:
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["dsop", str(FIXTURES / "nope.pla")]) == 2
+
+    def test_non_utf8_file_exits_2_naming_it(self, tmp_path, capsys):
+        bad = tmp_path / "binary.pla"
+        bad.write_bytes(b".i 2\n.o 1\n1\xff 1\n")
+        assert main(["dsop", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read {bad}" in err and "utf-8" in err
 
     def test_backend_failure_exits_3(self, capsys):
         code = main(
@@ -368,18 +384,35 @@ class TestPdsopCommand:
         assert code == 2
         assert "inputs" in capsys.readouterr().err
 
-    def test_dc_policy_once_matches_dsop(self, tmp_path):
-        a = tmp_path / "a.pla"
-        b = tmp_path / "b.pla"
-        src = str(FIXTURES / "withdc.pla")
-        assert main(["pdsop", src, "--dc-policy", "once", "-o", str(a)]) == 0
-        assert main(["dsop", src, "-o", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
-    @pytest.mark.parametrize("policy", ["once", "many"])
-    def test_dc_policy_with_two_files_exits_2(self, tmp_path, capsys, policy):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pdsop", "withdc.pla", "--dc-policy", "once"],
+            ["dsop", "overlap4.pla", "--jobs", "2"],
+        ],
+        ids=["pdsop-dc-policy-once", "dsop-jobs-2"],
+    )
+    def test_retired_values_exit_2(self, tmp_path, capsys, argv):
+        # runs are serial, and `dsop FILE` is the dc-used-once cover
+        command, name, flag, value = argv
         out = tmp_path / "out.pla"
-        code = main(
+        argv = [command, str(FIXTURES / name), flag, value, "-o", str(out)]
+        assert exit_code(argv) == 2
+        assert f"argument {flag}: invalid choice" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "policy, message",
+        [
+            pytest.param("once", "invalid choice", id="once"),
+            pytest.param("many", "single-file form", id="many"),
+        ],
+    )
+    def test_dc_policy_with_two_files_exits_2(
+        self, tmp_path, capsys, policy, message
+    ):
+        out = tmp_path / "out.pla"
+        code = exit_code(
             [
                 "pdsop",
                 str(FIXTURES / "straddle_d.pla"),
@@ -391,7 +424,7 @@ class TestPdsopCommand:
             ]
         )
         assert code == 2
-        assert "single-file form" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_dc_policy_defaults_to_many(self, tmp_path):
@@ -399,13 +432,15 @@ class TestPdsopCommand:
         src = tmp_path / "reuse.pla"
         src.write_text(".i 4\n.o 1\n-0-0 1\n1-10 1\n1-11 -\n.e\n")
         outs = {}
-        for policy in (None, "many", "once"):
+        for policy in (None, "many"):
             out = tmp_path / f"{policy}.pla"
             flags = [] if policy is None else ["--dc-policy", policy]
             assert main(["pdsop", str(src), *flags, "-o", str(out)]) == 0
             outs[policy] = out.read_bytes()
+        plain = tmp_path / "dsop.pla"
+        assert main(["dsop", str(src), "-o", str(plain)]) == 0
         assert outs[None] == outs["many"]
-        assert outs[None] != outs["once"]
+        assert outs[None] != plain.read_bytes()
 
     def test_dc_policy_many_verifies(self, tmp_path):
         out = tmp_path / "out.pla"
@@ -518,6 +553,15 @@ class TestBenchCommand:
         assert "line 2" in captured.err
         assert "chain2.pla" in captured.out and "overlap4.pla" in captured.out
         assert "nooutputs.pla" not in captured.out
+
+    def test_non_utf8_file_recorded_run_continues(self, tmp_path, capsys):
+        d = self._bench_dir(tmp_path, ["overlap4.pla", "chain2.pla"])
+        (d / "binary.pla").write_bytes(b".i 2\n.o 1\n1\xff 1\n")
+        code = main(["bench", str(d), "--variants", "1", "--sorts", "dw"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "FAILED binary.pla variant=1 sort=dw: cannot read" in captured.err
+        assert "chain2.pla" in captured.out and "overlap4.pla" in captured.out
 
     def test_empty_directory_exits_2(self, tmp_path):
         d = tmp_path / "empty"

@@ -7,7 +7,6 @@ from dsopforge import (
     ContractViolation,
     Cube,
     DimensionMismatch,
-    common_literal_count,
     contains,
     disjoint_sharp,
     intersect,
@@ -99,24 +98,6 @@ class TestContains:
     def test_width_mismatch(self):
         with pytest.raises(DimensionMismatch):
             contains(c("0-"), c("0--"))
-
-
-class TestCommonLiterals:
-    def test_counts_shared_identical_literals(self):
-        assert common_literal_count(c("01-1"), c("0-11")) == 2
-        assert common_literal_count(c("11--"), c("00--")) == 0
-        assert common_literal_count(c("----"), c("0101")) == 0
-
-    @given(cube_pairs_st(max_n=10))
-    def test_symmetric(self, pq):
-        p, q = pq
-        assert common_literal_count(p, q) == common_literal_count(q, p)
-
-    @given(cube_pairs_st(max_n=10))
-    def test_bounded_by_literal_counts(self, pq):
-        p, q = pq
-        cl = common_literal_count(p, q)
-        assert cl <= min(p.literal_count, q.literal_count)
 
 
 class TestDisjointSharp:

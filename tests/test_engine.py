@@ -15,7 +15,6 @@ from conftest import (
 from dsopforge import (
     SORT_DIMENSION_WEIGHT,
     SORT_WEIGHT_DIMENSION,
-    ContractViolation,
     Cover,
     Cube,
     DimensionMismatch,
@@ -31,7 +30,6 @@ from dsopforge import (
     intersect,
     normalize,
     partial_dsop,
-    relative_weight,
     sort_cubes,
     verify_dsop,
     weight_all,
@@ -53,17 +51,6 @@ DEMO_F = FunctionSpec(4, DEMO)
 
 
 class TestWeights:
-    def test_relative_weight_counts_fragments(self):
-        assert relative_weight(c("0-0-"), c("-1-1")) == 1
-        assert relative_weight(c("01--"), c("-1-1")) == 0
-
-    def test_relative_weight_is_minus_one_on_containment(self):
-        assert relative_weight(c("01--"), c("010-")) == -1
-
-    def test_relative_weight_requires_overlap(self):
-        with pytest.raises(ContractViolation):
-            relative_weight(c("00--"), c("11--"))
-
     def test_demo_cover_weights(self):
         got = {w.cube.to_string(): w.weight for w in weight_all(DEMO)}
         assert got == {"0-0-": 1, "-1-1": 2, "01--": 0, "1-1-": 1}

@@ -65,7 +65,7 @@ def three_way_break(q, p, spec):
     x = intersect(q, p)
     shared_all = spec.shared_cover()
     if cover_contains_cube(shared_all, x):
-        return [], []
+        return None, []
     if cover_contains_cube(spec.unique_cover(), x):
         return disjoint_sharp(q, p), []
     reusable = []
@@ -96,9 +96,10 @@ class TestPartialBreak:
 
     def test_shared_overlap_is_left_alone(self):
         Q, R = partial_break(c("0-0-"), c("01--"), E2)
-        assert Q == [] and R == []
+        assert Q is None and R == []
 
     def test_contained_inside_unique_vanishes(self):
+        # p swallows q: no fragments, which is not the shared verdict
         Q, R = partial_break(c("1101"), c("11-1"), E2)
         assert Q == [] and R == []
 
