@@ -340,37 +340,35 @@ def cmd_bench(args: argparse.Namespace) -> int:
     sorts = _parse_list(args.sorts, "--sorts", lambda s: s if s in _SORT_FLAGS else None)
     backend = _resolve_backend(args.minimizer)
 
-    grid = [
-        (path, variant, sort)
-        for path in files
-        for variant in variants
-        for sort in sorts
-    ]
-
     failures: list[tuple[str, int, str]] = []
     rows: list[RunStats] = []
-    for path, variant, sort in grid:
-        label = f"{path.name} variant={variant} sort={sort}"
+    for path in files:
+        labels = [
+            (variant, sort, f"{path.name} variant={variant} sort={sort}")
+            for variant in variants
+            for sort in sorts
+        ]
         try:
             pla = _read_pla(str(path))
+            specs = split_outputs(pla)
+        except PlaParseError as exc:
+            failures.extend((label, 2, str(exc)) for _, _, label in labels)
+            continue
+        for variant, sort, label in labels:
             cfg = DsopConfig(
                 variant=variant,
                 sort=_SORT_FLAGS[sort],
                 drop_dc_only=args.drop_dc_only,
                 backend=backend,
             )
-            stats, _, _ = _solve_pla(
-                path.name, pla, split_outputs(pla), False, cfg, True
-            )
-        except PlaParseError as exc:
-            failures.append((label, 2, str(exc)))
-            continue
-        except MinimizerBackendError as exc:
-            failures.append((label, 3, str(exc)))
-            continue
-        rows.append(stats)
-        if not stats.verified:
-            failures.append((label, 4, "verification failed"))
+            try:
+                stats, _, _ = _solve_pla(path.name, pla, specs, False, cfg, True)
+            except MinimizerBackendError as exc:
+                failures.append((label, 3, str(exc)))
+                continue
+            rows.append(stats)
+            if not stats.verified:
+                failures.append((label, 4, "verification failed"))
 
     columns = [f.name for f in fields(RunStats)]
     if args.csv:
@@ -479,7 +477,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a refused argument, 0 after --help
+        return int(exc.code or 0)
     try:
         return args.func(args)
     except PlaParseError as exc:

@@ -3,18 +3,27 @@
 verify_partial_dsop checks a result cover against its specification
 exactly, for every n, on (mask, bits) cube pairs: each obligation is a
 containment question (a cube inside a union of cubes, answered by
-covers._pairs_contain) or an overlap between two result cubes.
-Overlaps are looked for only among the result cubes that touch one
-cube of the unique part, since only there can a repeat break a rule.
-verify_dsop is verify_partial_dsop with an empty shared region: the
-on-set is covered exactly once, the dc-set at most once, the off-set
-never, so two overlapping cubes always break one of those rules at a
-point they share. Every violation is (minterm, rule, observed): a
-witness minterm, the rule it breaks ("==1", "<=1", ">=1" or "==0"),
-and how many result cubes cover it. Witnesses are found by splitting
-the offending cube one free variable at a time and dropping every half
-that holds none. No point masks are built and nothing is sampled, so
-the cost does not depend on 2**n.
+covers._pairs_contain) or an overlap between two result cubes. One
+covers.CubeIndex over the result gives, per result cube, the later
+result cubes it overlaps, and, per cube of the unique part, the result
+cubes near it (sharing a point with it). Overlaps are looked for only
+among the near cubes of each unique cube, since only there can a
+repeat break a rule, and each overlapping pair is read off the index
+rather than tested. An on cube whose near cubes overlap in no pair is
+met by them in pairwise disjoint pieces, so it lies inside the result
+iff the pieces' volumes, 2**(n - bound variables) each, add up to its
+own; only the on cubes this test does not clear go to the containment
+search. With overlapping pieces the sum
+counts shared points twice and proves nothing, so those cubes go to
+the search too. verify_dsop is verify_partial_dsop with an empty shared
+region: the on-set is covered exactly once, the dc-set at most once,
+the off-set never, so two overlapping cubes always break one of those
+rules at a point they share. Every violation is (minterm, rule,
+observed): a witness minterm, the rule it breaks ("==1", "<=1", ">=1"
+or "==0"), and how many result cubes cover it. Witnesses are found by
+splitting the offending cube one free variable at a time and dropping
+every half that holds none. No point masks are built and nothing is
+sampled, so the cost does not depend on 2**n.
 
 exact_min_dsop is a tiny-n reference: it enumerates every implicant of
 on+dc that touches the on-set and runs an iterative-deepening search
@@ -30,10 +39,12 @@ from typing import Iterator
 
 from .covers import (
     Cover,
+    CubeIndex,
     EnumerationCapExceeded,
     FunctionSpec,
     _pairs_contain,
     cover_point_mask,
+    slots_of,
 )
 from .cubes import Cube, DimensionMismatch
 from .partial import PartialSpec
@@ -110,19 +121,34 @@ def _witnesses(
 
 
 def _overlaps(
-    items: list[Pair], region: list[Pair]
+    near: list[int], later: list[int], crowded: int
 ) -> Iterator[tuple[int, int, int]]:
-    """Yield (i, j, r) for each pair i < j of `items` that share a point
-    and both touch region cube r. A pair whose overlap meets the region
-    is yielded at least once; other pairs may be yielded too."""
-    for r, (rm, rb) in enumerate(region):
-        near = [
-            (i, m, b) for i, (m, b) in enumerate(items) if not (m & rm) & (b ^ rb)
-        ]
-        for a, (i, im, ib) in enumerate(near):
-            for j, jm, jb in near[a + 1 :]:
-                if not (im & jm) & (ib ^ jb):
-                    yield i, j, r
+    """Yield (i, j, r) for each pair i < j of result cubes that share a
+    point and both touch region cube r, r and then i, j ascending.
+
+    near[r] is the bitset of result cubes touching region cube r,
+    later[i] that of the cubes after i overlapping i, and crowded that
+    of the cubes i whose later[i] is not empty."""
+    for r, nr in enumerate(near):
+        for i in slots_of(nr & crowded):
+            for j in slots_of(later[i] & nr):
+                yield i, j, r
+
+
+def _tiled(
+    n: int, cube: Pair, near: int, res: list[Pair], later: list[int], crowded: int
+) -> bool:
+    """True when the result cubes `near` (a bitset) meet `cube` in
+    pairwise disjoint pieces whose volumes add up to its own, which
+    proves the cube covered. False proves nothing: overlapping pieces
+    would count their shared points twice."""
+    # cubes that pairwise share a point all share one, so two near
+    # cubes that overlap do so inside the cube
+    if any(later[i] & near for i in slots_of(near & crowded)):
+        return False
+    m = cube[0]
+    volume = sum(1 << (n - (res[i][0] | m).bit_count()) for i in slots_of(near))
+    return volume == 1 << (n - m.bit_count())
 
 
 def _meet(p: Pair, q: Pair) -> Pair:
@@ -159,19 +185,34 @@ def verify_partial_dsop(spec: PartialSpec, result: Cover) -> VerificationReport:
     uncovered. Region priority follows that order should the given
     PartialSpec's parts accidentally overlap. Exact for every n: only
     overlaps of result cubes inside the unique part can break a rule
-    there, so only those are looked for."""
+    there, so only those are looked for, and an on cube tiled by
+    disjoint result pieces is proved covered by their volume."""
     n = spec.n
     res = _pairs(result, n)
     on_u = _pairs(spec.unique.on, n)
     dc_u = _pairs(spec.unique.dc, n)
     on_s = _pairs(spec.shared.on, n)
     every = on_u + dc_u + on_s + _pairs(spec.shared.dc, n)
-    uncovered: set[int] = set()
-    _witnesses(n, on_u, None, res, uncovered)
     unique = on_u + dc_u
+    index = CubeIndex(n, result.cubes)
+    later = [
+        index.overlapping(c) & ~((2 << i) - 1) for i, c in enumerate(result.cubes)
+    ]
+    crowded = 0
+    for i, peers in enumerate(later):
+        if peers:
+            crowded |= 1 << i
+    near = [index.overlapping(c) for c in spec.unique.on.cubes + spec.unique.dc.cubes]
+    gaps = [
+        p
+        for p, nr in zip(on_u, near)
+        if not _tiled(n, p, nr, res, later, crowded)
+    ]
+    uncovered: set[int] = set()
+    _witnesses(n, gaps, None, res, uncovered)
     multi_on: set[int] = set()
     multi_dc: set[int] = set()
-    for i, j, r in _overlaps(res, unique):
+    for i, j, r in _overlaps(near, later, crowded):
         x = [_meet(res[i], res[j])]
         if r < len(on_u):
             _witnesses(n, x, [unique[r]], [], multi_on)

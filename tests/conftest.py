@@ -15,6 +15,7 @@ from dsopforge import (
     PartialSpec,
     cover_intersects_cube,
 )
+from dsopforge.verify import _MAX_REPORTED, _pairs, _report, _witnesses
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -190,3 +191,56 @@ def pairwise_normalize(cover):
         if not absorbed:
             kept.append(cover.cubes[i])
     return Cover(cover.n, tuple(kept))
+
+
+# Pairwise reference for the index-based verify_partial_dsop: each on
+# cube checked by a tautology over the whole result, and every pair of
+# result cubes near each region cube tested one by one.
+
+
+def pairwise_overlaps(items, region):
+    """Yield (i, j, r) for each pair i < j of (mask, bits) `items` that
+    share a point and both touch region cube r, r and then i, j
+    ascending."""
+    for r, (rm, rb) in enumerate(region):
+        near = [
+            (i, m, b) for i, (m, b) in enumerate(items) if not (m & rm) & (b ^ rb)
+        ]
+        for a, (i, im, ib) in enumerate(near):
+            for j, jm, jb in near[a + 1 :]:
+                if not (im & jm) & (ib ^ jb):
+                    yield i, j, r
+
+
+def pairwise_verify_partial(spec, result):
+    """verify_partial_dsop's violations, found the pairwise way."""
+    n = spec.n
+    res = _pairs(result, n)
+    on_u = _pairs(spec.unique.on, n)
+    dc_u = _pairs(spec.unique.dc, n)
+    on_s = _pairs(spec.shared.on, n)
+    every = on_u + dc_u + on_s + _pairs(spec.shared.dc, n)
+    uncovered = set()
+    _witnesses(n, on_u, None, res, uncovered)
+    unique = on_u + dc_u
+    multi_on = set()
+    multi_dc = set()
+    for i, j, r in pairwise_overlaps(res, unique):
+        x = [(res[i][0] | res[j][0], res[i][1] | res[j][1])]
+        if r < len(on_u):
+            _witnesses(n, x, [unique[r]], [], multi_on)
+        else:
+            _witnesses(n, x, [unique[r]], on_u, multi_dc)
+        if len(multi_on) >= _MAX_REPORTED:
+            break
+    short = set()
+    _witnesses(n, on_s, None, res + unique, short)
+    off = set()
+    _witnesses(n, res, None, every, off)
+    violations = []
+    _report(violations, uncovered, "==1", res, n)
+    _report(violations, multi_on, "==1", res, n)
+    _report(violations, multi_dc, "<=1", res, n)
+    _report(violations, short, ">=1", res, n)
+    _report(violations, off, "==0", res, n)
+    return violations

@@ -61,15 +61,6 @@ def solve_to_universe(monkeypatch):
     )
 
 
-def exit_code(argv):
-    """main's return code, or the code of the SystemExit argparse
-    raises when it refuses an argument."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
-
-
 def wide_pla(n=40, k=8, seed=7):
     """k random cubes over n inputs, about a fifth of positions bound, so
     that they overlap; 2**40 points are far past any point enumeration."""
@@ -397,7 +388,7 @@ class TestPdsopCommand:
         command, name, flag, value = argv
         out = tmp_path / "out.pla"
         argv = [command, str(FIXTURES / name), flag, value, "-o", str(out)]
-        assert exit_code(argv) == 2
+        assert main(argv) == 2
         assert f"argument {flag}: invalid choice" in capsys.readouterr().err
         assert not out.exists()
 
@@ -412,7 +403,7 @@ class TestPdsopCommand:
         self, tmp_path, capsys, policy, message
     ):
         out = tmp_path / "out.pla"
-        code = exit_code(
+        code = main(
             [
                 "pdsop",
                 str(FIXTURES / "straddle_d.pla"),
@@ -525,11 +516,27 @@ class TestBenchCommand:
         (d / "broken.pla").write_text(".i 2\n.o 1\n.wat\n")
         csv_path = tmp_path / "rows.csv"
         code = main(
-            ["bench", str(d), "--variants", "1", "--sorts", "dw", "--csv", str(csv_path)]
+            [
+                "bench",
+                str(d),
+                "--variants",
+                "1,3",
+                "--sorts",
+                "dw,wd",
+                "--csv",
+                str(csv_path),
+            ]
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert "FAILED broken.pla" in err
+        # the file is read once, and fails every configuration
+        failed = [line.split(":")[1] for line in err.splitlines()]
+        assert failed == [
+            " FAILED broken.pla variant=1 sort=dw",
+            " FAILED broken.pla variant=1 sort=wd",
+            " FAILED broken.pla variant=3 sort=dw",
+            " FAILED broken.pla variant=3 sort=wd",
+        ]
         body = csv_path.read_text()
         assert "overlap4.pla" in body, "good files still produce rows"
 
@@ -568,6 +575,27 @@ class TestBenchCommand:
         d.mkdir()
         assert main(["bench", str(d)]) == 2
 
+    def test_each_file_is_parsed_once(self, monkeypatch, capsys):
+        calls = {"parse_pla": 0, "build_sop": 0}
+
+        def counted(name):
+            real = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, wrapper)
+
+        counted("parse_pla")
+        counted("build_sop")
+        assert main(["bench", str(FIXTURES)]) == 0
+        files = sorted(FIXTURES.glob("*.pla"))
+        outputs = sum(parse_pla(f.read_text()).num_outputs for f in files)
+        # one parse per file; one SOP per output and configuration, as
+        # elapsed_ms times the SOP building of each configuration
+        assert calls == {"parse_pla": len(files), "build_sop": 10 * outputs}
+
     def test_bad_variant_list_exits_2(self, tmp_path):
         d = self._bench_dir(tmp_path, ["overlap4.pla"])
         assert main(["bench", str(d), "--variants", "7"]) == 2
@@ -601,6 +629,18 @@ class TestInternalErrors:
 
 
 class TestEntryPoint:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["dsop", "overlap4.pla", "--variant", "7"], 2),
+            ([], 2),
+            (["--help"], 0),
+            (["dsop", "--help"], 0),
+        ],
+    )
+    def test_main_returns_argparse_codes(self, capsys, argv, code):
+        assert main(argv) == code
+
     def test_run_raises_system_exit(self, monkeypatch, capsys):
         monkeypatch.setattr(
             sys, "argv", ["dsopforge", "dsop", str(FIXTURES / "overlap4.pla")]

@@ -1,8 +1,18 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import covers_st, cubes_st, function_specs_st, partial_specs_st
+from conftest import (
+    covers_st,
+    cubes_st,
+    function_specs_st,
+    pairwise_verify_partial,
+    partial_specs_st,
+    rand_cover,
+    rand_spec,
+)
 from dsopforge import (
     Cover,
     Cube,
@@ -15,6 +25,7 @@ from dsopforge import (
     disjoint_sharp,
     dsop,
     exact_min_dsop,
+    intersect,
     partial_dsop,
     verify_dsop,
     verify_partial_dsop,
@@ -374,3 +385,92 @@ class TestAgainstPointMasks:
         report = verify_dsop(f, cov("-" * n))
         assert len(report.violations) == _MAX_REPORTED
         assert report.violations == mask_verify_partial(empty_shared(f), cov("-" * n))
+
+
+# --- the pairwise reference verifier (tests/conftest.py) -------------------
+
+
+def mutated(rng, result):
+    """The result with up to three cubes dropped, duplicated or added."""
+    cubes = list(result.cubes)
+    for _ in range(rng.randint(0, 3)):
+        how = rng.choice(("drop", "duplicate", "stray"))
+        at = rng.randint(0, len(cubes))
+        if how == "drop" and cubes:
+            del cubes[at % len(cubes)]
+        elif how == "duplicate" and cubes:
+            cubes.insert(at, rng.choice(cubes))
+        elif how == "stray":
+            cubes.insert(at, rand_cover(rng, result.n, 1).cubes[0])
+    return Cover(result.n, tuple(cubes))
+
+
+def outside(cubes, region):
+    """Disjoint pieces of `cubes` that avoid every cube of `region`."""
+    for q in region:
+        cubes = [
+            f
+            for c in cubes
+            for f in ([c] if intersect(c, q) is None else disjoint_sharp(c, q))
+        ]
+    return cubes
+
+
+def reference_case(seed):
+    """(spec, result) at n = 1-9: full DSOP specs, partial specs whose
+    shared on and dc are carved out of the unique part, and partial
+    specs whose parts overlap; results solved or drawn, then mutated.
+    Drawn from a seeded Random, since hypothesis drawing each cube
+    would take most of the time at 3000 cases."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 9)
+    unique = rand_spec(rng, n, max_on=5, max_dc=3)
+    kind = rng.choice(("dsop", "carved", "overlapping"))
+    s_on = s_dc = ()
+    if kind != "dsop":
+        s_on = rand_cover(rng, n, rng.randint(1, 3)).cubes
+        s_dc = rand_cover(rng, n, rng.randint(1, 3)).cubes
+        if kind == "carved":
+            care = unique.on.cubes + unique.dc.cubes
+            s_on = tuple(outside(s_on, care)[:4])
+            s_dc = tuple(outside(s_dc, care + s_on)[:4])
+    shared = FunctionSpec(n, Cover(n, s_on), Cover(n, s_dc))
+    spec = PartialSpec(unique=unique, shared=shared)
+    if kind != "overlapping" and rng.random() < 0.5:
+        base = partial_dsop(spec)
+    else:
+        base = rand_cover(rng, n, rng.randint(0, 10))
+    return spec, mutated(rng, base)
+
+
+class TestAgainstPairwiseReference:
+    @given(st.integers(0, 2**64 - 1))
+    @settings(max_examples=3000)
+    def test_violations_match_the_pairwise_reference(self, seed):
+        spec, result = reference_case(seed)
+        assert verify_partial_dsop(spec, result).violations == (
+            pairwise_verify_partial(spec, result)
+        )
+
+    def test_equal_volumes_of_overlapping_pieces_prove_nothing(self):
+        # 0- twice fills the volume of -- while 1- stays uncovered
+        f = FunctionSpec(2, cov("--"))
+        result = cov("0-", "0-")
+        want = [
+            ("10", "==1", 0),
+            ("11", "==1", 0),
+            ("00", "==1", 2),
+            ("01", "==1", 2),
+        ]
+        assert verify_dsop(f, result).violations == want
+        assert pairwise_verify_partial(empty_shared(f), result) == want
+
+    def test_overlap_only_in_shared_dc_outside_the_on_cube_is_fine(self):
+        spec = PartialSpec(
+            unique=FunctionSpec(2, cov("11")),
+            shared=FunctionSpec(2, Cover(2), cov("0-")),
+        )
+        # -1 and 0- share 01, a shared dc point; only -1 touches 11
+        result = cov("-1", "0-")
+        assert verify_partial_dsop(spec, result).ok
+        assert pairwise_verify_partial(spec, result) == []
