@@ -7,16 +7,17 @@ sort orders and split policies that turn an SOP into a disjoint cover,
 `partial` runs the one selection loop (a full DSOP is a partial DSOP
 with an empty shared region), `verify` holds the exact cube-level
 checker (verify_dsop is verify_partial_dsop on the same empty shared
-region), and `pla`/`cli` do the file format and command-line plumbing.
+region), `exact` is the one module that enumerates points (point masks
+for small-n oracles and the exact minimum search, whose full-DSOP form
+again runs over an empty shared region), and `pla`/`cli` do the file
+format and command-line plumbing.
 """
 
 from .covers import (
     Cover,
-    EnumerationCapExceeded,
     FunctionSpec,
     cover_contains_cube,
     cover_intersects_cube,
-    cover_point_mask,
     is_tautology,
     normalize,
 )
@@ -39,6 +40,13 @@ from .engine import (
     sort_cubes,
     weight_all,
 )
+from .exact import (
+    EnumerationCapExceeded,
+    chain_family,
+    cover_point_mask,
+    exact_min_dsop,
+    exact_min_partial_dsop,
+)
 from .minimize import (
     MinimizerBackend,
     MinimizerBackendError,
@@ -55,13 +63,7 @@ from .pla import (
     split_outputs,
     write_pla,
 )
-from .verify import (
-    VerificationReport,
-    chain_family,
-    exact_min_dsop,
-    verify_dsop,
-    verify_partial_dsop,
-)
+from .verify import VerificationReport, verify_dsop, verify_partial_dsop
 
 __version__ = "0.1.0"
 
@@ -74,13 +76,16 @@ __all__ = [
     "disjoint_sharp",
     "intersect",
     "Cover",
-    "EnumerationCapExceeded",
     "FunctionSpec",
     "cover_contains_cube",
     "cover_intersects_cube",
-    "cover_point_mask",
     "is_tautology",
     "normalize",
+    "EnumerationCapExceeded",
+    "chain_family",
+    "cover_point_mask",
+    "exact_min_dsop",
+    "exact_min_partial_dsop",
     "MinimizerBackend",
     "MinimizerBackendError",
     "build_sop",
@@ -99,8 +104,6 @@ __all__ = [
     "partial_break",
     "partial_dsop",
     "VerificationReport",
-    "chain_family",
-    "exact_min_dsop",
     "verify_dsop",
     "verify_partial_dsop",
     "PlaFile",

@@ -260,17 +260,27 @@ def _pdsop_specs(
             PartialSpec(unique=u, shared=s)
             for u, s in zip(split_outputs(pla_u), split_outputs(pla_s))
         ]
-        return f"{name}+{Path(args.shared).name}", pla_u, specs
-    # Single-file form: the function's dc-set becomes the shared region.
-    n = pla_u.num_inputs
-    empty = Cover(n)
-    specs = [
-        PartialSpec(
-            unique=FunctionSpec(n, f.on, empty),
-            shared=FunctionSpec(n, empty, f.dc),
-        )
-        for f in split_outputs(pla_u)
-    ]
+        name = f"{name}+{Path(args.shared).name}"
+        rows = "row", f"{args.shared} row", "the two files"
+    else:
+        # Single-file form: the function's dc-set becomes the shared region.
+        n = pla_u.num_inputs
+        empty = Cover(n)
+        specs = [
+            PartialSpec(
+                unique=FunctionSpec(n, f.on, empty),
+                shared=FunctionSpec(n, empty, f.dc),
+            )
+            for f in split_outputs(pla_u)
+        ]
+        rows = "on row", "don't-care row", "its on and don't-care rows"
+    for j, spec in enumerate(specs):
+        hit = spec.overlap()
+        if hit is not None:
+            raise ValueError(
+                f"{args.unique} output {j}: {rows[0]} {hit[0]} overlaps"
+                f" {rows[1]} {hit[1]}; {rows[2]} must be point-disjoint"
+            )
     return name, pla_u, specs
 
 

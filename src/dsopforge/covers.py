@@ -32,25 +32,11 @@ from .cubes import Cube, DimensionMismatch
 __all__ = [
     "Cover",
     "FunctionSpec",
-    "EnumerationCapExceeded",
     "normalize",
     "is_tautology",
     "cover_contains_cube",
     "cover_intersects_cube",
-    "cover_point_mask",
 ]
-
-ENUMERATION_CAP = 26
-
-
-class EnumerationCapExceeded(ValueError):
-    """Point enumeration was requested over too wide a variable space.
-
-    Only the point-level helpers (cover_point_mask, exact_min_dsop)
-    raise it; containment and the verification oracles work on cubes
-    and need no enumeration.
-    """
-
 
 @dataclass(frozen=True, slots=True)
 class Cover:
@@ -275,23 +261,6 @@ def _recursive_tautology(n: int, items: list[tuple[int, int]]) -> bool:
 def is_tautology(cover: Cover) -> bool:
     """True iff the cover's cubes jointly cover all 2**n points."""
     return _recursive_tautology(cover.n, [(c.mask, c.bits) for c in cover.cubes])
-
-
-def cover_point_mask(cover: Cover) -> int:
-    """Union of the cubes' point masks (bit m set iff minterm m covered).
-
-    Only sensible for small n; guarded to keep the 2**n-bit integers
-    from exhausting memory on mistaken calls.
-    """
-    if cover.n > ENUMERATION_CAP:
-        raise EnumerationCapExceeded(
-            f"point mask over {cover.n} variables; check containment "
-            "on cubes instead"
-        )
-    acc = 0
-    for c in cover.cubes:
-        acc |= c.point_mask()
-    return acc
 
 
 def _pairs_contain(

@@ -105,23 +105,6 @@ class Cube:
         """Number of free variables; the cube covers 2**dimension points."""
         return self.n - self.mask.bit_count()
 
-    def covers_minterm(self, index: int) -> bool:
-        """True iff the minterm (bit i = value of variable i) lies in the cube."""
-        return (index & self.mask) == self.bits
-
-    def point_mask(self) -> int:
-        """Characteristic bitmask of the cube's minterm set: bit m is set
-        iff the cube covers minterm m. Intended for small n; the result
-        has 2**n bits."""
-        out = 1
-        for i in range(self.n):
-            b = 1 << i
-            if not self.mask & b:
-                out |= out << (1 << i)
-            elif self.bits & b:
-                out <<= 1 << i
-        return out
-
 
 def _check_same_n(p: Cube, q: Cube) -> None:
     if p.n != q.n:

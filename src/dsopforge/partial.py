@@ -88,16 +88,24 @@ class PartialSpec:
             Cover(n, self.unique.dc.cubes + self.shared.dc.cubes),
         )
 
-    def validate_disjoint(self) -> None:
-        """Raise ValueError when any unique cube meets any shared cube."""
+    def overlap(self) -> tuple[Cube, Cube] | None:
+        """The first unique cube and shared cube that share a point, or
+        None when the parts are point-disjoint."""
         shared = self.shared_cover().cubes
         for a in self.unique_cover().cubes:
             for b in shared:
                 if intersect(a, b) is not None:
-                    raise ValueError(
-                        f"unique cube {a} overlaps shared cube {b}; "
-                        "the two parts must be point-disjoint"
-                    )
+                    return a, b
+        return None
+
+    def validate_disjoint(self) -> None:
+        """Raise ValueError when any unique cube meets any shared cube."""
+        hit = self.overlap()
+        if hit is not None:
+            raise ValueError(
+                f"unique cube {hit[0]} overlaps shared cube {hit[1]}; "
+                "the two parts must be point-disjoint"
+            )
 
 
 def partial_break(

@@ -1,4 +1,4 @@
-"""Verification oracles and exact minimum baselines.
+"""Exact verification of disjoint and partial disjoint covers.
 
 verify_partial_dsop checks a result cover against its specification
 exactly, for every n, on (mask, bits) cube pairs: each obligation is a
@@ -24,37 +24,21 @@ or "==0"), and how many result cubes cover it. Witnesses are found by
 splitting the offending cube one free variable at a time and dropping
 every half that holds none. No point masks are built and nothing is
 sampled, so the cost does not depend on 2**n.
-
-exact_min_dsop is a tiny-n reference: it enumerates every implicant of
-on+dc that touches the on-set and runs an iterative-deepening search
-for the smallest pairwise-disjoint subset covering the on-set, so
-heuristic results can be compared against a true minimum.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .covers import (
-    Cover,
-    CubeIndex,
-    EnumerationCapExceeded,
-    FunctionSpec,
-    _pairs_contain,
-    cover_point_mask,
-    slots_of,
-)
-from .cubes import Cube, DimensionMismatch
+from .covers import Cover, CubeIndex, FunctionSpec, _pairs_contain, slots_of
+from .cubes import DimensionMismatch
 from .partial import PartialSpec
 
 __all__ = [
     "VerificationReport",
     "verify_dsop",
     "verify_partial_dsop",
-    "exact_min_dsop",
-    "chain_family",
 ]
 
 _MAX_REPORTED = 1000
@@ -231,83 +215,3 @@ def verify_partial_dsop(spec: PartialSpec, result: Cover) -> VerificationReport:
     _report(report.violations, short, ">=1", res, n)
     _report(report.violations, off, "==0", res, n)
     return report
-
-
-def exact_min_dsop(f: FunctionSpec, max_n: int = 5) -> Cover:
-    """Smallest disjoint cover of f, by exhaustive search over implicants.
-
-    Candidates are all cubes inside on+dc that touch the on-set,
-    enumerated largest-first with trit-string tie order. An
-    iterative-deepening search over the result size returns the first
-    solution found at the minimum size, so the output is deterministic.
-    Only meant for tiny n (the candidate pool is 3**n).
-    """
-    n = f.n
-    if n > max_n:
-        raise EnumerationCapExceeded(
-            f"exact search over {n} variables refused (max_n={max_n})"
-        )
-    on_m = cover_point_mask(f.on)
-    if on_m == 0:
-        return Cover(n)
-    care = on_m | cover_point_mask(f.dc)
-    candidates: list[tuple[Cube, int]] = []
-    for trits in itertools.product("-01", repeat=n):
-        cube = Cube.from_string("".join(trits))
-        pm = cube.point_mask()
-        if not pm & ~care and pm & on_m:
-            candidates.append((cube, pm))
-    candidates.sort(key=lambda cp: (-cp[0].dimension, cp[0].to_string()))
-    by_point: dict[int, list[int]] = {}
-    rem = on_m
-    while rem:
-        b = rem & -rem
-        rem ^= b
-        idx = b.bit_length() - 1
-        by_point[idx] = [
-            ci for ci, (_, pm) in enumerate(candidates) if pm >> idx & 1
-        ]
-    chosen: list[int] = []
-    failed_at: dict[int, int] = {}
-
-    def search(covered: int, budget: int) -> bool:
-        need = on_m & ~covered
-        if not need:
-            return True
-        if budget == 0:
-            return False
-        if failed_at.get(covered, -1) >= budget:
-            return False
-        low = (need & -need).bit_length() - 1
-        for ci in by_point[low]:
-            pm = candidates[ci][1]
-            if pm & covered:
-                continue
-            chosen.append(ci)
-            if search(covered | pm, budget - 1):
-                return True
-            chosen.pop()
-        failed_at[covered] = budget
-        return False
-
-    upper = on_m.bit_count()
-    for k in range(1, upper + 1):
-        if search(0, k):
-            return Cover(n, tuple(candidates[ci][0] for ci in chosen))
-    raise RuntimeError("unreachable: minterm cover always exists")
-
-
-def chain_family(m: int) -> FunctionSpec:
-    """The 2m-variable function x1 x2 + x3 x4 + ... + x(2m-1) x(2m).
-
-    The smallest disjoint cover of this chain has 2**m - 1 cubes even
-    though the plain SOP needs only m, which makes it a sharp test case
-    for minimum-size oracles and heuristics alike.
-    """
-    if m < 1:
-        raise ValueError("chain_family needs m >= 1")
-    n = 2 * m
-    cubes = tuple(
-        Cube(n, 0b11 << (2 * i), 0b11 << (2 * i)) for i in range(m)
-    )
-    return FunctionSpec(n, Cover(n, cubes))

@@ -354,15 +354,26 @@ class TestPdsopCommand:
         assert row["verified"] is True
 
     def test_overlapping_inputs_exit_2(self, capsys):
-        code = main(
-            [
-                "pdsop",
-                str(FIXTURES / "straddle_d.pla"),
-                str(FIXTURES / "overlap4.pla"),
-            ]
-        )
+        unique = str(FIXTURES / "straddle_d.pla")
+        shared = str(FIXTURES / "overlap4.pla")
+        code = main(["pdsop", unique, shared])
         assert code == 2
-        assert "point-disjoint" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"dsopforge: {unique} output 0: row 011- overlaps {shared} row"
+            " -1-1; the two files must be point-disjoint\n"
+        )
+
+    def test_overlapping_rows_of_one_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "ov.pla"
+        path.write_text(".i 3\n.o 1\n.type fd\n1-- 1\n11- -\n.e\n")
+        out = tmp_path / "out.pla"
+        code = main(["pdsop", str(path), "-o", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"dsopforge: {path} output 0: on row 1-- overlaps don't-care"
+            " row 11-; its on and don't-care rows must be point-disjoint\n"
+        )
+        assert not out.exists()
 
     def test_shape_mismatch_exits_2(self, capsys):
         code = main(

@@ -25,11 +25,14 @@ from dsopforge import (
     disjoint_sharp,
     dsop,
     exact_min_dsop,
+    exact_min_partial_dsop,
     intersect,
     partial_dsop,
     verify_dsop,
     verify_partial_dsop,
 )
+from dsopforge import exact
+from dsopforge.exact import point_mask
 from dsopforge.verify import _MAX_REPORTED
 
 
@@ -57,10 +60,10 @@ def minterm(n, bits):
 def no_point_masks(monkeypatch):
     """Fail the test if any point mask gets built."""
 
-    def refuse(self):
+    def refuse(cube):
         raise AssertionError("point mask built")
 
-    monkeypatch.setattr(Cube, "point_mask", refuse)
+    monkeypatch.setattr(exact, "point_mask", refuse)
 
 
 def wide_dsop_case(n):
@@ -242,12 +245,54 @@ class TestExactMinDsop:
     def test_empty_function(self):
         assert len(exact_min_dsop(FunctionSpec(3, Cover(3)))) == 0
 
+    def test_zero_variables(self):
+        f = FunctionSpec(0, Cover(0, (Cube(0, 0, 0),)))
+        assert exact_min_dsop(f).cubes == (Cube(0, 0, 0),) == dsop(f).cubes
+
     @given(function_specs_st(max_n=4))
     @settings(max_examples=60)
     def test_result_is_a_disjoint_cover_no_larger_than_heuristic(self, f):
         exact = exact_min_dsop(f)
         assert verify_dsop(f, exact).ok
         assert len(exact) <= len(dsop(f))
+
+
+def nothing_unique(shared):
+    n = shared.n
+    return PartialSpec(unique=FunctionSpec(n, Cover(n)), shared=shared)
+
+
+class TestExactMinPartialDsop:
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_chain_as_shared_needs_m_cubes(self, m):
+        spec = nothing_unique(chain_family(m))
+        out = exact_min_partial_dsop(spec, max_n=2 * m)
+        assert out.to_strings() == chain_family(m).on.to_strings()
+        assert verify_partial_dsop(spec, out).ok
+
+    def test_unique_points_stay_single(self):
+        # chain_family(2) with its one overlap point 1111 unique: 11--
+        # and --11 may not both cover it, so the minimum is the full
+        # chain's 3 instead of 2
+        spec = PartialSpec(
+            unique=FunctionSpec(4, cov("1111")),
+            shared=FunctionSpec(4, cov("110-", "1110", "0-11", "1011")),
+        )
+        out = exact_min_partial_dsop(spec)
+        assert len(out) == 3
+        assert verify_partial_dsop(spec, out).ok
+
+    def test_overlapping_parts_raise(self):
+        spec = PartialSpec(
+            unique=FunctionSpec(2, cov("1-")),
+            shared=FunctionSpec(2, cov("11")),
+        )
+        with pytest.raises(ValueError, match="point-disjoint"):
+            exact_min_partial_dsop(spec)
+
+    def test_width_cap(self):
+        with pytest.raises(EnumerationCapExceeded):
+            exact_min_partial_dsop(nothing_unique(chain_family(3)))
 
 
 class TestChainFamily:
@@ -281,7 +326,7 @@ def _mask_report(result, checks):
             low = bad & -bad
             bad ^= low
             m = low.bit_length() - 1
-            seen = sum(1 for q in result.cubes if q.covers_minterm(m))
+            seen = sum(1 for q in result.cubes if m & q.mask == q.bits)
             out.append((_minterm(m, result.n), constraint, seen))
     return out
 
@@ -289,7 +334,7 @@ def _mask_report(result, checks):
 def _coverage(result):
     covered = multi = 0
     for q in result.cubes:
-        pm = q.point_mask()
+        pm = point_mask(q)
         multi |= covered & pm
         covered |= pm
     return covered, multi
