@@ -350,8 +350,8 @@ def dsop(
     `sop`, when given, must be build_sop(f, cfg.backend): the first
     pass then uses it instead of re-minimizing f, so a caller that
     already built it (say, to report its size) pays for it once. Like
-    every build_sop result it must be absorption-free, since the loop
-    commits the cubes weight_all weighs -1 without splitting anything.
+    every build_sop result it must be absorption-free, or ContractViolation:
+    the loop commits the cubes weight_all weighs -1 without splitting them.
     """
     # the loop lives in partial, which imports this module
     from .partial import PartialSpec, _select

@@ -2,13 +2,15 @@
 
 Every backend takes an incompletely specified function and returns an
 absorption-free cover P with every cube of P inside on+dc and every
-on-minterm covered. The builtin backend is a small expand/irredundant
-loop; it never increases the cube count of the normalized on-set. The
-identity backend just normalizes. Both grow every cube of P from an on
-cube, so neither returns dc-only cubes. The external backend shells out
-to an espresso-style binary that reads a PLA path argument and prints a
-PLA on stdout; it may return dc-only cubes (--drop-dc-only discards
-them), and a result that breaks either containment rule raises
+on-minterm covered. The builtin backend is one expand pass and one
+irredundant pass; it never increases the cube count of the normalized
+on-set. One pass of each is enough: with no REDUCE step between them,
+both are idempotent, so a second round would rebuild the first's cover.
+The identity backend just normalizes. Both grow every cube of P from an
+on cube, so neither returns dc-only cubes. The external backend shells
+out to an espresso-style binary that reads a PLA path argument and
+prints a PLA on stdout; it may return dc-only cubes (--drop-dc-only
+discards them), and a result that breaks either containment rule raises
 MinimizerBackendError naming the offending cube.
 """
 
@@ -30,7 +32,6 @@ __all__ = [
 ]
 
 _BACKEND_KINDS = ("builtin", "external", "identity")
-_MAX_ROUNDS = 10
 
 # external minimizer invocations are serialized per process
 _EXTERNAL_LOCK = threading.Lock()
@@ -142,21 +143,6 @@ def irredundant(cover: Cover, must_cover: Cover) -> Cover:
     return Cover(n, tuple(c for i, c in enumerate(cubes) if alive[i]))
 
 
-def _builtin_sop(f: FunctionSpec) -> Cover:
-    on = normalize(f.on)
-    if not on.cubes:
-        return on
-    valid = f.care_cover()
-    current = on
-    for _ in range(_MAX_ROUNDS):
-        expanded = Cover(f.n, tuple(expand_cube(c, valid) for c in current.cubes))
-        reduced = irredundant(normalize(expanded), on)
-        if len(reduced.cubes) >= len(current.cubes):
-            return reduced
-        current = reduced
-    return current
-
-
 def _write_single_output_pla(f: FunctionSpec) -> str:
     lines = [f".i {f.n}", ".o 1", ".type fd"]
     lines.append(f".p {len(f.on.cubes) + len(f.dc.cubes)}")
@@ -230,8 +216,11 @@ def _external_sop(f: FunctionSpec, path: str) -> Cover:
 def build_sop(f: FunctionSpec, backend: MinimizerBackend | None = None) -> Cover:
     """Re-minimize a function into an SOP cover via the chosen backend."""
     backend = backend or MinimizerBackend.builtin()
-    if backend.kind == "identity":
-        return normalize(f.on)
     if backend.kind == "external":
         return _external_sop(f, backend.path)  # type: ignore[arg-type]
-    return _builtin_sop(f)
+    on = normalize(f.on)
+    if backend.kind == "identity":
+        return on
+    valid = f.care_cover()
+    expanded = Cover(f.n, tuple(expand_cube(c, valid) for c in on.cubes))
+    return irredundant(normalize(expanded), on)

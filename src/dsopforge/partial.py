@@ -19,11 +19,8 @@ tests are skipped.
 The don't-care rule stays per mode. dsop drops f.dc after the first
 pass; partial_dsop keeps the unique dc points no committed cube has
 claimed, plus the shared overlap slices partial_break reports. Neither
-rule is never worse for full DSOP: on 400 random functions (n = 3-10,
-2-10 on-cubes, 1-4 dc-cubes, variants 1-5, builtin backend), the
-keep-unclaimed rule changed dsop's cover in 180 of 2000 runs, smaller
-in 23 and larger in 19 (8115 cubes against 8103 in total); another
-draw of the same kind gave 292 changed, 33 smaller and 62 larger.
+rule is never worse for full DSOP: on random functions the
+keep-unclaimed rule makes some dsop covers smaller and others larger.
 
 partial_break() is the overlap-aware version of the splitting step:
 when the overlap q & p lies inside the shared region, q survives
@@ -36,7 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .covers import Cover, FunctionSpec, cover_contains_cube, cover_intersects_cube
+from .covers import (
+    Cover, FunctionSpec, cover_contains_cube, cover_intersects_cube, normalize
+)
 from .cubes import Cube, ContractViolation, disjoint_sharp, intersect
 from .engine import (
     DsopConfig,
@@ -163,6 +162,13 @@ def _select(
     _apply_opt, with no fragments.
     """
     n = spec.n
+    if sop is not None and len(kept := normalize(sop).cubes) < len(sop.cubes):
+        # kept is a subsequence of sop, so the first mismatch is dropped
+        i = next((j for j, k in enumerate(kept) if k != sop.cubes[j]), len(kept))
+        raise ContractViolation(
+            f"sop= is not absorption-free: cube {i} ({sop.cubes[i]}) "
+            "repeats or lies inside another cube"
+        )
     first = spec.combined()
     committed: list[Cube] = []
     todo_on = first.on
@@ -257,7 +263,7 @@ def partial_dsop(
 
     `sop`, when given, must be build_sop(spec.combined(), cfg.backend):
     the first pass then uses it instead of re-minimizing. Like every
-    build_sop result it must be absorption-free.
+    build_sop result it must be absorption-free, or ContractViolation.
     """
     spec.validate_disjoint()
     return _select(spec, cfg or DsopConfig(), sop, full=False)

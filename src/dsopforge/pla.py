@@ -76,7 +76,7 @@ def parse_pla(text: str) -> PlaFile:
         tokens = line.split()
         if tokens[0].startswith("."):
             directive, args = tokens[0], tokens[1:]
-            if directive in (".i", ".o") and rows:
+            if directive in (".i", ".o", ".type") and rows:
                 raise PlaParseError(f"{directive} after table rows", lineno)
             if directive == ".i":
                 num_inputs = _int_arg(args, ".i", lineno)

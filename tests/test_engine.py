@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from conftest import (
 from dsopforge import (
     SORT_DIMENSION_WEIGHT,
     SORT_WEIGHT_DIMENSION,
+    ContractViolation,
     Cover,
     Cube,
     DimensionMismatch,
@@ -277,6 +279,18 @@ class TestDsop:
         calls.clear()
         assert dsop(DEMO_F, sop=build_sop(DEMO_F)) == plain
         assert len(calls) == passes - 1
+
+    @pytest.mark.parametrize(
+        "sop,bad",
+        [(["0-", "0-", "-0"], "cube 1 (0-)"), (["0-", "00", "-0"], "cube 1 (00)")],
+        ids=["twin", "nested"],
+    )
+    def test_given_sop_must_be_absorption_free(self, sop, bad):
+        # a twin or nested cube would weigh -1 and be committed as if
+        # isolated, covering 00 three times
+        f = FunctionSpec.from_strings(on=["0-", "-0"])
+        with pytest.raises(ContractViolation, match=re.escape(bad)):
+            dsop(f, sop=Cover.from_strings(sop))
 
     @given(function_specs_st(max_n=6))
     @settings(max_examples=60)

@@ -23,6 +23,7 @@ from dsopforge import (
     irredundant,
     normalize,
 )
+from dsopforge import minimize
 from dsopforge.exact import point_mask
 
 
@@ -178,6 +179,31 @@ class TestBuiltin:
     @given(function_specs_st(max_n=7))
     def test_deterministic(self, f):
         assert build_sop(f) == build_sop(f)
+
+    def test_one_expand_pass_and_one_irredundant_pass(self, monkeypatch):
+        # the expand pass shrinks 00, 01 to 0-; a second round would
+        # expand 0- again and rerun irredundant, to the same cover
+        calls = {"expand_cube": 0, "irredundant": 0}
+        for name in calls:
+            original = getattr(minimize, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(minimize, name, counted)
+        assert build_sop(FunctionSpec(2, cov("00", "01"))).to_strings() == ["0-"]
+        assert calls == {"expand_cube": 2, "irredundant": 1}
+
+    @given(function_specs_st(max_n=8))
+    def test_one_round_is_a_fixed_point(self, f):
+        # why the builtin needs no second round: with no REDUCE step,
+        # expand and irredundant both leave their own output unchanged
+        sop = build_sop(f)
+        valid = f.care_cover()
+        for r in sop.cubes:
+            assert expand_cube(r, valid) == r
+        assert irredundant(sop, normalize(f.on)) == sop
 
     @pytest.mark.parametrize("backend", ["builtin", "identity"])
     @given(f=function_specs_st(max_n=7, max_on=8))

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -168,6 +170,19 @@ class TestPartialDsop:
         calls.clear()
         assert partial_dsop(E2, sop=build_sop(first_pass_spec(E2))) == plain
         assert len(calls) == passes - 1
+
+    @pytest.mark.parametrize(
+        "sop,bad",
+        [(["0-", "0-", "-0"], "cube 1 (0-)"), (["0-", "00", "-0"], "cube 1 (00)")],
+        ids=["twin", "nested"],
+    )
+    def test_given_sop_must_be_absorption_free(self, sop, bad):
+        spec = PartialSpec(
+            unique=FunctionSpec.from_strings(on=["0-", "-0"]),
+            shared=FunctionSpec(2, Cover(2)),
+        )
+        with pytest.raises(ContractViolation, match=re.escape(bad)):
+            partial_dsop(spec, sop=Cover.from_strings(sop))
 
     @given(partial_specs_st(max_n=7))
     @settings(max_examples=60)

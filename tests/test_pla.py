@@ -73,6 +73,7 @@ class TestParse:
             (".i 2\n.o 2\n.ob f\n0- 11\n.e\n", ".ob"),
             (".i 2\n.o 1\n11 1\n.i 3\n111 1\n.e\n", ".i after table rows"),
             (".i 2\n.o 1\n11 1\n.o 2\n11 11\n.e\n", ".o after table rows"),
+            (".i 2\n.o 1\n00 1\n11 -\n.type f\n.e\n", ".type after table rows"),
         ],
     )
     def test_rejects_malformed_text(self, text, fragment):
