@@ -14,13 +14,22 @@ from collections import Counter
 from dsopforge import (
     SORT_DIMENSION_WEIGHT,
     SORT_WEIGHT_DIMENSION,
+    Cover,
     DsopConfig,
+    FunctionSpec,
     dsop,
     exact_min_dsop,
 )
-from variant_grid import rand_function
+from ladder import rand_cube
 
 SORTS = {"dw": SORT_DIMENSION_WEIGHT, "wd": SORT_WEIGHT_DIMENSION}
+
+
+def rand_function(rng, n):
+    bind = rng.uniform(0.2, 0.8)
+    on = [rand_cube(rng, n, bind) for _ in range(rng.randint(1, 6))]
+    dc = [rand_cube(rng, n, bind) for _ in range(rng.randint(0, 3))]
+    return FunctionSpec(n, Cover(n, tuple(on)), Cover(n, tuple(dc)))
 
 
 def main(argv=None) -> int:
@@ -34,8 +43,14 @@ def main(argv=None) -> int:
     ap.add_argument("--sort", choices=sorted(SORTS), default="dw")
     ap.add_argument("--show", type=int, default=5, help="worst cases to print")
     ns = ap.parse_args(argv)
+    if ns.count < 1:
+        ap.error("--count must be at least 1")
+    if ns.max_n < 2:
+        ap.error("--max-n must be at least 2")
     if ns.max_n > 5:
         ap.error("--max-n above 5 makes the exact search impractical")
+    if ns.show < 0:
+        ap.error("--show must not be negative")
 
     cfg = DsopConfig(variant=ns.variant, sort=SORTS[ns.sort])
     rng = random.Random(ns.seed)

@@ -16,6 +16,7 @@ format and command-line plumbing.
 from .covers import (
     Cover,
     FunctionSpec,
+    PartialSpec,
     cover_contains_cube,
     cover_intersects_cube,
     is_tautology,
@@ -54,7 +55,7 @@ from .minimize import (
     expand_cube,
     irredundant,
 )
-from .partial import PartialSpec, partial_break, partial_dsop
+from .partial import partial_break, partial_dsop
 from .pla import (
     PlaFile,
     PlaParseError,

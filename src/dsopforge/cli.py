@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .covers import Cover, FunctionSpec
+from .covers import Cover, FunctionSpec, PartialSpec
 from .cubes import ContractViolation, DimensionMismatch
 from .engine import (
     SORT_DIMENSION_WEIGHT,
@@ -38,7 +38,7 @@ from .engine import (
     dsop,
 )
 from .minimize import MinimizerBackend, MinimizerBackendError, build_sop
-from .partial import PartialSpec, partial_dsop
+from .partial import partial_dsop
 from .pla import (
     PlaFile,
     PlaParseError,

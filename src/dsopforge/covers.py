@@ -1,10 +1,11 @@
-"""Covers (cube lists) and single-function specifications.
+"""Covers (cube lists) and function specifications.
 
 A cover is an ordered list of cubes over a shared variable count; its
 point set is the union of the cubes' point sets, and the same minterm
 may be covered by several cubes. FunctionSpec pairs an on-set cover
 with a don't-care cover to describe an incompletely specified Boolean
-function; points in neither are off.
+function; points in neither are off. PartialSpec, the input of a
+partial DSOP, splits a function into a unique and a shared part.
 
 The tautology check follows the recursive cofactor expansion: a cover
 containing the all-free cube is a tautology, the empty cover is not,
@@ -27,11 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .cubes import Cube, DimensionMismatch
+from .cubes import Cube, DimensionMismatch, intersect
 
 __all__ = [
     "Cover",
     "FunctionSpec",
+    "PartialSpec",
     "normalize",
     "is_tautology",
     "cover_contains_cube",
@@ -111,6 +113,60 @@ class FunctionSpec:
     def care_cover(self) -> Cover:
         """on and dc cubes concatenated: the region output cubes may use."""
         return Cover(self.n, self.on.cubes + self.dc.cubes)
+
+
+@dataclass(frozen=True, slots=True)
+class PartialSpec:
+    """Two point-disjoint function parts sharing one variable space."""
+
+    unique: FunctionSpec
+    shared: FunctionSpec
+
+    def __post_init__(self) -> None:
+        if self.unique.n != self.shared.n:
+            raise ValueError(
+                f"parts disagree on width: {self.unique.n} vs {self.shared.n}"
+            )
+
+    @property
+    def n(self) -> int:
+        return self.unique.n
+
+    def unique_cover(self) -> Cover:
+        return self.unique.care_cover()
+
+    def shared_cover(self) -> Cover:
+        return self.shared.care_cover()
+
+    def combined(self) -> FunctionSpec:
+        """Both parts as one function: on = unique.on + shared.on and
+        dc = unique.dc + shared.dc. partial_dsop's first pass
+        re-minimizes it, so its build_sop is what `sop=` expects."""
+        n = self.n
+        return FunctionSpec(
+            n,
+            Cover(n, self.unique.on.cubes + self.shared.on.cubes),
+            Cover(n, self.unique.dc.cubes + self.shared.dc.cubes),
+        )
+
+    def overlap(self) -> tuple[Cube, Cube] | None:
+        """The first unique cube and shared cube that share a point, or
+        None when the parts are point-disjoint."""
+        shared = self.shared_cover().cubes
+        for a in self.unique_cover().cubes:
+            for b in shared:
+                if intersect(a, b) is not None:
+                    return a, b
+        return None
+
+    def validate_disjoint(self) -> None:
+        """Raise ValueError when any unique cube meets any shared cube."""
+        hit = self.overlap()
+        if hit is not None:
+            raise ValueError(
+                f"unique cube {hit[0]} overlaps shared cube {hit[1]}; "
+                "the two parts must be point-disjoint"
+            )
 
 
 def slots_of(x: int) -> Iterator[int]:

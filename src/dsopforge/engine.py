@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .covers import Cover, CubeIndex, FunctionSpec, slots_of
+from .covers import Cover, CubeIndex, FunctionSpec, PartialSpec, slots_of
 from .cubes import Cube
 from .minimize import MinimizerBackend
 
@@ -215,13 +215,13 @@ class _Pool:
         rank = self.rank
         return [s for s in self.order[self.head :] if rank[s] >= 0]
 
-    def first(self, near: int, kept: set[Cube]) -> int:
-        """The live slot in `near` that comes first in selection order
-        and whose cube is not in `kept`; -1 when there is none."""
-        rank, cubes = self.rank, self.index.cubes
+    def first(self, near: int) -> int:
+        """The live slot in `near` that comes first in selection order;
+        -1 when there is none."""
+        rank = self.rank
         best, best_rank = -1, len(self.order)
         for s in slots_of(near & self.index.live):
-            if rank[s] < best_rank and not (kept and cubes[s] in kept):
+            if rank[s] < best_rank:
                 best, best_rank = s, rank[s]
         return best
 
@@ -354,7 +354,7 @@ def dsop(
     the loop commits the cubes weight_all weighs -1 without splitting them.
     """
     # the loop lives in partial, which imports this module
-    from .partial import PartialSpec, _select
+    from .partial import _select
 
     spec = PartialSpec(unique=f, shared=FunctionSpec(f.n, Cover(f.n)))
     return _select(spec, cfg or DsopConfig(), sop, full=True)

@@ -16,9 +16,8 @@ where every care point is exclusive.
 
 from __future__ import annotations
 
-from .covers import Cover, FunctionSpec
+from .covers import Cover, FunctionSpec, PartialSpec
 from .cubes import Cube
-from .partial import PartialSpec
 
 __all__ = [
     "EnumerationCapExceeded",

@@ -31,10 +31,9 @@ already-covered points as don't cares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .covers import (
-    Cover, FunctionSpec, cover_contains_cube, cover_intersects_cube, normalize
+    Cover, FunctionSpec, PartialSpec, cover_contains_cube, cover_intersects_cube,
+    normalize,
 )
 from .cubes import Cube, ContractViolation, disjoint_sharp, intersect
 from .engine import (
@@ -51,60 +50,6 @@ __all__ = ["PartialSpec", "partial_break", "partial_dsop"]
 
 # outer passes _select may run before it raises ProgressError
 _MAX_PASSES = 10000
-
-
-@dataclass(frozen=True, slots=True)
-class PartialSpec:
-    """Two point-disjoint function parts sharing one variable space."""
-
-    unique: FunctionSpec
-    shared: FunctionSpec
-
-    def __post_init__(self) -> None:
-        if self.unique.n != self.shared.n:
-            raise ValueError(
-                f"parts disagree on width: {self.unique.n} vs {self.shared.n}"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.unique.n
-
-    def unique_cover(self) -> Cover:
-        return self.unique.care_cover()
-
-    def shared_cover(self) -> Cover:
-        return self.shared.care_cover()
-
-    def combined(self) -> FunctionSpec:
-        """Both parts as one function: on = unique.on + shared.on and
-        dc = unique.dc + shared.dc. partial_dsop's first pass
-        re-minimizes it, so its build_sop is what `sop=` expects."""
-        n = self.n
-        return FunctionSpec(
-            n,
-            Cover(n, self.unique.on.cubes + self.shared.on.cubes),
-            Cover(n, self.unique.dc.cubes + self.shared.dc.cubes),
-        )
-
-    def overlap(self) -> tuple[Cube, Cube] | None:
-        """The first unique cube and shared cube that share a point, or
-        None when the parts are point-disjoint."""
-        shared = self.shared_cover().cubes
-        for a in self.unique_cover().cubes:
-            for b in shared:
-                if intersect(a, b) is not None:
-                    return a, b
-        return None
-
-    def validate_disjoint(self) -> None:
-        """Raise ValueError when any unique cube meets any shared cube."""
-        hit = self.overlap()
-        if hit is not None:
-            raise ValueError(
-                f"unique cube {hit[0]} overlaps shared cube {hit[1]}; "
-                "the two parts must be point-disjoint"
-            )
 
 
 def partial_break(
@@ -226,17 +171,15 @@ def _select(
             # p's neighbours in P; a fragment requeued below is a piece
             # of some q outside p, so it never joins them
             near = P.index.overlapping(p)
-            # neighbours whose overlap with p is shared: they stay whole.
-            # Held by value, so an equal cube elsewhere in P stays too.
-            kept: set[Cube] = set()
             while True:
-                qs = P.first(near, kept)
+                qs = P.first(near)
                 if qs < 0:
                     break
                 q = P.index.cubes[qs]
                 fragments = split(q, p)
                 if fragments is None:
-                    kept.add(q)
+                    # the overlap is shared: q stays whole in P
+                    near &= ~(1 << qs)
                     continue
                 P.remove(qs)
                 if fragments or full:

@@ -31,9 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .covers import Cover, CubeIndex, FunctionSpec, _pairs_contain, slots_of
+from .covers import Cover, CubeIndex, FunctionSpec, PartialSpec, _pairs_contain, slots_of
 from .cubes import DimensionMismatch
-from .partial import PartialSpec
 
 __all__ = [
     "VerificationReport",

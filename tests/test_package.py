@@ -52,3 +52,28 @@ SOURCES = sorted(
 def test_only_exact_enumerates_points(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert not POINT_NAMES & set(_identifiers(tree))
+
+
+# the checker and the exact oracle judge the synthesizer's covers, so
+# they must not share its code: a fault there cannot hide itself
+SYNTHESIZER = {"engine", "partial", "minimize"}
+
+
+def _imported_modules(tree):
+    """The last part of every module path a syntax tree imports, and
+    the names `from . import x` brings in."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                yield node.module.split(".")[-1]
+            if node.module in (None, "dsopforge"):
+                yield from (alias.name for alias in node.names)
+
+
+@pytest.mark.parametrize("name", ["verify.py", "exact.py"])
+def test_checkers_do_not_import_the_synthesizer(name):
+    path = Path(dsopforge.__file__).parent / name
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert not SYNTHESIZER & set(_imported_modules(tree))
