@@ -345,7 +345,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     variants = _parse_list(
         args.variants,
         "--variants",
-        lambda v: int(v) if v.isdigit() and int(v) in range(1, 6) else None,
+        # str.isdigit() also accepts digits int() refuses, such as '²'
+        lambda v: (
+            int(v) if v.isascii() and v.isdigit() and int(v) in range(1, 6) else None
+        ),
     )
     sorts = _parse_list(args.sorts, "--sorts", lambda s: s if s in _SORT_FLAGS else None)
     backend = _resolve_backend(args.minimizer)

@@ -188,18 +188,39 @@ class CubeIndex:
     the cubes sharing a point with c are the live slots with no
     literal opposing one of c's. Slots are never reused, and a
     discarded slot keeps its literal bits; queries mask with `live`.
+
+    The constructor builds the bitsets by one transposition, with no
+    step per literal: each cube's `bits` and `mask ^ bits`, side by
+    side, are written as one 2n-digit binary string, and the strings
+    are joined in slot order. Reversed, that string lists the slots
+    from the last to the first, each as its zeros and then its ones,
+    variable 0 first; so every 2n-th character from v (from n + v)
+    spells zero[v] (one[v]) highest slot first, ready for int(..., 2).
+    add() indexes one more cube later.
     """
 
     __slots__ = ("n", "cubes", "zero", "one", "live")
 
     def __init__(self, n: int, cubes: Iterable[Cube] = ()) -> None:
         self.n = n
-        self.cubes: list[Cube] = []
-        self.zero = [0] * n
-        self.one = [0] * n
-        self.live = 0
+        self.cubes = cubes = list(cubes)
         for c in cubes:
-            self.add(c)
+            if c.n != n:
+                raise DimensionMismatch(
+                    f"index over {n} variables given a {c.n}-variable cube"
+                )
+        self.live = (1 << len(cubes)) - 1
+        if not cubes:
+            self.zero = [0] * n
+            self.one = [0] * n
+            return
+        # per slot, 2n characters: its zeros then its ones, variable 0 first
+        w = 2 * n
+        spec = f"0{w}b"
+        lits = "".join([format(c.bits << n | c.mask ^ c.bits, spec) for c in cubes])
+        lits = lits[::-1]
+        self.zero = [int(lits[v::w], 2) for v in range(n)]
+        self.one = [int(lits[n + v :: w], 2) for v in range(n)]
 
     def add(self, c: Cube) -> int:
         """Index c in a new live slot and return the slot."""

@@ -27,12 +27,14 @@ holds, for each variable, the bitset of the cubes binding it to 0 and
 the bitset of those binding it to 1. The peers of c are then the cubes
 with no literal opposing one of c's, and the sum of its common
 literals with them is one popcount per literal of c, so weight_all
-costs a few bitset operations per cube and literal. Inside a pass, P
-(_Pool) keeps such an index and, under the variants that publish
-fresh weights (2, 4 and 5), a running (total, count) per cube,
-started from the weights weight_all gave: a cube leaving or entering
-P updates only its neighbours' sums, and P's weights are published
-from those sums, never recomputed from scratch.
+costs a few bitset operations per cube and literal. A pass builds one
+such index over its SOP: weight_all reads it, and P (_Pool) then
+holds it, with the isolated cubes' slots discarded. Under the
+variants that publish fresh weights (2, 4 and 5), P also keeps a
+running (total, count) per cube, started from the weights and peer
+counts weight_all gave: a cube leaving or entering P updates only
+its neighbours' sums, and P's weights are published from those sums,
+never recomputed from scratch.
 """
 
 from __future__ import annotations
@@ -126,7 +128,11 @@ def _weigh(index: CubeIndex, s: int) -> tuple[int, int]:
     return count * (len(alike) - 1) - common, count
 
 
-def weight_all(cover: Cover | Sequence[Cube]) -> list[WeightedCube]:
+def weight_all(
+    cover: Cover | Sequence[Cube],
+    index: CubeIndex | None = None,
+    counts: list[int] | None = None,
+) -> list[WeightedCube]:
     """Weight every cube against its peers.
 
     A cube overlapping no peer weighs -1. On an absorption-free cover
@@ -137,15 +143,23 @@ def weight_all(cover: Cover | Sequence[Cube]) -> list[WeightedCube]:
     The peers come from a CubeIndex over the cover: per cube, a few
     bitset operations per literal, not a test per pair of cubes. The
     cubes must share one width; DimensionMismatch otherwise.
+
+    `index`, when given, must hold exactly the cover's cubes, all live,
+    cube i in slot i; it is read instead of building one, so a caller
+    can reuse it (the selection loop hands it to its pool). `counts`,
+    when given, is extended by each cube's number of peers, in order.
     """
     cubes = list(cover.cubes) if isinstance(cover, Cover) else list(cover)
     if not cubes:
         return []
-    index = CubeIndex(cubes[0].n, cubes)
+    if index is None:
+        index = CubeIndex(cubes[0].n, cubes)
     out = []
     for s, c in enumerate(cubes):
         total, count = _weigh(index, s)
         out.append(WeightedCube(c, total if count else -1))
+        if counts is not None:
+            counts.append(count)
     return out
 
 
@@ -167,45 +181,64 @@ def sort_cubes(weighted: Iterable[WeightedCube], policy: str) -> list[WeightedCu
 class _Pool:
     """P: the cubes a pass may still select, in selection order.
 
-    Each cube holds a slot of a CubeIndex, which answers "which cubes of
-    P overlap c" without scanning P. Removal only marks a slot dead;
-    the order list keeps dead slots until the next re-sort, so popping
-    and deleting cost no list shifts. `rank` gives each live slot's
-    place in the order, -1 once it left P.
+    P holds the pass's SOP index, the one weight_all read: every cube
+    keeps its SOP slot, and the isolated cubes (weight -1), which the
+    loop commits first, are discarded from it at the start. That index
+    answers "which cubes of P overlap c" without scanning P. Removal
+    only marks a slot dead; the order list keeps dead slots until the
+    next re-sort, so popping and deleting cost no list shifts. `rank`
+    gives each live slot's place in the order, -1 once it left P (and
+    from the start for an isolated slot).
 
     Variants 2, 4 and 5 publish fresh weights, so under them every cube
     of P also keeps a running (total, count) over its overlapping peers
     in P. A cube leaving or entering P updates only its neighbours'
-    sums, and publishing a weight is a lookup, not a rescan of P.
-
-    The weights P starts from must be those of its cubes against each
-    other, as weight_all gives them over a cover whose other cubes
-    overlap none of P's (the isolated ones the loop commits first): the
-    running totals start from them, and only the counts are looked up.
+    sums, and publishing a weight is a lookup, not a rescan of P. The
+    sums start from weight_all's weights and peer counts: an isolated
+    cube is no cube's peer, so those are the counts within P too.
     """
 
     def __init__(
-        self, n: int, variant: int, sort: str, weighted: Iterable[WeightedCube]
+        self,
+        index: CubeIndex,
+        variant: int,
+        sort: str,
+        weighted: list[WeightedCube],
+        counts: list[int],
     ) -> None:
-        weighted = list(weighted)
+        """`weighted` and `counts` are weight_all's output and peer
+        counts over `index`, whose slots must all be live: slot s holds
+        weighted[s].cube. P takes the slots weighing >= 0, in
+        sort_cubes order under `sort`."""
         self.variant = variant
         self.sort = sort
-        cubes = [w.cube for w in weighted]
-        self.index = index = CubeIndex(n, cubes)
-        k = len(cubes)
-        self.order = list(range(k))
+        self.index = index
+        slot = {id(w): s for s, w in enumerate(weighted)}
+        self.order = [
+            slot[id(w)]
+            for w in sort_cubes([w for w in weighted if w.weight >= 0], sort)
+        ]
         self.head = 0
-        self.rank = list(range(k))
+        self.rank = rank = [-1] * len(weighted)
+        for i, s in enumerate(self.order):
+            rank[s] = i
+        for s, w in enumerate(weighted):
+            if w.weight < 0:
+                index.discard(s)
         self.weight = [w.weight for w in weighted]  # as last published
-        # only a re-sort reads these
-        self.lits = [c.literal_count for c in cubes]
-        self.tie = [_tie_key(c) for c in cubes]
+        # only the running sums and the re-sorts that come with them read
+        # these, and only at the slots of P
         self.track = variant in (2, 4, 5)
+        self.lits: list[int] = []
+        self.tie: list[int] = []
         self.total: list[int] = []
         self.count: list[int] = []
         if self.track:
-            self.count = [index.overlapping(c).bit_count() - 1 for c in cubes]
-            self.total = [w.weight if m else 0 for w, m in zip(weighted, self.count)]
+            cubes = index.cubes
+            self.lits = [c.literal_count for c in cubes]
+            self.tie = [_tie_key(c) if r >= 0 else 0 for c, r in zip(cubes, rank)]
+            self.count = list(counts)
+            self.total = [w if m else 0 for w, m in zip(self.weight, counts)]
 
     def __bool__(self) -> bool:
         return bool(self.index.live)
@@ -247,9 +280,9 @@ class _Pool:
         self.rank.append(len(self.order))
         self.order.append(s)
         self.weight.append(0)
-        self.lits.append(c.literal_count)
-        self.tie.append(_tie_key(c))
         if self.track:
+            self.lits.append(c.literal_count)
+            self.tie.append(_tie_key(c))
             total, count = _weigh(self.index, s)
             self.total.append(total)
             self.count.append(count)

@@ -32,8 +32,8 @@ already-covered points as don't cares.
 from __future__ import annotations
 
 from .covers import (
-    Cover, FunctionSpec, PartialSpec, cover_contains_cube, cover_intersects_cube,
-    normalize,
+    Cover, CubeIndex, FunctionSpec, PartialSpec, cover_contains_cube,
+    cover_intersects_cube, normalize,
 )
 from .cubes import Cube, ContractViolation, disjoint_sharp, intersect
 from .engine import (
@@ -41,7 +41,6 @@ from .engine import (
     ProgressError,
     _apply_opt,
     _Pool,
-    sort_cubes,
     weight_all,
 )
 from .minimize import build_sop
@@ -152,17 +151,15 @@ def _select(
             )
         if full:
             dc_once.clear()
-        # sop is absorption-free, so -1 marks exactly the isolated cubes
-        weighted = weight_all(sop)
+        # sop is absorption-free, so -1 marks exactly the isolated cubes;
+        # the pool selects the others through the index weight_all read
+        index = CubeIndex(n, sop.cubes)
+        counts: list[int] = []
+        weighted = weight_all(sop, index, counts)
         for w in weighted:
             if w.weight < 0:
                 commit(w.cube)
-        P = _Pool(
-            n,
-            cfg.variant,
-            cfg.sort,
-            sort_cubes([w for w in weighted if w.weight >= 0], cfg.sort),
-        )
+        P = _Pool(index, cfg.variant, cfg.sort, weighted, counts)
         B: list[Cube] = []
         while P:
             p = P.pop()

@@ -56,7 +56,8 @@ class PlaFile:
 
 
 def _int_arg(args: list[str], directive: str, lineno: int) -> int:
-    if len(args) != 1 or not args[0].isdigit():
+    # str.isdigit() also accepts digits int() refuses, such as '²'
+    if len(args) != 1 or not (args[0].isascii() and args[0].isdigit()):
         raise PlaParseError(f"{directive} needs one integer argument", lineno)
     return int(args[0])
 

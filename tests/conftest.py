@@ -59,12 +59,12 @@ def covers_st(draw, n=None, max_n=8, min_cubes=0, max_cubes=6):
 
 
 @st.composite
-def crowded_covers_st(draw, max_n=8, min_cubes=0, max_cubes=150):
+def crowded_covers_st(draw, min_n=1, max_n=8, min_cubes=0, max_cubes=150):
     """Covers rich in duplicates and nested cubes: each cube after the
     first is a fresh one or a drawn earlier cube with some of its free
     positions bound (itself when none are). Past 64 cubes, the bitsets
     of a CubeIndex over the cover span more than one machine word."""
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(min_n, max_n))
     top = (1 << n) - 1
     cubes = []
     for _ in range(draw(st.integers(min_cubes, max_cubes))):

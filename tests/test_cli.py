@@ -286,6 +286,16 @@ class TestDsopCommand:
         err = capsys.readouterr().err
         assert "nooutputs.pla: line 2: .o needs at least one output" in err
 
+    @pytest.mark.parametrize("command", ["dsop", "pdsop"])
+    def test_non_ascii_digit_exits_2_naming_file_and_line(
+        self, tmp_path, capsys, command
+    ):
+        bad = tmp_path / "superscript.pla"
+        bad.write_text("# width\n.i \u00b2\n.o 1\n11 1\n.e\n", encoding="utf-8")
+        assert main([command, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "superscript.pla: line 2: .i needs one integer argument" in err
+
     def test_env_var_selects_backend(self, tmp_path, monkeypatch):
         tool = passthrough(tmp_path)
         monkeypatch.setenv(cli.ENV_MINIMIZER, tool)
@@ -581,6 +591,18 @@ class TestBenchCommand:
         assert "FAILED binary.pla variant=1 sort=dw: cannot read" in captured.err
         assert "chain2.pla" in captured.out and "overlap4.pla" in captured.out
 
+    def test_non_ascii_digit_file_recorded_run_continues(self, tmp_path, capsys):
+        d = self._bench_dir(tmp_path, ["overlap4.pla", "chain2.pla"])
+        bad = d / "superscript.pla"
+        bad.write_text(".i \u00b2\n.o 1\n11 1\n.e\n", encoding="utf-8")
+        code = main(["bench", str(d), "--variants", "1,3", "--sorts", "dw"])
+        assert code == 2
+        captured = capsys.readouterr()
+        failed = [line for line in captured.err.splitlines() if "FAILED" in line]
+        assert len(failed) == 2
+        assert all("superscript.pla: line 1: .i needs one integer" in f for f in failed)
+        assert "chain2.pla" in captured.out and "overlap4.pla" in captured.out
+
     def test_empty_directory_exits_2(self, tmp_path):
         d = tmp_path / "empty"
         d.mkdir()
@@ -610,6 +632,13 @@ class TestBenchCommand:
     def test_bad_variant_list_exits_2(self, tmp_path):
         d = self._bench_dir(tmp_path, ["overlap4.pla"])
         assert main(["bench", str(d), "--variants", "7"]) == 2
+
+    @pytest.mark.parametrize("entry", ["\u00b2", "\u0663", "\uff13", "+3"])
+    def test_variant_entry_must_be_an_ascii_digit(self, tmp_path, capsys, entry):
+        d = self._bench_dir(tmp_path, ["overlap4.pla"])
+        assert main(["bench", str(d), "--variants", f"1,{entry}"]) == 2
+        err = capsys.readouterr().err
+        assert f"--variants got unusable entry {entry!r}" in err
 
 
 class TestInternalErrors:

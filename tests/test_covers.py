@@ -6,6 +6,7 @@ from conftest import covers_st, crowded_covers_st, cubes_st, pairwise_normalize
 from dsopforge import (
     Cover,
     Cube,
+    DimensionMismatch,
     EnumerationCapExceeded,
     FunctionSpec,
     cover_contains_cube,
@@ -14,6 +15,7 @@ from dsopforge import (
     is_tautology,
     normalize,
 )
+from dsopforge.covers import CubeIndex, slots_of
 from dsopforge.exact import point_mask
 
 
@@ -80,6 +82,72 @@ class TestNormalize:
             for j, q in enumerate(y):
                 if i != j:
                     assert not (p.mask & ~q.mask == 0 and (p.bits ^ q.bits) & p.mask == 0) or p == q
+
+
+def added_one_at_a_time(n, cubes):
+    index = CubeIndex(n)
+    for x in cubes:
+        index.add(x)
+    return index
+
+
+# past 64 cubes the slot bitsets span two machine words, past 64
+# variables so do the cubes' own masks
+many_or_wide_covers_st = st.one_of(
+    crowded_covers_st(min_cubes=65),
+    crowded_covers_st(min_n=65, max_n=100, max_cubes=40),
+)
+
+
+class TestCubeIndex:
+    @given(many_or_wide_covers_st)
+    @settings(max_examples=40)
+    def test_constructor_equals_adding_one_at_a_time(self, x):
+        built = CubeIndex(x.n, x.cubes)
+        added = added_one_at_a_time(x.n, x.cubes)
+        assert built.zero == added.zero
+        assert built.one == added.one
+        assert built.live == added.live == (1 << len(x)) - 1
+        assert built.cubes == added.cubes == list(x.cubes)
+
+    @given(many_or_wide_covers_st, st.data())
+    @settings(max_examples=40)
+    def test_overlapping_matches_the_pairwise_predicate(self, x, data):
+        cubes = list(x.cubes)
+        index = CubeIndex(x.n, cubes)
+        gone = data.draw(st.sets(st.integers(0, max(len(cubes) - 1, 0))))
+        for s in gone:
+            index.discard(s)
+        probes = cubes[:8] + [data.draw(cubes_st(n=x.n)) for _ in range(4)]
+        for p in probes:
+            want = [
+                j
+                for j, q in enumerate(cubes)
+                if j not in gone and not (p.mask & q.mask) & (p.bits ^ q.bits)
+            ]
+            assert list(slots_of(index.overlapping(p))) == want
+
+    def test_empty_list(self):
+        index = CubeIndex(5, [])
+        assert (index.zero, index.one, index.live, index.cubes) == (
+            [0] * 5, [0] * 5, 0, []
+        )
+        assert index.overlapping(c("01---")) == 0
+        assert index.add(c("0----")) == 0
+        assert index.overlapping(c("01---")) == 1
+
+    def test_zero_variables(self):
+        universe = Cube(0, 0, 0)
+        index = CubeIndex(0, [universe, universe])
+        assert (index.zero, index.one, index.live) == ([], [], 0b11)
+        assert index.overlapping(universe) == 0b11
+        assert CubeIndex(0).live == 0
+
+    def test_mixed_widths_raise(self):
+        with pytest.raises(DimensionMismatch, match="over 2 variables given a 3-var"):
+            CubeIndex(2, [c("01"), c("011")])
+        with pytest.raises(DimensionMismatch):
+            CubeIndex(3, [c("01")])
 
 
 class TestTautology:

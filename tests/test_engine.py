@@ -37,6 +37,7 @@ from dsopforge import (
     weight_all,
 )
 from dsopforge import partial as partial_mod
+from dsopforge.covers import CubeIndex
 from dsopforge.engine import _apply_opt, _Pool, _tie_key
 
 
@@ -93,6 +94,20 @@ class TestWeights:
         assert got == [pairwise_weight(cubes, i) for i in range(len(cubes))]
 
 
+    @given(crowded_covers_st(max_cubes=90))
+    @settings(max_examples=40)
+    def test_a_given_index_is_read_and_peer_counts_reported(self, cover):
+        cubes = list(cover.cubes)
+        index = CubeIndex(cover.n, cubes)
+        counts = []
+        got = weight_all(cover, index, counts)
+        assert got == weight_all(cover)
+        assert counts == [
+            sum(intersect(x, d) is not None for j, d in enumerate(cubes) if j != i)
+            for i, x in enumerate(cubes)
+        ]
+
+
 class TestSort:
     def test_dimension_weight_order_on_demo(self):
         out = sort_cubes(weight_all(DEMO), SORT_DIMENSION_WEIGHT)
@@ -125,9 +140,34 @@ class TestSort:
 
 def pool(variant, *items):
     """A selection pool P over 4 variables holding `items`, (trit
-    string, weight) pairs, in that order."""
+    string, weight) pairs with weights >= 0, over an index of them
+    whose peer counts come from its own overlap queries."""
     weighted = [WeightedCube(c(s), w) for s, w in items]
-    return _Pool(4, variant, SORT_DIMENSION_WEIGHT, weighted)
+    index = CubeIndex(4, [w.cube for w in weighted])
+    counts = [index.overlapping(w.cube).bit_count() - 1 for w in weighted]
+    return _Pool(index, variant, SORT_DIMENSION_WEIGHT, weighted, counts)
+
+
+class TestPool:
+    @pytest.mark.parametrize("sort", [SORT_DIMENSION_WEIGHT, SORT_WEIGHT_DIMENSION])
+    @given(cover=crowded_covers_st(max_cubes=90))
+    @settings(max_examples=30)
+    def test_pops_the_sop_in_sort_order_without_isolated_slots(self, sort, cover):
+        # the selection loop hands P the index weight_all read over the
+        # SOP; the isolated cubes' slots must be out of P from the start
+        sop = normalize(cover)
+        index = CubeIndex(sop.n, sop.cubes)
+        counts = []
+        weighted = weight_all(sop, index, counts)
+        P = _Pool(index, 4, sort, weighted, counts)
+        isolated = [s for s, w in enumerate(weighted) if w.weight < 0]
+        assert all(P.rank[s] == -1 for s in isolated)
+        assert not any(P.index.live >> s & 1 for s in isolated)
+        popped = []
+        while P:
+            popped.append(P.pop())
+        ranked = sort_cubes([w for w in weighted if w.weight >= 0], sort)
+        assert popped == [w.cube for w in ranked]
 
 
 def entries(P):

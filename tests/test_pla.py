@@ -94,6 +94,21 @@ class TestParse:
             parse_pla(".i 2\n.o 0\n11\n.e\n")
         assert info.value.line == 2
 
+    @pytest.mark.parametrize(
+        "head,directive,line",
+        [(".i {}\n.o 1\n", ".i", 1), (".i 2\n.o {}\n", ".o", 2),
+         (".i 2\n.o 1\n.p {}\n", ".p", 3)],
+    )
+    @pytest.mark.parametrize("arg", ["\u00b2", "\u0663", "\uff13"])
+    def test_non_ascii_digits_rejected_at_the_directive(
+        self, head, directive, line, arg
+    ):
+        # '²' passes str.isdigit() but not int(); the Arabic-Indic and
+        # fullwidth threes pass int() but are no PLA integers either
+        with pytest.raises(PlaParseError, match=f"{directive} needs one int") as info:
+            parse_pla(head.format(arg) + "11 1\n.e\n")
+        assert info.value.line == line
+
     def test_error_carries_line_number(self):
         with pytest.raises(PlaParseError) as info:
             parse_pla(".i 2\n.o 1\n.bogus\n")
