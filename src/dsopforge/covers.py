@@ -14,7 +14,9 @@ bound in the most cubes, ties to the lowest index) and both cofactors
 are checked. Two rules prune the recursion: a unate cover without an
 all-free cube is never a tautology, and a cover unate in a variable x
 is a tautology iff its cubes that leave x free are, so the cubes
-binding x are dropped before splitting.
+binding x are dropped before splitting. The cofactors wait on an
+explicit stack rather than the call stack, so the depth of the
+expansion, up to one split per variable, is bounded by nothing but n.
 
 Containment of a cube p in a cover is the same question asked of the
 cofactor by p: p is covered iff the cover restricted to p's subspace is
@@ -290,49 +292,81 @@ def normalize(cover: Cover) -> Cover:
 
 
 def _recursive_tautology(n: int, items: list[tuple[int, int]]) -> bool:
-    """Tautology of a cover given as (mask, bits) pairs."""
+    """Tautology of a cover given as (mask, bits) pairs.
+
+    The x=1 halves of the splits wait on an explicit stack while the
+    x=0 half is checked, so the cofactors are checked in the order a
+    recursion would take, and a cover needing one split per variable
+    at any n stays within Python's recursion limit.
+    """
+    pending: list[list[tuple[int, int]]] = []
     while True:
         if not items:
             return False
         zeros = ones = 0
         for mask, bits in items:
             if not mask:
-                return True
+                break
             ones |= bits
             zeros |= mask & ~bits
-        binate = zeros & ones
-        if not binate:
-            # unate cover without the all-free cube: the point opposing
-            # every bound literal is uncovered
-            return False
-        unate = (zeros | ones) & ~binate
-        if not unate:
-            break
-        # a cover unate in x is a tautology iff its cubes free of x are:
-        # they alone cover the half where x opposes every literal on x,
-        # and the other half is covered at least as well
-        items = [(mask, bits) for mask, bits in items if not mask & unate]
-    counts = [0] * n
-    for mask, _ in items:
-        m = mask
-        while m:
-            b = m & -m
-            m ^= b
-            counts[b.bit_length() - 1] += 1
-    # split on the variable bound most often, ties to the lowest index
-    b = 1 << counts.index(max(counts))
-    for want in (0, b):
-        sub = []
-        for mask, bits in items:
-            if mask & b:
-                if (bits & b) != want:
-                    continue
-                sub.append((mask & ~b, bits & ~b))
+        else:
+            binate = zeros & ones
+            if not binate:
+                # unate cover without the all-free cube: the point
+                # opposing every bound literal is uncovered
+                return False
+            unate = (zeros | ones) & ~binate
+            if unate:
+                # a cover unate in x is a tautology iff its cubes free
+                # of x are: they alone cover the half where x opposes
+                # every literal on x, and the other half is covered at
+                # least as well
+                items = [(mask, bits) for mask, bits in items if not mask & unate]
             else:
-                sub.append((mask, bits))
-        if not _recursive_tautology(n, sub):
-            return False
-    return True
+                items, high = _split_halves(items)
+                pending.append(high)
+            continue
+        # the all-free cube: this cofactor is a tautology
+        if not pending:
+            return True
+        items = pending.pop()
+
+
+def _split_halves(
+    items: list[tuple[int, int]],
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The x=0 and x=1 cofactors of the pairs, x the variable bound
+    most often (ties to the lowest index).
+
+    The counts are bit-sliced: planes[j] holds bit j of every
+    variable's count, so adding a mask is a carry chain of a few
+    bitset operations rather than one step per literal, and the
+    largest count is found from the top plane down.
+    """
+    planes: list[int] = []
+    for mask, _ in items:
+        carry = mask
+        for j, plane in enumerate(planes):
+            planes[j] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        else:
+            planes.append(carry)
+    best = -1  # every variable
+    for plane in reversed(planes):
+        if best & plane:
+            best &= plane
+    b = best & -best
+    low: list[tuple[int, int]] = []
+    high: list[tuple[int, int]] = []
+    for mask, bits in items:
+        if mask & b:
+            (high if bits & b else low).append((mask & ~b, bits & ~b))
+        else:
+            low.append((mask, bits))
+            high.append((mask, bits))
+    return low, high
 
 
 def is_tautology(cover: Cover) -> bool:

@@ -16,6 +16,14 @@ keeps q whole when q & p lies in the shared region. With no
 shared region every split is a plain disjoint sharp and the region
 tests are skipped.
 
+Fragments parked in B, the next pass's on-set, and the unclaimed unique
+dc cubes must also be split by every cube committed after them. Both
+lists are split once, at the end of each pass (_split_late): one index
+over the list names the entries each committed cube overlaps, and only
+those are split, in commit order. This equals splitting the whole list
+after every commit, because a fragment lies inside the entry it came
+from: a cube missing an entry misses all its pieces.
+
 The don't-care rule stays per mode. dsop drops f.dc after the first
 pass; partial_dsop keeps the unique dc points no committed cube has
 claimed, plus the shared overlap slices partial_break reports. Neither
@@ -31,9 +39,11 @@ already-covered points as don't cares.
 
 from __future__ import annotations
 
+from typing import Iterable, Iterator
+
 from .covers import (
     Cover, CubeIndex, FunctionSpec, PartialSpec, cover_contains_cube,
-    cover_intersects_cube, normalize,
+    cover_intersects_cube, normalize, slots_of,
 )
 from .cubes import Cube, ContractViolation, disjoint_sharp, intersect
 from .engine import (
@@ -93,6 +103,33 @@ def _subtract_all(cubes: list[Cube], p: Cube, split) -> list[Cube]:
     return out
 
 
+def _split_late(
+    n: int, cubes: list[Cube], cuts: Iterable[tuple[Cube, int]], split
+) -> list[Cube]:
+    """Split the entries of `cubes` by each (p, end) of `cuts` in turn:
+    p splits the first `end` entries, those that existed when p was
+    committed (ends never decrease), or rather the pieces they are by
+    then.
+
+    The result, and split's calls in their order, are those of running
+    _subtract_all(list, p, split) after every commit over the list as
+    it stood. One CubeIndex over the entries names those each p
+    overlaps, and only their pieces are rescanned. That is exact: the
+    rescan is an order-keeping flat map, and a piece lies inside its
+    entry, so a p missing an entry misses every piece of it. `cuts` is
+    drawn one at a time, after the previous p's splits are done.
+    """
+    index = CubeIndex(n, cubes)
+    chains = [[c] for c in cubes]
+    for p, end in cuts:
+        if not end:
+            # no entry yet
+            continue
+        for i in slots_of(index.overlapping(p) & ((1 << end) - 1)):
+            chains[i] = _subtract_all(chains[i], p, split)
+    return [c for chain in chains for c in chain]
+
+
 def _select(
     spec: PartialSpec, cfg: DsopConfig, sop: Cover | None, *, full: bool
 ) -> Cover:
@@ -104,6 +141,14 @@ def _select(
     1 instead of staying in the pool minus the points committed cubes
     claim, and a neighbour that p swallows whole still passes through
     _apply_opt, with no fragments.
+
+    B and the unique dc cubes are split at the end of the pass, by the
+    pass's committed cubes in commit order. Each loop commit records
+    len(B) once its neighbour loop is done, so it splits only the B
+    entries that existed by then; every dc entry predates the pass's
+    first commit. A commit's neighbour-loop shared slices are held back
+    and join dc_many just before its own B splits report theirs, so
+    dc_many keeps the order a split after every commit gives it.
     """
     n = spec.n
     if sop is not None and len(kept := normalize(sop).cubes) < len(sop.cubes):
@@ -118,13 +163,16 @@ def _select(
     todo_on = first.on
     dc_once = list(spec.unique.dc.cubes)
     dc_many = list(spec.shared.dc.cubes)
+    # where split reports shared overlap slices: one list per commit
+    # during the loop, dc_many itself while B is split
+    slices = dc_many
 
     if spec.shared_cover().cubes:
 
         def split(q: Cube, p: Cube) -> list[Cube] | None:
             # None: the overlap is shared, so q may stay whole
             fragments, reusable = partial_break(q, p, spec)
-            dc_many.extend(reusable)
+            slices.extend(reusable)
             return fragments
 
     else:
@@ -135,9 +183,16 @@ def _select(
         if cfg.drop_dc_only and not cover_intersects_cube(first.on, c):
             return False
         committed.append(c)
-        if dc_once:
-            dc_once[:] = _subtract_all(dc_once, c, disjoint_sharp)
         return True
+
+    def replay(
+        cuts: list[tuple[Cube, int, list[Cube]]]
+    ) -> Iterator[tuple[Cube, int]]:
+        # each commit's loop slices join dc_many just before its own
+        # B splits add theirs: the order of a split after every commit
+        for p, end, found in cuts:
+            dc_many.extend(found)
+            yield p, end
 
     outer = 0
     while todo_on.cubes:
@@ -151,6 +206,7 @@ def _select(
             )
         if full:
             dc_once.clear()
+        start = len(committed)
         # sop is absorption-free, so -1 marks exactly the isolated cubes;
         # the pool selects the others through the index weight_all read
         index = CubeIndex(n, sop.cubes)
@@ -161,10 +217,13 @@ def _select(
                 commit(w.cube)
         P = _Pool(index, cfg.variant, cfg.sort, weighted, counts)
         B: list[Cube] = []
+        # (p, len(B) after p's neighbour loop, p's slices), commit order
+        cuts: list[tuple[Cube, int, list[Cube]]] = []
         while P:
             p = P.pop()
             if not commit(p):
                 continue
+            slices = []
             # p's neighbours in P; a fragment requeued below is a piece
             # of some q outside p, so it never joins them
             near = P.index.overlapping(p)
@@ -181,8 +240,17 @@ def _select(
                 P.remove(qs)
                 if fragments or full:
                     _apply_opt(q, fragments, P, B)
-            if B:
-                B = _subtract_all(B, p, split)
+            cuts.append((p, len(B), slices))
+        slices = dc_many
+        B = _split_late(n, B, replay(cuts), split)
+        if dc_once:
+            # every entry predates the pass's first commit
+            dc_once = _split_late(
+                n,
+                dc_once,
+                [(c, len(dc_once)) for c in committed[start:]],
+                disjoint_sharp,
+            )
         todo_on = Cover(n, tuple(B))
         sop = None
     return Cover(n, tuple(committed))

@@ -15,6 +15,7 @@ from dsopforge import (
     PartialSpec,
     cover_intersects_cube,
 )
+from dsopforge.partial import _subtract_all
 from dsopforge.verify import _MAX_REPORTED, _pairs, _report, _witnesses
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -191,6 +192,22 @@ def pairwise_normalize(cover):
         if not absorbed:
             kept.append(cover.cubes[i])
     return Cover(cover.n, tuple(kept))
+
+
+# Per-commit reference for the selection loop's end-of-pass split.
+
+
+def rescan_subtract(cubes, cuts, split):
+    """partial._split_late the way the loop once ran it: after each
+    commit (p, end), the first `end` entries of `cubes` have been
+    appended, and the whole list so far is rescanned by p."""
+    out = []
+    born = 0
+    for p, end in cuts:
+        out.extend(cubes[born:end])
+        born = end
+        out = _subtract_all(out, p, split)
+    return out + cubes[born:]
 
 
 # Pairwise reference for the index-based verify_partial_dsop: each on

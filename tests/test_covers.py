@@ -176,6 +176,29 @@ class TestTautology:
         assert is_tautology(x) == (cover_point_mask(x) == full)
 
 
+def chain(n):
+    """x0, x0'x1, ..., x0'...x(n-1)', each cube binding one more variable:
+    a tautology whose expansion splits once per variable."""
+    cubes = ["0" * i + "1" + "-" * (n - i - 1) for i in range(n)]
+    return cov(*cubes, "0" * n)
+
+
+class TestDeepExpansion:
+    # 1100 splits in a row: past Python's default recursion limit
+    N = 1100
+
+    def test_deep_chain_is_a_tautology(self):
+        x = chain(self.N)
+        assert is_tautology(x)
+        assert not is_tautology(Cover(x.n, x.cubes[:-1]))
+
+    def test_deep_chain_contains_the_universe(self):
+        x = chain(self.N)
+        universe = c("-" * self.N)
+        assert cover_contains_cube(x, universe)
+        assert not cover_contains_cube(Cover(x.n, x.cubes[:-1]), universe)
+
+
 class TestContainment:
     @given(st.integers(1, 8), st.data())
     def test_matches_point_subset(self, n, data):

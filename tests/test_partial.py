@@ -10,6 +10,7 @@ from conftest import (
     cubes_st,
     function_specs_st,
     partial_specs_st,
+    rescan_subtract,
 )
 from dsopforge import (
     ContractViolation,
@@ -288,3 +289,37 @@ class TestDcFeedback:
             out = partial_dsop(spec)
             checked += self._check(events, out)
         assert checked > 0
+
+
+class TestSplitLate:
+    """The end-of-pass split against the per-commit rescan it replaces."""
+
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_matches_the_per_commit_rescan(self, data):
+        n = data.draw(st.integers(1, 6))
+        # past 64 entries, the index over them spans two bitset words
+        cubes = data.draw(st.lists(cubes_st(n=n), min_size=65, max_size=100))
+        ps = data.draw(st.lists(cubes_st(n=n), max_size=12))
+        k = len(ps)
+        ends = sorted(
+            data.draw(st.lists(st.integers(0, len(cubes)), min_size=k, max_size=k))
+        )
+        cuts = list(zip(ps, ends))
+        spared = data.draw(st.integers(0, 3))
+
+        def logged(log):
+            def split(q, p):
+                log.append((q, p))
+                # some overlaps keep q whole, as a shared one does
+                if (q.bits + p.bits + q.mask) % 4 < spared:
+                    return None
+                return disjoint_sharp(q, p)
+
+            return split
+
+        want_log, got_log = [], []
+        want = rescan_subtract(cubes, cuts, logged(want_log))
+        got = partial_mod._split_late(n, cubes, iter(cuts), logged(got_log))
+        assert got == want
+        assert got_log == want_log
