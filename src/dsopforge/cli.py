@@ -162,6 +162,22 @@ def _report_violations(name: str, reports: Iterable[VerificationReport]) -> None
             )
 
 
+def _build_sops(
+    specs: Sequence[FunctionSpec] | Sequence[PartialSpec],
+    partial: bool,
+    backend: MinimizerBackend,
+) -> tuple[list[Cover], float]:
+    """Each output's pass-1 SOP, and the milliseconds building them took.
+
+    The SOP depends on the backend alone, so every configuration run
+    on one PLA can share them.
+    """
+    firsts = [s.combined() for s in specs] if partial else specs
+    started = time.perf_counter()
+    sops = [build_sop(f, backend) for f in firsts]
+    return sops, (time.perf_counter() - started) * 1000.0
+
+
 def _solve_pla(
     name: str,
     pla: PlaFile,
@@ -169,21 +185,23 @@ def _solve_pla(
     partial: bool,
     cfg: DsopConfig,
     verify: bool,
+    sops: Sequence[Cover],
+    sop_ms: float,
 ) -> tuple[RunStats, list[Cover], list[VerificationReport]]:
     """Solve every output of one PLA: the one pipeline of all subcommands.
 
     specs are PartialSpecs for partial_dsop when `partial` is set, and
-    FunctionSpecs for dsop otherwise. Each pass-1 SOP is built once and
-    handed to the solver as sop=; elapsed_ms times the SOPs plus the
-    solving. The reports are empty unless `verify` is set.
+    FunctionSpecs for dsop otherwise. `sops` are their pass-1 SOPs from
+    _build_sops with cfg.backend, handed to the solver as sop=, and
+    `sop_ms` the time building them took: elapsed_ms is that plus the
+    solving, so a row times one SOP build even when its SOPs are shared.
+    The reports are empty unless `verify` is set.
     """
-    firsts = [s.combined() for s in specs] if partial else specs
     solve = partial_dsop if partial else dsop
     check = verify_partial_dsop if partial else verify_dsop
     started = time.perf_counter()
-    sops = [build_sop(f, cfg.backend) for f in firsts]
     results = [solve(s, cfg, sop=sop) for s, sop in zip(specs, sops)]
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
+    elapsed_ms = sop_ms + (time.perf_counter() - started) * 1000.0
     reports = [check(s, res) for s, res in zip(specs, results)] if verify else []
     stats = RunStats(
         benchmark=name,
@@ -214,8 +232,9 @@ def _run_and_emit(
         drop_dc_only=args.drop_dc_only,
         backend=_resolve_backend(args.minimizer),
     )
+    sops, sop_ms = _build_sops(specs, partial, cfg.backend)
     stats, results, reports = _solve_pla(
-        name, pla, specs, partial, cfg, args.verify
+        name, pla, specs, partial, cfg, args.verify, sops, sop_ms
     )
     if args.verify and not stats.verified:
         _report_violations(name, reports)
@@ -367,6 +386,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         except PlaParseError as exc:
             failures.extend((label, 2, str(exc)) for _, _, label in labels)
             continue
+        try:
+            sops, sop_ms = _build_sops(specs, False, backend)
+        except MinimizerBackendError as exc:
+            failures.extend((label, 3, str(exc)) for _, _, label in labels)
+            continue
         for variant, sort, label in labels:
             cfg = DsopConfig(
                 variant=variant,
@@ -375,7 +399,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 backend=backend,
             )
             try:
-                stats, _, _ = _solve_pla(path.name, pla, specs, False, cfg, True)
+                stats, _, _ = _solve_pla(
+                    path.name, pla, specs, False, cfg, True, sops, sop_ms
+                )
             except MinimizerBackendError as exc:
                 failures.append((label, 3, str(exc)))
                 continue

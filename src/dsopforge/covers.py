@@ -20,9 +20,15 @@ expansion, up to one split per variable, is bounded by nothing but n.
 
 Containment of a cube p in a cover is the same question asked of the
 cofactor by p: p is covered iff the cover restricted to p's subspace is
-a tautology there. cover_contains_cube runs that check for every n on
-plain (mask, bits) integer pairs, so no point masks are built and the
-cost does not depend on 2**n.
+a tautology there. Only the cubes sharing a point with p enter the
+cofactor, and one of them containing p answers at once. The check runs
+for every n on plain (mask, bits) integer pairs, so no point masks are
+built and the cost does not depend on 2**n. It has two entries: given
+a plain list of pairs, _pairs_contain (behind cover_contains_cube)
+tests every pair for a shared point; given the slots a CubeIndex has
+already found to share one, _slots_contain cofactors those alone, so a
+caller asking many probes of one cover pays for each probe's overlap,
+not for the cover.
 """
 
 from __future__ import annotations
@@ -393,6 +399,25 @@ def _pairs_contain(
         if not rm:
             return True
         sub.append((rm, cb & keep))
+    return _recursive_tautology(n, sub)
+
+
+def _slots_contain(n: int, cubes: list[Cube], slots: int, mask: int) -> bool:
+    """_pairs_contain for a cube with this mask, when a CubeIndex over
+    `cubes` has named in `slots` exactly the cubes sharing a point with
+    it: only those are cofactored, and no other cube is looked at. They
+    agree with the cube wherever both are bound, so its mask alone
+    cofactors them."""
+    keep = ~mask
+    sub = []
+    while slots:
+        low = slots & -slots
+        c = cubes[low.bit_length() - 1]
+        rm = c.mask & keep
+        if not rm:
+            return True
+        sub.append((rm, c.bits & keep))
+        slots ^= low
     return _recursive_tautology(n, sub)
 
 

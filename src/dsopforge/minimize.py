@@ -12,6 +12,16 @@ out to an espresso-style binary that reads a PLA path argument and
 prints a PLA on stdout; it may return dc-only cubes (--drop-dc-only
 discards them), and a result that breaks either containment rule raises
 MinimizerBackendError naming the offending cube.
+
+The builtin backend's probes are the classic EXPAND and IRREDUNDANT
+containment tests (Brayton et al., Logic Minimization Algorithms for
+VLSI Synthesis, 1984): is this cube inside the union of those cubes?
+Only cubes sharing a point with the probed cube can cover part of it,
+and a covers.CubeIndex names them: build_sop indexes on+dc once for all
+its expands, and irredundant indexes the cover it trims. A probe then
+costs a few bitset operations to find its cubes, and the cofactor and
+tautology check of those alone (covers._slots_contain), rather than a
+scan of the whole cover; a probe that meets no cube fails at once.
 """
 
 from __future__ import annotations
@@ -20,7 +30,14 @@ import subprocess
 import threading
 from dataclasses import dataclass
 
-from .covers import Cover, FunctionSpec, _pairs_contain, normalize
+from .covers import (
+    Cover,
+    CubeIndex,
+    FunctionSpec,
+    _pairs_contain,
+    _slots_contain,
+    normalize,
+)
 from .cubes import Cube, ContractViolation, DimensionMismatch
 
 __all__ = [
@@ -70,49 +87,66 @@ class MinimizerBackend:
         return self.kind if self.kind != "external" else f"external:{self.path}"
 
 
-def expand_cube(p: Cube, valid: Cover) -> Cube:
+def expand_cube(p: Cube, valid: Cover, index: CubeIndex | None = None) -> Cube:
     """Greedily free literals of p, in ascending variable order, keeping
     each removal only while the enlarged cube stays inside `valid`.
 
     Requires p itself to be inside `valid`. The result contains p and is
     an implicant of `valid`, though not necessarily prime under every
-    removal order.
+    removal order. `index`, when given, is a CubeIndex over valid's
+    cubes in order, so that callers expanding many cubes against one
+    cover build it once.
 
     Freeing variable i of the current cube c gives c plus its mirror
     across i (c with literal i complemented). c is already inside
     `valid`, so the raised cube is inside `valid` exactly when the
     mirror is; each probe tests only that half, which binds one more
     literal than the raised cube and so has a smaller cofactor.
+
+    Only the cubes sharing a point with the mirror can cover any of it,
+    and the index names them without a scan of `valid`: they are the
+    live slots binding no variable against the mirror. The mirror binds
+    p's values below i where the probe failed, the value opposite p's
+    at i, and p's values above i, which no probe has freed yet. The OR
+    of the slots opposing p's literals above each variable is a suffix
+    array built once, and the OR for those below i grows as probes
+    fail. So a probe costs a few bitset operations plus the cubes it
+    meets.
     """
     n = p.n
     if valid.n != n:
         raise DimensionMismatch("cube width differs from cover")
+    if index is None:
+        index = CubeIndex(n, valid.cubes)
+    elif index.n != n:
+        raise DimensionMismatch("cube width differs from index")
+    cubes, zero, one = index.cubes, index.zero, index.one
     mask = p.mask
     bits = p.bits
-    # Bucket the cubes of `valid` by the highest variable at which they
-    # clash with p (bucket 0: no clash). Variables above i are still
-    # bound to p's values when i is probed, so a cube clashing there
-    # misses the probe; the probe at i scans only buckets 0..i+1.
-    buckets: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    for c in valid.cubes:
-        buckets[((c.mask & mask) & (c.bits ^ bits)).bit_length()].append(
-            (c.mask, c.bits)
-        )
-    items = buckets[0]
-    if not _pairs_contain(n, items, mask, bits):
+    # per literal of p, ascending: its bit, the slots opposing p's value
+    # there and the slots opposing the mirror's (binding p's value)
+    lits = []
+    m = mask
+    while m:
+        b = m & -m
+        v = b.bit_length() - 1
+        lits.append((b, zero[v], one[v]) if bits & b else (b, one[v], zero[v]))
+        m ^= b
+    # above[k]: the slots opposing p at one of its literals k, k+1, ...
+    above = [0] * (len(lits) + 1)
+    for k in range(len(lits) - 1, -1, -1):
+        above[k] = above[k + 1] | lits[k][1]
+    live = index.live
+    if not _slots_contain(n, cubes, live & ~above[0], mask):
         raise ContractViolation("expand_cube: cube not contained in valid cover")
-    top = 0
-    todo = mask
-    while todo:
-        b = todo & -todo
-        todo ^= b
-        reach = b.bit_length()
-        while top < reach:
-            top += 1
-            items += buckets[top]
-        if _pairs_contain(n, items, mask, bits ^ b):
+    below = 0
+    for k, (b, opposing, same) in enumerate(lits):
+        slots = live & ~(below | same | above[k + 1])
+        if slots and _slots_contain(n, cubes, slots, mask):
             mask &= ~b
             bits &= ~b
+        else:
+            below |= opposing
     return Cube(n, mask, bits)
 
 
@@ -123,24 +157,35 @@ def irredundant(cover: Cover, must_cover: Cover) -> Cover:
     in original order) and removes a cube when the remaining ones still
     cover its overlap with must_cover. Survivors keep their original
     relative order.
+
+    A CubeIndex over the cover gives each cube, and each must_cover
+    cube, the bitset of cover cubes it shares a point with, once. So
+    the must_cover cubes meeting a candidate c are those whose bitset
+    holds c's slot, and the probe of the overlap of c and such an m
+    asks only the remaining cubes in both bitsets, the ones meeting it.
     """
     n = cover.n
     if must_cover.n != n:
         raise DimensionMismatch("must_cover width differs from cover")
     cubes = list(cover.cubes)
-    alive = [True] * len(cubes)
+    index = CubeIndex(n, cubes)
+    meets = [index.overlapping(c) for c in cubes]
+    musts = must_cover.cubes
+    must_meets = [index.overlapping(m) for m in musts]
+    live = index.live
     order = sorted(range(len(cubes)), key=lambda i: (cubes[i].dimension, i))
     for idx in order:
         c = cubes[idx]
-        alive[idx] = False
-        rest = [(d.mask, d.bits) for j, d in enumerate(cubes) if alive[j]]
-        for m in must_cover.cubes:
-            if (m.mask & c.mask) & (m.bits ^ c.bits):
+        slot = 1 << idx
+        live &= ~slot
+        rest = live & meets[idx]
+        for m, m_meets in zip(musts, must_meets):
+            if not m_meets & slot:
                 continue
-            if not _pairs_contain(n, rest, m.mask | c.mask, m.bits | c.bits):
-                alive[idx] = True
+            if not _slots_contain(n, cubes, rest & m_meets, m.mask | c.mask):
+                live |= slot
                 break
-    return Cover(n, tuple(c for i, c in enumerate(cubes) if alive[i]))
+    return Cover(n, tuple(c for i, c in enumerate(cubes) if live >> i & 1))
 
 
 def _write_single_output_pla(f: FunctionSpec) -> str:
@@ -222,5 +267,6 @@ def build_sop(f: FunctionSpec, backend: MinimizerBackend | None = None) -> Cover
     if backend.kind == "identity":
         return on
     valid = f.care_cover()
-    expanded = Cover(f.n, tuple(expand_cube(c, valid) for c in on.cubes))
+    index = CubeIndex(f.n, valid.cubes)
+    expanded = Cover(f.n, tuple(expand_cube(c, valid, index) for c in on.cubes))
     return irredundant(normalize(expanded), on)

@@ -5,6 +5,7 @@ import shutil
 import stat
 import sys
 import textwrap
+import time
 from dataclasses import fields
 
 import pytest
@@ -625,9 +626,31 @@ class TestBenchCommand:
         assert main(["bench", str(FIXTURES)]) == 0
         files = sorted(FIXTURES.glob("*.pla"))
         outputs = sum(parse_pla(f.read_text()).num_outputs for f in files)
-        # one parse per file; one SOP per output and configuration, as
-        # elapsed_ms times the SOP building of each configuration
-        assert calls == {"parse_pla": len(files), "build_sop": 10 * outputs}
+        # one parse per file; one pass-1 SOP per output, which the
+        # file's 10 configurations share
+        assert calls == {"parse_pla": len(files), "build_sop": outputs}
+
+    def test_pass_one_sops_are_built_once_and_timed_in_every_row(
+        self, tmp_path, monkeypatch
+    ):
+        # two_out.pla has two outputs; cli.build_sop is only the pass-1
+        # call, later passes resolve build_sop in the selection loop
+        d = self._bench_dir(tmp_path, ["two_out.pla"])
+        built = []
+        real = cli.build_sop
+
+        def slow(*args, **kwargs):
+            built.append(args[0])
+            time.sleep(0.02)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_sop", slow)
+        out = tmp_path / "rows.json"
+        assert main(["bench", str(d), "--json", str(out)]) == 0
+        assert len(built) == 2
+        rows = json.loads(out.read_text())["rows"]
+        assert len(rows) == 10
+        assert all(row["elapsed_ms"] >= 40 for row in rows)
 
     def test_bad_variant_list_exits_2(self, tmp_path):
         d = self._bench_dir(tmp_path, ["overlap4.pla"])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import covers_st, function_specs_st
+from conftest import covers_st, crowded_covers_st, function_specs_st
 from dsopforge import (
     ContractViolation,
     Cover,
@@ -24,6 +24,7 @@ from dsopforge import (
     normalize,
 )
 from dsopforge import minimize
+from dsopforge.covers import CubeIndex, _pairs_contain
 from dsopforge.exact import point_mask
 
 
@@ -48,6 +49,34 @@ def reference_expand(p, valid):
         if point_mask(trial) & ~inside == 0:
             mask, bits = trial.mask, trial.bits
     return Cube(p.n, mask, bits)
+
+
+def reference_irredundant(cover, must_cover):
+    """The scan-based irredundant: each probe cofactors the whole rest
+    of the cover, and every must_cover cube is tested for a meeting."""
+    n = cover.n
+    cubes = list(cover.cubes)
+    alive = [True] * len(cubes)
+    order = sorted(range(len(cubes)), key=lambda i: (cubes[i].dimension, i))
+    for idx in order:
+        c = cubes[idx]
+        alive[idx] = False
+        rest = [(d.mask, d.bits) for j, d in enumerate(cubes) if alive[j]]
+        for m in must_cover.cubes:
+            if (m.mask & c.mask) & (m.bits ^ c.bits):
+                continue
+            if not _pairs_contain(n, rest, m.mask | c.mask, m.bits | c.bits):
+                alive[idx] = True
+                break
+    return Cover(n, tuple(c for i, c in enumerate(cubes) if alive[i]))
+
+
+def subcube(data, base):
+    """A drawn subcube of `base`: some of its free variables bound."""
+    top = (1 << base.n) - 1
+    extra = data.draw(st.integers(0, top)) & ~base.mask
+    values = data.draw(st.integers(0, top)) & extra
+    return Cube(base.n, base.mask | extra, base.bits | values)
 
 
 def script(tmp_path, body, name="fakemin.py"):
@@ -91,16 +120,23 @@ class TestExpand:
     @given(st.integers(1, 8), st.data())
     def test_mirror_probe_matches_whole_cube_reference(self, n, data):
         valid = data.draw(covers_st(n=n, min_cubes=1, max_cubes=8))
-        # any subcube of a valid cube is a legal seed
-        base = data.draw(st.sampled_from(valid.cubes))
-        extra = data.draw(st.integers(0, (1 << n) - 1)) & ~base.mask
-        values = data.draw(st.integers(0, (1 << n) - 1)) & extra
-        seed = Cube(n, base.mask | extra, base.bits | values)
-        assert expand_cube(seed, valid) == reference_expand(seed, valid)
+        # any subcube of a valid cube is a legal seed; build_sop expands
+        # every seed against one index over `valid`
+        index = CubeIndex(n, valid.cubes)
+        for _ in range(data.draw(st.integers(1, 4))):
+            seed = subcube(data, data.draw(st.sampled_from(valid.cubes)))
+            want = reference_expand(seed, valid)
+            assert expand_cube(seed, valid) == want
+            assert expand_cube(seed, valid, index) == want
 
     def test_width_mismatch(self):
         with pytest.raises(DimensionMismatch):
             expand_cube(c("01"), cov("01-"))
+
+    def test_index_width_mismatch(self):
+        valid = cov("01", "1-")
+        with pytest.raises(DimensionMismatch):
+            expand_cube(c("01"), valid, CubeIndex(3, [c("01-")]))
 
 
 class TestIrredundant:
@@ -127,6 +163,19 @@ class TestIrredundant:
     def test_width_mismatch(self):
         with pytest.raises(DimensionMismatch):
             irredundant(cov("0-"), cov("0--"))
+
+    @given(crowded_covers_st(max_n=7, max_cubes=80), st.data())
+    def test_indexed_probe_matches_scan_reference(self, cover, data):
+        # must_cover mixes subcubes of cover cubes, which the cover
+        # holds, with free draws, which it may not
+        must = [
+            subcube(data, data.draw(st.sampled_from(cover.cubes)))
+            for _ in range(data.draw(st.integers(0, 8)) if cover.cubes else 0)
+        ]
+        must += data.draw(covers_st(n=cover.n, max_cubes=3)).cubes
+        must = Cover(cover.n, tuple(data.draw(st.permutations(must))))
+        out = irredundant(cover, must)
+        assert out.cubes == reference_irredundant(cover, must).cubes
 
 
 class TestBackendConfig:
@@ -187,9 +236,9 @@ class TestBuiltin:
         for name in calls:
             original = getattr(minimize, name)
 
-            def counted(*args, name=name, original=original):
+            def counted(*args, name=name, original=original, **kwargs):
                 calls[name] += 1
-                return original(*args)
+                return original(*args, **kwargs)
 
             monkeypatch.setattr(minimize, name, counted)
         assert build_sop(FunctionSpec(2, cov("00", "01"))).to_strings() == ["0-"]
