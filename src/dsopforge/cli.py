@@ -7,13 +7,14 @@ a directory of PLA files over a variant/sort grid into a CSV/JSON
 report plus a size pivot table. Every run is serial; `--jobs 1` and
 `pdsop FILE --dc-policy many` are accepted for compatibility only.
 
-Exit codes: 0 ok, 2 input/usage problems (PLA parse errors, shape or
+Exit codes, from _failure: 0 ok, 2 input/usage problems (PLA parse
+errors, unreadable or unwritable files, refused flags, shape or
 disjointness violations), 3 minimizer backend failure, 4 verification
-failure, 5 internal error (a broken contract inside dsopforge:
-ContractViolation, DimensionMismatch or ProgressError; a bug, not a
-problem with the input). Stats JSON has the shape {"schema", "notes",
-"rows"} with one RunStats object per row; everything except elapsed_ms
-is deterministic for fixed inputs and flags.
+failure, 5 internal error (any other exception: a bug inside
+dsopforge, not a problem with the input). Stats JSON has the shape
+{"schema", "notes", "rows"} with one RunStats object per row;
+everything except elapsed_ms is deterministic for fixed inputs and
+flags.
 """
 
 from __future__ import annotations
@@ -29,12 +30,10 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .covers import Cover, FunctionSpec, PartialSpec
-from .cubes import ContractViolation, DimensionMismatch
 from .engine import (
     SORT_DIMENSION_WEIGHT,
     SORT_WEIGHT_DIMENSION,
     DsopConfig,
-    ProgressError,
     dsop,
 )
 from .minimize import MinimizerBackend, MinimizerBackendError, build_sop
@@ -83,6 +82,22 @@ class RunStats:
     verified: bool
 
 
+class UsageError(ValueError):
+    """A refused command line: a flag value or a combination of
+    arguments the CLI cannot use."""
+
+
+def _failure(exc: Exception) -> tuple[int, str]:
+    """The exit code for an exception a command raised, and the message
+    to print: 2 blames the input or the command line, 3 the minimizer
+    backend, and 5 anything else, a fault inside dsopforge."""
+    if isinstance(exc, (PlaParseError, UsageError, OSError)):
+        return 2, str(exc)
+    if isinstance(exc, MinimizerBackendError):
+        return 3, str(exc)
+    return 5, f"internal error: {type(exc).__name__}: {exc}"
+
+
 def _resolve_backend(flag: str | None) -> MinimizerBackend:
     if flag is None:
         env = os.environ.get(ENV_MINIMIZER)
@@ -94,9 +109,9 @@ def _resolve_backend(flag: str | None) -> MinimizerBackend:
     if flag.startswith("external:"):
         path = flag[len("external:") :]
         if not path:
-            raise ValueError("--minimizer external: needs a path")
+            raise UsageError("--minimizer external: needs a path")
         return MinimizerBackend.external(path)
-    raise ValueError(
+    raise UsageError(
         f"--minimizer must be 'builtin' or 'external:PATH', got {flag!r}"
     )
 
@@ -259,7 +274,7 @@ def _pdsop_specs(
 ) -> tuple[str, PlaFile, list[PartialSpec]]:
     """Assemble one PartialSpec per output from the argument forms."""
     if args.shared is not None and args.dc_policy is not None:
-        raise ValueError(
+        raise UsageError(
             "--dc-policy is for the single-file form only; with two files"
             " the second one is the shared region"
         )
@@ -272,7 +287,7 @@ def _pdsop_specs(
             ("outputs", pla_u.num_outputs, pla_s.num_outputs),
         ):
             if u != s:
-                raise ValueError(
+                raise UsageError(
                     f"{args.unique} has {u} {what} but {args.shared} has {s}"
                 )
         specs = [
@@ -296,7 +311,7 @@ def _pdsop_specs(
     for j, spec in enumerate(specs):
         hit = spec.overlap()
         if hit is not None:
-            raise ValueError(
+            raise UsageError(
                 f"{args.unique} output {j}: {rows[0]} {hit[0]} overlaps"
                 f" {rows[1]} {hit[1]}; {rows[2]} must be point-disjoint"
             )
@@ -317,11 +332,11 @@ def _parse_list(raw: str, flag: str, parse: Callable[[str], _T | None]) -> list[
             continue
         value = parse(piece)
         if value is None:
-            raise ValueError(f"{flag} got unusable entry {piece!r}")
+            raise UsageError(f"{flag} got unusable entry {piece!r}")
         if value not in out:
             out.append(value)
     if not out:
-        raise ValueError(f"{flag} selected nothing")
+        raise UsageError(f"{flag} selected nothing")
     return out
 
 
@@ -383,13 +398,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         try:
             pla = _read_pla(str(path))
             specs = split_outputs(pla)
-        except PlaParseError as exc:
-            failures.extend((label, 2, str(exc)) for _, _, label in labels)
-            continue
-        try:
             sops, sop_ms = _build_sops(specs, False, backend)
-        except MinimizerBackendError as exc:
-            failures.extend((label, 3, str(exc)) for _, _, label in labels)
+        except Exception as exc:
+            failures.extend((label, *_failure(exc)) for _, _, label in labels)
             continue
         for variant, sort, label in labels:
             cfg = DsopConfig(
@@ -402,8 +413,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 stats, _, _ = _solve_pla(
                     path.name, pla, specs, False, cfg, True, sops, sop_ms
                 )
-            except MinimizerBackendError as exc:
-                failures.append((label, 3, str(exc)))
+            except Exception as exc:
+                failures.append((label, *_failure(exc)))
                 continue
             rows.append(stats)
             if not stats.verified:
@@ -523,22 +534,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except PlaParseError as exc:
-        print(f"dsopforge: {exc}", file=sys.stderr)
-        return 2
-    except MinimizerBackendError as exc:
-        print(f"dsopforge: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"dsopforge: {exc}", file=sys.stderr)
-        return 2
-    except (ContractViolation, DimensionMismatch, ProgressError) as exc:
-        # checked before ValueError, which the first two subclass
-        print(f"dsopforge: internal error: {exc}", file=sys.stderr)
-        return 5
-    except ValueError as exc:
-        print(f"dsopforge: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        code, message = _failure(exc)
+        print(f"dsopforge: {message}", file=sys.stderr)
+        return code
 
 
 def run() -> None:

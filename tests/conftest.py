@@ -15,8 +15,9 @@ from dsopforge import (
     PartialSpec,
     cover_intersects_cube,
 )
+from dsopforge.covers import _pairs_contain
 from dsopforge.partial import _subtract_all
-from dsopforge.verify import _MAX_REPORTED, _pairs, _report, _witnesses
+from dsopforge.verify import _MAX_REPORTED, _pairs, _report
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -215,6 +216,38 @@ def rescan_subtract(cubes, cuts, split):
 # result cubes near each region cube tested one by one.
 
 
+def two_mode_witnesses(n, cubes, inside, outside, found):
+    """Add to `found`, until it holds _MAX_REPORTED minterms, each
+    minterm of `cubes` that lies in the union of `inside` (anywhere in
+    the cubes when inside is None) and outside the union of `outside`.
+
+    Splits a cube one free variable at a time, highest index first, and
+    drops each half that holds no such minterm. Overlap witnesses come
+    from the meet of two result cubes searched inside the region cube,
+    not from a meet of all three, so this search stays independent of
+    verify's."""
+    full = (1 << n) - 1
+    stack = [(m, b, inside, outside) for m, b in reversed(cubes)]
+    while stack and len(found) < _MAX_REPORTED:
+        m, b, ins, outs = stack.pop()
+        if ins is None:
+            if _pairs_contain(n, outs, m, b):
+                continue
+        else:
+            # the parts of `inside` within this subcube
+            ins = [(im | m, ib | b) for im, ib in ins if not (im & m) & (ib ^ b)]
+            if all(_pairs_contain(n, outs, im, ib) for im, ib in ins):
+                continue
+        free = full & ~m
+        if not free:
+            found.add(b)
+            continue
+        outs = [(om, ob) for om, ob in outs if not (om & m) & (ob ^ b)]
+        v = 1 << (free.bit_length() - 1)
+        stack.append((m | v, b | v, ins, outs))
+        stack.append((m | v, b, ins, outs))
+
+
 def pairwise_overlaps(items, region):
     """Yield (i, j, r) for each pair i < j of (mask, bits) `items` that
     share a point and both touch region cube r, r and then i, j
@@ -238,22 +271,22 @@ def pairwise_verify_partial(spec, result):
     on_s = _pairs(spec.shared.on, n)
     every = on_u + dc_u + on_s + _pairs(spec.shared.dc, n)
     uncovered = set()
-    _witnesses(n, on_u, None, res, uncovered)
+    two_mode_witnesses(n, on_u, None, res, uncovered)
     unique = on_u + dc_u
     multi_on = set()
     multi_dc = set()
     for i, j, r in pairwise_overlaps(res, unique):
         x = [(res[i][0] | res[j][0], res[i][1] | res[j][1])]
         if r < len(on_u):
-            _witnesses(n, x, [unique[r]], [], multi_on)
+            two_mode_witnesses(n, x, [unique[r]], [], multi_on)
         else:
-            _witnesses(n, x, [unique[r]], on_u, multi_dc)
+            two_mode_witnesses(n, x, [unique[r]], on_u, multi_dc)
         if len(multi_on) >= _MAX_REPORTED:
             break
     short = set()
-    _witnesses(n, on_s, None, res + unique, short)
+    two_mode_witnesses(n, on_s, None, res + unique, short)
     off = set()
-    _witnesses(n, res, None, every, off)
+    two_mode_witnesses(n, res, None, every, off)
     violations = []
     _report(violations, uncovered, "==1", res, n)
     _report(violations, multi_on, "==1", res, n)

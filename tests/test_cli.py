@@ -16,6 +16,8 @@ from dsopforge import (
     Cover,
     Cube,
     DimensionMismatch,
+    MinimizerBackendError,
+    VerificationReport,
     cli,
     cover_point_mask,
     parse_pla,
@@ -204,6 +206,24 @@ class TestDsopCommand:
             assert re.fullmatch(
                 r"  [01]{4}: expected coverage ==1, observed [2-9]", line
             ), line
+
+    def test_verify_failure_names_only_the_failing_output(self, capsys, monkeypatch):
+        real = cli.verify_dsop
+        checked = []
+
+        def second_fails(f, result):
+            checked.append(f)
+            if len(checked) == 2:
+                return VerificationReport([("000", "==1", 0)])
+            return real(f, result)
+
+        monkeypatch.setattr(cli, "verify_dsop", second_fails)
+        code = main(["dsop", str(FIXTURES / "two_out.pla"), "--verify", "-o", "-"])
+        assert code == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "dsopforge: two_out.pla output 1: 1 violation(s) found (exact check)",
+            "  000: expected coverage ==1, observed 0",
+        ]
 
     @pytest.mark.parametrize("bad", ["stats", "output"])
     def test_unwritable_path_exits_2_and_writes_nothing(self, tmp_path, capsys, bad):
@@ -652,6 +672,115 @@ class TestBenchCommand:
         assert len(rows) == 10
         assert all(row["elapsed_ms"] >= 40 for row in rows)
 
+    def _failed(self, err):
+        return [line for line in err.splitlines() if "FAILED" in line]
+
+    def test_pass_one_backend_failure_fails_the_file_with_3(self, tmp_path, capsys):
+        d = self._bench_dir(tmp_path, ["overlap4.pla", "chain2.pla"])
+        # refuses chain2's table, passes every other one through
+        tool = script(
+            tmp_path,
+            """
+            import sys
+            text = open(sys.argv[1]).read()
+            if "11-- 1" in text:
+                sys.exit(1)
+            sys.stdout.write(text)
+            """,
+        )
+        argv = ["bench", str(d), "--variants", "1,3", "--sorts", "dw"]
+        code = main(argv + ["--minimizer", f"external:{tool}"])
+        assert code == 3
+        captured = capsys.readouterr()
+        failed = self._failed(captured.err)
+        assert [line.split(":")[1] for line in failed] == [
+            " FAILED chain2.pla variant=1 sort=dw",
+            " FAILED chain2.pla variant=3 sort=dw",
+        ]
+        assert all("exited with 1" in line for line in failed)
+        assert "overlap4.pla" in captured.out and "chain2.pla" not in captured.out
+
+    def test_later_pass_backend_failure_fails_only_that_configuration(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        d = self._bench_dir(tmp_path, ["overlap4.pla", "chain2.pla"])
+        real = partial_mod.build_sop
+        calls = []
+
+        def fail_first(*args, **kwargs):
+            # the first later-pass SOP is chain2's, under variant 1
+            calls.append(args)
+            if len(calls) == 1:
+                raise MinimizerBackendError("second pass refused")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(partial_mod, "build_sop", fail_first)
+        out = tmp_path / "rows.json"
+        argv = ["bench", str(d), "--variants", "1,3", "--sorts", "dw"]
+        assert main(argv + ["--json", str(out)]) == 3
+        assert self._failed(capsys.readouterr().err) == [
+            "dsopforge: FAILED chain2.pla variant=1 sort=dw: second pass refused"
+        ]
+        rows = json.loads(out.read_text())["rows"]
+        assert [(r["benchmark"], r["variant"]) for r in rows] == [
+            ("chain2.pla", 3),
+            ("overlap4.pla", 1),
+            ("overlap4.pla", 3),
+        ]
+        assert all(r["verified"] for r in rows)
+
+    def test_failed_verification_records_4(self, tmp_path, monkeypatch, capsys):
+        d = self._bench_dir(tmp_path, ["overlap4.pla"])
+        monkeypatch.setattr(
+            cli,
+            "verify_dsop",
+            lambda f, result: VerificationReport([("0000", "==1", 0)]),
+        )
+        out = tmp_path / "rows.json"
+        argv = ["bench", str(d), "--variants", "1", "--sorts", "dw,wd"]
+        assert main(argv + ["--json", str(out)]) == 4
+        assert self._failed(capsys.readouterr().err) == [
+            f"dsopforge: FAILED overlap4.pla variant=1 sort={sort}: verification failed"
+            for sort in ("dw", "wd")
+        ]
+        rows = json.loads(out.read_text())["rows"]
+        assert [r["verified"] for r in rows] == [False, False]
+
+    @pytest.mark.parametrize("broken, code", [("a.pla", 2), ("z.pla", 3)])
+    def test_exit_code_is_the_first_failures(
+        self, tmp_path, monkeypatch, capsys, broken, code
+    ):
+        # files run in name order: a.pla fails (2) before chain2.pla (3),
+        # z.pla after it
+        d = self._bench_dir(tmp_path, ["chain2.pla"])
+        (d / broken).write_text(".i 2\n.o 1\n.wat\n")
+
+        def refuse(*args, **kwargs):
+            raise MinimizerBackendError("second pass refused")
+
+        monkeypatch.setattr(partial_mod, "build_sop", refuse)
+        assert main(["bench", str(d), "--variants", "1", "--sorts", "dw"]) == code
+        assert len(self._failed(capsys.readouterr().err)) == 2
+
+    def test_internal_error_records_5_and_the_run_continues(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        d = self._bench_dir(tmp_path, ["overlap4.pla", "chain2.pla"])
+        real = cli.dsop
+
+        def broken(f, cfg, *, sop=None):
+            if cfg.variant == 1:
+                raise KeyError("lost slot")
+            return real(f, cfg, sop=sop)
+
+        monkeypatch.setattr(cli, "dsop", broken)
+        assert main(["bench", str(d), "--variants", "1,3", "--sorts", "dw"]) == 5
+        captured = capsys.readouterr()
+        failed = self._failed(captured.err)
+        assert len(failed) == 2
+        assert all("internal error: KeyError" in line for line in failed)
+        assert "chain2.pla" in captured.out and "overlap4.pla" in captured.out
+
     def test_bad_variant_list_exits_2(self, tmp_path):
         d = self._bench_dir(tmp_path, ["overlap4.pla"])
         assert main(["bench", str(d), "--variants", "7"]) == 2
@@ -688,6 +817,24 @@ class TestInternalErrors:
 
     def test_progress_error_exits_5(self, monkeypatch, capsys):
         monkeypatch.setattr(partial_mod, "_MAX_PASSES", 0)
+        assert self._run(capsys) == 5
+
+    def test_unlisted_exception_exits_5_naming_its_type(self, monkeypatch, capsys):
+        def broken(f, cfg, *, sop=None):
+            raise TypeError("bad operand")
+
+        monkeypatch.setattr(cli, "dsop", broken)
+        code = main(["dsop", str(FIXTURES / "overlap4.pla")])
+        err = capsys.readouterr().err
+        assert code == 5
+        assert "dsopforge: internal error: TypeError: bad operand" in err
+
+    def test_library_value_error_exits_5_not_2(self, monkeypatch, capsys):
+        # a ValueError from inside dsopforge is a bug, not a bad input
+        def broken(*args, **kwargs):
+            raise ValueError("output covers disagree on input width")
+
+        monkeypatch.setattr(cli, "write_pla", broken)
         assert self._run(capsys) == 5
 
 

@@ -431,6 +431,18 @@ class TestAgainstPointMasks:
         assert len(report.violations) == _MAX_REPORTED
         assert report.violations == mask_verify_partial(empty_shared(f), cov("-" * n))
 
+    @pytest.mark.parametrize("copies", [2, 3])
+    def test_overlap_witnesses_are_capped(self, copies):
+        # every one of the 4096 points is covered `copies` times; the
+        # first overlapping pair fills the report, and with three copies
+        # the pairs after it are skipped
+        n = 12
+        f = FunctionSpec(n, cov("-" * n))
+        report = verify_dsop(f, cov(*["-" * n] * copies))
+        assert report.violations == [
+            (_minterm(m, n), "==1", copies) for m in range(_MAX_REPORTED)
+        ]
+
 
 # --- the pairwise reference verifier (tests/conftest.py) -------------------
 
