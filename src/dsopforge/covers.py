@@ -188,26 +188,29 @@ def slots_of(x: int) -> Iterator[int]:
 class CubeIndex:
     """Cubes over n variables, transposed: word-parallel over cubes.
 
-    Each added cube gets the next slot (0, 1, ...). For every variable
-    v, zero[v] is the bitset of the slots whose cube binds v to 0 and
-    one[v] the bitset of those binding it to 1; `live` holds the slots
-    not discarded. A query about a cube c is then a few bitset
-    operations per variable instead of one test per indexed cube:
-    the cubes sharing a point with c are the live slots with no
-    literal opposing one of c's. Slots are never reused, and a
-    discarded slot keeps its literal bits; queries mask with `live`.
+    Each added cube gets the next slot (0, 1, ...). The bitsets of slots
+    sit in two tables of 2n entries, addressed by literal position as
+    in Cube.keys (v for the literal v=0, n + v for v=1): alike[k] holds
+    the slots whose cube has literal k, and opp[k] those whose cube
+    binds k's variable to the other value. `live` holds the slots not
+    discarded. A query about a cube c is then one bitset operation per
+    literal of c, read through c.keys, instead of one test per indexed
+    cube: the cubes sharing a point with c are the live slots in no
+    opp[k] of c's literals. Slots are never reused, and a discarded
+    slot keeps its literal bits; queries mask with `live`. Every cube
+    queried or added must be n variables wide.
 
     The constructor builds the bitsets by one transposition, with no
-    step per literal: each cube's `bits` and `mask ^ bits`, side by
-    side, are written as one 2n-digit binary string, and the strings
-    are joined in slot order. Reversed, that string lists the slots
-    from the last to the first, each as its zeros and then its ones,
-    variable 0 first; so every 2n-th character from v (from n + v)
-    spells zero[v] (one[v]) highest slot first, ready for int(..., 2).
+    step per literal: each cube's (mask & ~bits) | bits << n, whose
+    set bits are its keys, is written as one 2n-digit binary string,
+    and the strings are joined in slot order. Reversed, that string
+    lists the slots from the last to the first, each lowest position
+    first; so every 2n-th character from k spells alike[k] highest slot
+    first, ready for int(..., 2). opp is alike with its halves swapped.
     add() indexes one more cube later.
     """
 
-    __slots__ = ("n", "cubes", "zero", "one", "live")
+    __slots__ = ("n", "cubes", "alike", "opp", "live")
 
     def __init__(self, n: int, cubes: Iterable[Cube] = ()) -> None:
         self.n = n
@@ -218,38 +221,33 @@ class CubeIndex:
                     f"index over {n} variables given a {c.n}-variable cube"
                 )
         self.live = (1 << len(cubes)) - 1
-        if not cubes:
-            self.zero = [0] * n
-            self.one = [0] * n
-            return
-        # per slot, 2n characters: its zeros then its ones, variable 0 first
         w = 2 * n
+        if not cubes:
+            self.alike = [0] * w
+            self.opp = [0] * w
+            return
         spec = f"0{w}b"
-        lits = "".join([format(c.bits << n | c.mask ^ c.bits, spec) for c in cubes])
-        lits = lits[::-1]
-        self.zero = [int(lits[v::w], 2) for v in range(n)]
-        self.one = [int(lits[n + v :: w], 2) for v in range(n)]
+        lits = "".join(
+            [format(c.mask & ~c.bits | c.bits << n, spec) for c in cubes]
+        )[::-1]
+        self.alike = alike = [int(lits[k::w], 2) for k in range(w)]
+        self.opp = alike[n:] + alike[:n]
 
     def add(self, c: Cube) -> int:
         """Index c in a new live slot and return the slot."""
-        if c.n != self.n:
+        n = self.n
+        if c.n != n:
             raise DimensionMismatch(
-                f"index over {self.n} variables given a {c.n}-variable cube"
+                f"index over {n} variables given a {c.n}-variable cube"
             )
         s = len(self.cubes)
         self.cubes.append(c)
         slot = 1 << s
         self.live |= slot
-        zero, one = self.zero, self.one
-        m, bits = c.mask, c.bits
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            if bits & low:
-                one[v] |= slot
-            else:
-                zero[v] |= slot
-            m ^= low
+        alike, opp = self.alike, self.opp
+        for k in c.keys:
+            alike[k] |= slot
+            opp[k + n if k < n else k - n] |= slot
         return s
 
     def discard(self, s: int) -> None:
@@ -259,14 +257,10 @@ class CubeIndex:
         """Live slots whose cube shares a point with c (c's own slot
         too, when c is indexed and live): those binding no variable
         against c."""
-        zero, one = self.zero, self.one
+        opp = self.opp
         against = 0
-        m, bits = c.mask, c.bits
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            against |= zero[v] if bits & low else one[v]
-            m ^= low
+        for k in c.keys:
+            against |= opp[k]
         return self.live & ~against
 
 

@@ -11,11 +11,18 @@ variable i is bound, and `bits` holds the bound value at those
 positions (zero elsewhere). Intersection, containment and literal
 counting are then word-parallel bit operations. All values are
 immutable; operations return new cubes.
+
+A cube also knows its literals as positions in a table of 2n entries,
+one per (variable, value): `keys`, the set bits of
+(mask & ~bits) | bits << n. They are found by one bit scan on first
+read and kept, outside equality, hashing and repr, so the cube indexes
+(covers.CubeIndex) and weights that ask about a cube many times never
+scan its literals again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "Cube",
@@ -43,6 +50,10 @@ class Cube:
     n: int
     mask: int
     bits: int
+    # the literal positions, filled on first read of `keys`
+    _keys: tuple[int, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -78,16 +89,15 @@ class Cube:
         return cls(n, 0, 0)
 
     def to_string(self) -> str:
-        out = []
-        for i in range(self.n):
-            b = 1 << i
-            if not self.mask & b:
-                out.append("-")
-            elif self.bits & b:
-                out.append("1")
-            else:
-                out.append("0")
-        return "".join(out)
+        # the ASCII digits of mask and bits, added as big integers, give
+        # one byte per variable: 0x60 free, 0x61 for '0', 0x62 for '1'
+        n = self.n
+        if not n:
+            return ""
+        spec = f"0{n}b"
+        x = int.from_bytes(format(self.mask, spec).encode(), "big")
+        x += int.from_bytes(format(self.bits, spec).encode(), "big")
+        return x.to_bytes(n, "little").translate(_TRITS).decode()
 
     def __str__(self) -> str:
         return self.to_string()
@@ -104,6 +114,28 @@ class Cube:
     def dimension(self) -> int:
         """Number of free variables; the cube covers 2**dimension points."""
         return self.n - self.mask.bit_count()
+
+    @property
+    def keys(self) -> tuple[int, ...]:
+        """The positions of the literals in a table of 2n entries, one
+        per (variable, value), ascending: v for the literal v=0, n + v
+        for v=1. They are the set bits of (mask & ~bits) | bits << n,
+        found once and kept for the cube's lifetime."""
+        keys = self._keys
+        if keys is None:
+            k = (self.mask & ~self.bits) | self.bits << self.n
+            out = []
+            while k:
+                low = k & -k
+                out.append(low.bit_length() - 1)
+                k ^= low
+            keys = tuple(out)
+            object.__setattr__(self, "_keys", keys)
+        return keys
+
+
+# to_string's byte sums to trits
+_TRITS = bytes.maketrans(b"`ab", b"-01")
 
 
 def _check_same_n(p: Cube, q: Cube) -> None:

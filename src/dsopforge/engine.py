@@ -23,11 +23,12 @@ from: weights, sort order, the pool P of cubes a pass selects from,
 and the five fragment policies (_apply_opt).
 
 Weights never come from a scan over pairs of cubes. A covers.CubeIndex
-holds, for each variable, the bitset of the cubes binding it to 0 and
-the bitset of those binding it to 1. The peers of c are then the cubes
-with no literal opposing one of c's, and the sum of its common
-literals with them is one popcount per literal of c, so weight_all
-costs a few bitset operations per cube and literal. A pass builds one
+holds, for each literal position of Cube.keys, the bitset of the
+cubes having that literal and the bitset of those opposing it. The
+peers of c are then the cubes in none of the opposing bitsets of c's
+keys, and the sum of its common literals with them is one popcount
+per key, so weight_all costs a few bitset operations per cube and
+literal, read off c.keys with no scan of c's mask. A pass builds one
 such index over its SOP: weight_all reads it, and P (_Pool) then
 holds it, with the isolated cubes' slots discarded. Under the
 variants that publish fresh weights (2, 4 and 5), P also keeps a
@@ -104,28 +105,19 @@ def _weigh(index: CubeIndex, s: int) -> tuple[int, int]:
 
     Two overlapping cubes agree wherever both are bound, so their common
     literals are the variables both bind: summed over the peers that is
-    one popcount per literal of the cube, against the slots binding it
-    alike.
+    one popcount per literal of the cube, against the slots sharing it.
     """
-    zero, one = index.zero, index.one
-    c = index.cubes[s]
+    keys = index.cubes[s].keys
+    opp, alike = index.opp, index.alike
     against = 0
-    alike = []
-    m, bits = c.mask, c.bits
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        if bits & low:
-            against |= zero[v]
-            alike.append(one[v])
-        else:
-            against |= one[v]
-            alike.append(zero[v])
-        m ^= low
+    for k in keys:
+        against |= opp[k]
     peers = index.live & ~against & ~(1 << s)
+    common = 0
+    for k in keys:
+        common += (peers & alike[k]).bit_count()
     count = peers.bit_count()
-    common = sum(map(int.bit_count, map(peers.__and__, alike)))
-    return count * (len(alike) - 1) - common, count
+    return count * (len(keys) - 1) - common, count
 
 
 def weight_all(
@@ -163,19 +155,27 @@ def weight_all(
     return out
 
 
-def _sort_key(policy: str):
-    if policy == SORT_DIMENSION_WEIGHT:
-        return lambda w: (-w.cube.dimension, w.weight, _tie_key(w.cube))
-    return lambda w: (w.weight, -w.cube.dimension, _tie_key(w.cube))
-
-
-def sort_cubes(weighted: Iterable[WeightedCube], policy: str) -> list[WeightedCube]:
+def sort_cubes(
+    weighted: Iterable[WeightedCube], policy: str, ties: list[int] | None = None
+) -> list[WeightedCube]:
     """Order for selection: dimension_weight prefers big then light cubes,
     weight_dimension prefers light then big. Full ties break on the
-    ascending trit string, so the order is deterministic."""
+    ascending trit string, so the order is deterministic.
+
+    `ties`, when given, is extended by each cube's tie-break key
+    (_tie_key), in input order, so a caller that needs them again
+    (the pool, which re-sorts) does not recompute them."""
     if policy not in SORT_POLICIES:
         raise ValueError(f"unknown sort policy {policy!r}")
-    return sorted(weighted, key=_sort_key(policy))
+    weighted = list(weighted)
+    tie = [_tie_key(w.cube) for w in weighted]
+    if ties is not None:
+        ties.extend(tie)
+    if policy == SORT_DIMENSION_WEIGHT:
+        keys = [(-w.cube.dimension, w.weight, t) for w, t in zip(weighted, tie)]
+    else:
+        keys = [(w.weight, -w.cube.dimension, t) for w, t in zip(weighted, tie)]
+    return [weighted[i] for i in sorted(range(len(weighted)), key=keys.__getitem__)]
 
 
 class _Pool:
@@ -214,10 +214,9 @@ class _Pool:
         self.sort = sort
         self.index = index
         slot = {id(w): s for s, w in enumerate(weighted)}
-        self.order = [
-            slot[id(w)]
-            for w in sort_cubes([w for w in weighted if w.weight >= 0], sort)
-        ]
+        members = [w for w in weighted if w.weight >= 0]
+        ties: list[int] = []
+        self.order = [slot[id(w)] for w in sort_cubes(members, sort, ties)]
         self.head = 0
         self.rank = rank = [-1] * len(weighted)
         for i, s in enumerate(self.order):
@@ -234,9 +233,10 @@ class _Pool:
         self.total: list[int] = []
         self.count: list[int] = []
         if self.track:
-            cubes = index.cubes
-            self.lits = [c.literal_count for c in cubes]
-            self.tie = [_tie_key(c) if r >= 0 else 0 for c, r in zip(cubes, rank)]
+            self.lits = [c.literal_count for c in index.cubes]
+            self.tie = [0] * len(weighted)
+            for w, t in zip(members, ties):
+                self.tie[slot[id(w)]] = t
             self.count = list(counts)
             self.total = [w if m else 0 for w, m in zip(self.weight, counts)]
 

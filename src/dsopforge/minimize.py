@@ -120,7 +120,7 @@ def expand_cube(p: Cube, valid: Cover, index: CubeIndex | None = None) -> Cube:
         index = CubeIndex(n, valid.cubes)
     elif index.n != n:
         raise DimensionMismatch("cube width differs from index")
-    cubes, zero, one = index.cubes, index.zero, index.one
+    cubes, alike, opp = index.cubes, index.alike, index.opp
     mask = p.mask
     bits = p.bits
     # per literal of p, ascending: its bit, the slots opposing p's value
@@ -130,7 +130,8 @@ def expand_cube(p: Cube, valid: Cover, index: CubeIndex | None = None) -> Cube:
     while m:
         b = m & -m
         v = b.bit_length() - 1
-        lits.append((b, zero[v], one[v]) if bits & b else (b, one[v], zero[v]))
+        key = v + n if bits & b else v
+        lits.append((b, opp[key], alike[key]))
         m ^= b
     # above[k]: the slots opposing p at one of its literals k, k+1, ...
     above = [0] * (len(lits) + 1)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .covers import Cover, CubeIndex, FunctionSpec, PartialSpec, _pairs_contain, slots_of
-from .cubes import DimensionMismatch
+from .cubes import Cube, DimensionMismatch
 
 __all__ = [
     "VerificationReport",
@@ -49,10 +49,6 @@ class VerificationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-
-def _minterm_string(index: int, n: int) -> str:
-    return "".join("1" if index >> i & 1 else "0" for i in range(n))
 
 
 def _pairs(cover: Cover, n: int) -> list[Pair]:
@@ -98,12 +94,17 @@ def _report(
     violations: list[tuple[str, str, int]],
     found: set[int],
     constraint: str,
-    items: list[Pair],
-    n: int,
+    index: CubeIndex,
 ) -> None:
+    """Append each minterm of `found`, ascending and up to the cap,
+    with the number of result cubes covering it: the slots of `index`,
+    the result's, overlapping the minterm's cube."""
+    n = index.n
+    full = (1 << n) - 1
     for m in sorted(found)[: _MAX_REPORTED - len(violations)]:
-        observed = sum(1 for cm, cb in items if m & cm == cb)
-        violations.append((_minterm_string(m, n), constraint, observed))
+        point = Cube(n, full, m)
+        observed = index.overlapping(point).bit_count()
+        violations.append((point.to_string(), constraint, observed))
 
 
 def verify_dsop(f: FunctionSpec, result: Cover) -> VerificationReport:
@@ -177,9 +178,9 @@ def verify_partial_dsop(spec: PartialSpec, result: Cover) -> VerificationReport:
     off: set[int] = set()
     _witnesses(n, res, every, off)
     report = VerificationReport()
-    _report(report.violations, uncovered, "==1", res, n)
-    _report(report.violations, multi_on, "==1", res, n)
-    _report(report.violations, multi_dc, "<=1", res, n)
-    _report(report.violations, short, ">=1", res, n)
-    _report(report.violations, off, "==0", res, n)
+    _report(report.violations, uncovered, "==1", index)
+    _report(report.violations, multi_on, "==1", index)
+    _report(report.violations, multi_dc, "<=1", index)
+    _report(report.violations, short, ">=1", index)
+    _report(report.violations, off, "==0", index)
     return report

@@ -17,7 +17,7 @@ from dsopforge import (
 )
 from dsopforge.covers import _pairs_contain
 from dsopforge.partial import _subtract_all
-from dsopforge.verify import _MAX_REPORTED, _pairs, _report
+from dsopforge.verify import _MAX_REPORTED, _pairs
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -262,6 +262,15 @@ def pairwise_overlaps(items, region):
                     yield i, j, r
 
 
+def scan_report(violations, found, constraint, items, n):
+    """Append each minterm of `found`, ascending and up to the cap, with
+    its coverage counted by a scan of every result cube in `items`."""
+    for m in sorted(found)[: _MAX_REPORTED - len(violations)]:
+        observed = sum(1 for cm, cb in items if m & cm == cb)
+        point = "".join("1" if m >> i & 1 else "0" for i in range(n))
+        violations.append((point, constraint, observed))
+
+
 def pairwise_verify_partial(spec, result):
     """verify_partial_dsop's violations, found the pairwise way."""
     n = spec.n
@@ -288,9 +297,9 @@ def pairwise_verify_partial(spec, result):
     off = set()
     two_mode_witnesses(n, res, None, every, off)
     violations = []
-    _report(violations, uncovered, "==1", res, n)
-    _report(violations, multi_on, "==1", res, n)
-    _report(violations, multi_dc, "<=1", res, n)
-    _report(violations, short, ">=1", res, n)
-    _report(violations, off, "==0", res, n)
+    scan_report(violations, uncovered, "==1", res, n)
+    scan_report(violations, multi_on, "==1", res, n)
+    scan_report(violations, multi_dc, "<=1", res, n)
+    scan_report(violations, short, ">=1", res, n)
+    scan_report(violations, off, "==0", res, n)
     return violations

@@ -105,8 +105,8 @@ class TestCubeIndex:
     def test_constructor_equals_adding_one_at_a_time(self, x):
         built = CubeIndex(x.n, x.cubes)
         added = added_one_at_a_time(x.n, x.cubes)
-        assert built.zero == added.zero
-        assert built.one == added.one
+        assert built.alike == added.alike
+        assert built.opp == added.opp
         assert built.live == added.live == (1 << len(x)) - 1
         assert built.cubes == added.cubes == list(x.cubes)
 
@@ -143,8 +143,8 @@ class TestCubeIndex:
 
     def test_empty_list(self):
         index = CubeIndex(5, [])
-        assert (index.zero, index.one, index.live, index.cubes) == (
-            [0] * 5, [0] * 5, 0, []
+        assert (index.alike, index.opp, index.live, index.cubes) == (
+            [0] * 10, [0] * 10, 0, []
         )
         assert index.overlapping(c("01---")) == 0
         assert index.add(c("0----")) == 0
@@ -153,7 +153,7 @@ class TestCubeIndex:
     def test_zero_variables(self):
         universe = Cube(0, 0, 0)
         index = CubeIndex(0, [universe, universe])
-        assert (index.zero, index.one, index.live) == ([], [], 0b11)
+        assert (index.alike, index.opp, index.live) == ([], [], 0b11)
         assert index.overlapping(universe) == 0b11
         assert CubeIndex(0).live == 0
 

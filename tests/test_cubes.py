@@ -1,3 +1,7 @@
+import copy
+import pickle
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -59,6 +63,77 @@ class TestConstruction:
     @given(cubes_st(max_n=10))
     def test_literal_count_plus_dimension_is_n(self, p):
         assert p.literal_count + p.dimension == p.n
+
+
+def loop_to_string(p):
+    """Cube.to_string one variable at a time, as it was first written."""
+    out = []
+    for i in range(p.n):
+        b = 1 << i
+        if not p.mask & b:
+            out.append("-")
+        elif p.bits & b:
+            out.append("1")
+        else:
+            out.append("0")
+    return "".join(out)
+
+
+class TestToString:
+    @given(cubes_st(max_n=70))
+    def test_matches_the_per_variable_loop(self, p):
+        assert p.to_string() == loop_to_string(p)
+
+    def test_zero_variables(self):
+        assert Cube.universe(0).to_string() == ""
+        assert repr(Cube.universe(0)) == "Cube('')"
+
+    def test_past_the_decimal_digit_limit(self):
+        # 5000 variables: more digits than Python converts between int
+        # and decimal str by default
+        n = 5000
+        rng = random.Random(5000)
+        mask = rng.getrandbits(n)
+        p = Cube(n, mask, rng.getrandbits(n) & mask)
+        assert p.to_string() == loop_to_string(p)
+        assert Cube.from_string(p.to_string()) == p
+
+
+class TestKeys:
+    def test_universe_has_none(self):
+        assert Cube.universe(5).keys == ()
+        assert Cube.universe(0).keys == ()
+
+    def test_positions(self):
+        # v for the literal v=0, n + v for v=1
+        assert c("01-1-0").keys == (0, 5, 7, 9)
+
+    @given(cubes_st(max_n=70))
+    def test_are_the_set_bits_of_the_literal_word(self, p):
+        word = (p.mask & ~p.bits) | p.bits << p.n
+        assert p.keys == tuple(i for i in range(2 * p.n) if word >> i & 1)
+        assert len(p.keys) == p.literal_count
+        assert p.keys is p.keys
+
+    @given(cubes_st(max_n=70))
+    def test_reading_them_changes_no_equality_hash_or_repr(self, p):
+        fresh = Cube(p.n, p.mask, p.bits)
+        p.keys
+        assert p == fresh and fresh == p
+        assert hash(p) == hash(fresh)
+        assert repr(p) == repr(fresh)
+        assert len({p, fresh}) == 1
+
+    @given(cubes_st(max_n=20))
+    def test_pickle_and_copy_with_or_without_them(self, p):
+        fresh = Cube(p.n, p.mask, p.bits)
+        read = Cube(p.n, p.mask, p.bits)
+        read.keys
+        for x in (fresh, read):
+            # copied before anything reads fresh's keys
+            for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+                assert y == x
+                assert y.keys == x.keys
 
 
 class TestIntersect:

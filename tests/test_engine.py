@@ -3,11 +3,13 @@ import re
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     ALL_CONFIGS,
     covers_st,
     crowded_covers_st,
+    cubes_st,
     function_specs_st,
     pairwise_weight,
     rand_cover,
@@ -36,9 +38,10 @@ from dsopforge import (
     verify_dsop,
     weight_all,
 )
+from dsopforge import engine as engine_mod
 from dsopforge import partial as partial_mod
 from dsopforge.covers import CubeIndex
-from dsopforge.engine import _apply_opt, _Pool, _tie_key
+from dsopforge.engine import _apply_opt, _Pool, _tie_key, _weigh
 
 
 def c(s):
@@ -93,7 +96,6 @@ class TestWeights:
         got = [w.weight for w in weight_all(cubes)]
         assert got == [pairwise_weight(cubes, i) for i in range(len(cubes))]
 
-
     @given(crowded_covers_st(max_cubes=90))
     @settings(max_examples=40)
     def test_a_given_index_is_read_and_peer_counts_reported(self, cover):
@@ -106,6 +108,50 @@ class TestWeights:
             sum(intersect(x, d) is not None for j, d in enumerate(cubes) if j != i)
             for i, x in enumerate(cubes)
         ]
+
+
+@st.composite
+def grown_indexes(draw):
+    """(n, cubes, split, gone, probes) at n = 1, 16 or 70: an index gets
+    cubes[:split] from its constructor and the rest from add(), then
+    loses the slots in `gone`; `probes` are cubes it never held."""
+    n = draw(st.sampled_from([1, 16, 70]))
+    cubes = list(draw(crowded_covers_st(min_n=n, max_n=n, max_cubes=80)).cubes)
+    split = draw(st.integers(0, len(cubes)))
+    gone = draw(st.sets(st.integers(0, max(len(cubes) - 1, 0))))
+    probes = [draw(cubes_st(n=n)) for _ in range(4)]
+    return n, cubes, split, gone, probes
+
+
+class TestIndexQueries:
+    @given(grown_indexes())
+    @settings(max_examples=60)
+    def test_match_the_pairwise_references_after_add_and_discard(self, case):
+        n, cubes, split, gone, probes = case
+        index = CubeIndex(n, cubes[:split])
+        for s, x in enumerate(cubes[split:], split):
+            assert index.add(x) == s
+        for s in gone:
+            index.discard(s)
+        live = [s for s in range(len(cubes)) if s not in gone]
+        # indexed cubes, equal copies whose keys nothing has read yet,
+        # and cubes the index never held
+        copies = [Cube(n, x.mask, x.bits) for x in cubes[:6]]
+        for p in cubes + copies + probes:
+            want = sum(1 << s for s in live if intersect(p, cubes[s]) is not None)
+            assert index.overlapping(p) == want
+        for s in live:
+            x = cubes[s]
+            peers = [
+                cubes[t] for t in live if t != s and intersect(x, cubes[t]) is not None
+            ]
+            total = sum(
+                x.literal_count - (x.mask & d.mask).bit_count() - 1 for d in peers
+            )
+            assert _weigh(index, s) == (total, len(peers))
+        kept = [cubes[s] for s in live]
+        got = [w.weight for w in weight_all(kept)]
+        assert got == [pairwise_weight(kept, i) for i in range(len(kept))]
 
 
 class TestSort:
@@ -136,6 +182,14 @@ class TestSort:
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             sort_cubes([], "sideways")
+
+    @given(crowded_covers_st(max_cubes=12))
+    def test_reports_the_tie_keys_in_input_order(self, cover):
+        weighted = weight_all(cover)
+        ties = [7]
+        out = sort_cubes(weighted, SORT_WEIGHT_DIMENSION, ties)
+        assert ties == [7] + [_tie_key(w.cube) for w in weighted]
+        assert out == sort_cubes(weighted, SORT_WEIGHT_DIMENSION)
 
 
 def pool(variant, *items):
@@ -168,6 +222,37 @@ class TestPool:
             popped.append(P.pop())
         ranked = sort_cubes([w for w in weighted if w.weight >= 0], sort)
         assert popped == [w.cube for w in ranked]
+
+
+    @pytest.mark.parametrize("variant", [1, 2, 3])
+    def test_tie_key_runs_once_per_cube_of_p_in_a_pass(self, monkeypatch, variant):
+        # under these variants no cube enters P after it is built, so
+        # every tie key a pass needs is computed while P is built: one
+        # for each cube of P, whether or not P re-sorts later (v2)
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return _tie_key(x)
+
+        members = []
+
+        class Counted(_Pool):
+            def __init__(self, index, variant, sort, weighted, counts):
+                before = len(calls)
+                super().__init__(index, variant, sort, weighted, counts)
+                members.append(sum(w.weight >= 0 for w in weighted))
+                assert len(calls) - before == members[-1]
+
+        monkeypatch.setattr(engine_mod, "_tie_key", counted)
+        monkeypatch.setattr(partial_mod, "_Pool", Counted)
+        rng = random.Random(25140)
+        f = FunctionSpec(12, rand_cover(rng, 12, 60, bind=0.6))
+        for sort in (SORT_DIMENSION_WEIGHT, SORT_WEIGHT_DIMENSION):
+            cfg = DsopConfig(variant, sort, backend=MinimizerBackend.identity())
+            dsop(f, cfg)
+        assert len(members) > 2 and sum(members) > 60
+        assert len(calls) == sum(members)
 
 
 def entries(P):

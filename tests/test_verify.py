@@ -522,6 +522,17 @@ class TestAgainstPairwiseReference:
         assert verify_dsop(f, result).violations == want
         assert pairwise_verify_partial(empty_shared(f), result) == want
 
+    def test_a_full_report_over_many_cubes_counts_by_scan(self):
+        # 1500 random cubes at n=20 over an on cube covering everything:
+        # 1000 violations, each covered some number of times the
+        # reference counts by scanning every result cube
+        n = 20
+        f = FunctionSpec(n, cov("-" * n))
+        result = rand_cover(random.Random(20), n, 1500, bind=0.5)
+        report = verify_dsop(f, result)
+        assert len(report.violations) == _MAX_REPORTED
+        assert report.violations == pairwise_verify_partial(empty_shared(f), result)
+
     def test_overlap_only_in_shared_dc_outside_the_on_cube_is_fine(self):
         spec = PartialSpec(
             unique=FunctionSpec(2, cov("11")),
