@@ -22,6 +22,15 @@ its expands, and irredundant indexes the cover it trims. A probe then
 costs a few bitset operations to find its cubes, and the cofactor and
 tautology check of those alone (covers._slots_contain), rather than a
 scan of the whole cover; a probe that meets no cube fails at once.
+
+An expand probe fails as soon as it reaches one point off on+dc, so
+build_sop also takes `off`, cubes the caller knows lie outside on+dc:
+the selection loop passes the cubes it committed in earlier passes, a
+partial OFF-set it has for free. They get slots in the same index,
+after on+dc's and not live. Only those sharing no point with on+dc are
+kept as refuters, a check build_sop makes itself, and a probe whose
+raised cube meets a refuter fails with no tautology check. A refuted probe
+would have failed anyway, so `off` changes no cover, only its cost.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from __future__ import annotations
 import subprocess
 import threading
 from dataclasses import dataclass
+from typing import Iterable
 
 from .covers import (
     Cover,
@@ -87,15 +97,24 @@ class MinimizerBackend:
         return self.kind if self.kind != "external" else f"external:{self.path}"
 
 
-def expand_cube(p: Cube, valid: Cover, index: CubeIndex | None = None) -> Cube:
+def expand_cube(
+    p: Cube, valid: Cover, index: CubeIndex | None = None, refute: int = 0
+) -> Cube:
     """Greedily free literals of p, in ascending variable order, keeping
     each removal only while the enlarged cube stays inside `valid`.
 
     Requires p itself to be inside `valid`. The result contains p and is
     an implicant of `valid`, though not necessarily prime under every
-    removal order. `index`, when given, is a CubeIndex over valid's
-    cubes in order, so that callers expanding many cubes against one
-    cover build it once.
+    removal order. `index`, when given, is a CubeIndex whose live slots
+    are valid's cubes in order, so that callers expanding many cubes
+    against one cover build it once. Slots after those may hold other
+    cubes, not live; `refute`, a bitset of slots, names those of them
+    that share no point with `valid`. That is the caller's promise: a
+    refute bit on a live or missing slot raises ContractViolation, but
+    a refuter meeting `valid` is not detected. A probe whose mirror
+    meets a refuter fails at once, with no containment check, since
+    the mirror has a point outside `valid`. So `refute` saves work and
+    never changes the result.
 
     Freeing variable i of the current cube c gives c plus its mirror
     across i (c with literal i complemented). c is already inside
@@ -110,8 +129,10 @@ def expand_cube(p: Cube, valid: Cover, index: CubeIndex | None = None) -> Cube:
     at i, and p's values above i, which no probe has freed yet. The OR
     of the slots opposing p's literals above each variable is a suffix
     array built once, and the OR for those below i grows as probes
-    fail. So a probe costs a few bitset operations plus the cubes it
-    meets.
+    fail. The complement of that OR holds every slot meeting the
+    mirror, refuters included, so one AND with `refute` finds one. A
+    probe costs a few bitset operations plus the cubes it meets, or
+    just the bitset operations when it meets a refuter.
     """
     n = p.n
     if valid.n != n:
@@ -121,6 +142,9 @@ def expand_cube(p: Cube, valid: Cover, index: CubeIndex | None = None) -> Cube:
     elif index.n != n:
         raise DimensionMismatch("cube width differs from index")
     cubes, alike, opp = index.cubes, index.alike, index.opp
+    live = index.live
+    if refute & live or refute >> len(cubes):
+        raise ContractViolation("expand_cube: refute names a live or missing slot")
     mask = p.mask
     bits = p.bits
     # per literal of p, ascending: its bit, the slots opposing p's value
@@ -137,13 +161,13 @@ def expand_cube(p: Cube, valid: Cover, index: CubeIndex | None = None) -> Cube:
     above = [0] * (len(lits) + 1)
     for k in range(len(lits) - 1, -1, -1):
         above[k] = above[k + 1] | lits[k][1]
-    live = index.live
     if not _slots_contain(n, cubes, live & ~above[0], mask):
         raise ContractViolation("expand_cube: cube not contained in valid cover")
     below = 0
     for k, (b, opposing, same) in enumerate(lits):
-        slots = live & ~(below | same | above[k + 1])
-        if slots and _slots_contain(n, cubes, slots, mask):
+        meets = ~(below | same | above[k + 1])
+        slots = live & meets
+        if slots and not meets & refute and _slots_contain(n, cubes, slots, mask):
             mask &= ~b
             bits &= ~b
         else:
@@ -259,15 +283,35 @@ def _external_sop(f: FunctionSpec, path: str) -> Cover:
     return sop
 
 
-def build_sop(f: FunctionSpec, backend: MinimizerBackend | None = None) -> Cover:
-    """Re-minimize a function into an SOP cover via the chosen backend."""
+def build_sop(
+    f: FunctionSpec,
+    backend: MinimizerBackend | None = None,
+    *,
+    off: Iterable[Cube] = (),
+) -> Cover:
+    """Re-minimize a function into an SOP cover via the chosen backend.
+
+    `off` may list cubes known to lie outside on+dc, such as those a
+    selection loop committed in earlier passes; the builtin backend
+    uses them to refute expand probes early, and the other backends
+    ignore them. The result does not depend on `off`: only its cubes
+    sharing no point with on+dc are used, which build_sop checks
+    itself, so a cube that meets on+dc costs one query and nothing else.
+    """
     backend = backend or MinimizerBackend.builtin()
     if backend.kind == "external":
         return _external_sop(f, backend.path)  # type: ignore[arg-type]
     on = normalize(f.on)
     if backend.kind == "identity":
         return on
+    n = f.n
     valid = f.care_cover()
-    index = CubeIndex(f.n, valid.cubes)
-    expanded = Cover(f.n, tuple(expand_cube(c, valid, index) for c in on.cubes))
+    # valid's cubes, live, then the off cubes in slots past them
+    index = CubeIndex(n, valid.cubes + tuple(off))
+    index.live = (1 << len(valid.cubes)) - 1
+    refute = 0
+    for s in range(len(valid.cubes), len(index.cubes)):
+        if not index.overlapping(index.cubes[s]):
+            refute |= 1 << s
+    expanded = Cover(n, tuple(expand_cube(c, valid, index, refute) for c in on.cubes))
     return irredundant(normalize(expanded), on)

@@ -149,6 +149,11 @@ def _select(
     first commit. A commit's neighbour-loop shared slices are held back
     and join dc_many just before its own B splits report theirs, so
     dc_many keeps the order a split after every commit gives it.
+
+    Each pass's build_sop gets the cubes committed so far as `off`. B
+    and the unique dc pool were split by them, so they meet only the
+    shared points of a pass's on+dc; build_sop keeps the ones meeting
+    none as refuters of its expand probes, which changes no cover.
     """
     n = spec.n
     if sop is not None and len(kept := normalize(sop).cubes) < len(sop.cubes):
@@ -203,6 +208,7 @@ def _select(
             sop = build_sop(
                 FunctionSpec(n, todo_on, Cover(n, tuple(dc_once + dc_many))),
                 cfg.backend,
+                off=committed,
             )
         if full:
             dc_once.clear()

@@ -66,8 +66,8 @@ def parse_pla(text: str) -> PlaFile:
     num_inputs: int | None = None
     num_outputs: int | None = None
     ptype = "fd"
-    ilb: tuple[str, ...] | None = None
-    ob: tuple[str, ...] | None = None
+    # .ilb/.ob names and their line, checked once .i/.o are known
+    labels: dict[str, tuple[tuple[str, ...], int]] = {}
     rows: list[tuple[Cube, str]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -97,10 +97,8 @@ def parse_pla(text: str) -> PlaFile:
                         lineno,
                     )
                 ptype = args[0]
-            elif directive == ".ilb":
-                ilb = tuple(args)
-            elif directive == ".ob":
-                ob = tuple(args)
+            elif directive in (".ilb", ".ob"):
+                labels[directive] = (tuple(args), lineno)
             elif directive in (".e", ".end"):
                 break
             else:
@@ -125,17 +123,22 @@ def parse_pla(text: str) -> PlaFile:
 
     if num_inputs is None or num_outputs is None:
         raise PlaParseError("missing .i/.o declarations")
-    if ilb is not None and len(ilb) != num_inputs:
-        raise PlaParseError(f".ilb lists {len(ilb)} names for {num_inputs} inputs")
-    if ob is not None and len(ob) != num_outputs:
-        raise PlaParseError(f".ob lists {len(ob)} names for {num_outputs} outputs")
+    for directive, count, what in (
+        (".ilb", num_inputs, "inputs"),
+        (".ob", num_outputs, "outputs"),
+    ):
+        names, lineno = labels.get(directive, (None, None))
+        if names is not None and len(names) != count:
+            raise PlaParseError(
+                f"{directive} lists {len(names)} names for {count} {what}", lineno
+            )
     return PlaFile(
         num_inputs=num_inputs,
         num_outputs=num_outputs,
         ptype=ptype,
         rows=tuple(rows),
-        input_labels=ilb,
-        output_labels=ob,
+        input_labels=labels.get(".ilb", (None,))[0],
+        output_labels=labels.get(".ob", (None,))[0],
     )
 
 

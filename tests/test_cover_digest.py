@@ -149,10 +149,10 @@ def test_sop_inputs_match_the_pinned_digest(monkeypatch):
     h = hashlib.sha256()
     build_sop = dsopforge.partial.build_sop
 
-    def recorder(f, backend):
+    def recorder(f, backend, **kwargs):
         on, dc = ",".join(f.on.to_strings()), ",".join(f.dc.to_strings())
         h.update((on + "|" + dc + "\n").encode())
-        return build_sop(f, backend)
+        return build_sop(f, backend, **kwargs)
 
     monkeypatch.setattr(dsopforge.partial, "build_sop", recorder)
     _digest()

@@ -394,9 +394,9 @@ class TestDsop:
     def test_given_sop_replaces_only_the_first_build(self, monkeypatch):
         calls = []
 
-        def counting(g, backend=None):
+        def counting(g, backend=None, **kwargs):
             calls.append(g)
-            return build_sop(g, backend)
+            return build_sop(g, backend, **kwargs)
 
         monkeypatch.setattr(partial_mod, "build_sop", counting)
         plain = dsop(DEMO_F)
@@ -438,7 +438,7 @@ class TestDropDcOnly:
     def _patched(self, monkeypatch):
         calls = {"n": 0}
 
-        def fake(f, backend=None):
+        def fake(f, backend=None, **kwargs):
             calls["n"] += 1
             if calls["n"] == 1:
                 return cov(*self.FIRST_SOP)

@@ -2,7 +2,7 @@ import stat
 import textwrap
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import covers_st, crowded_covers_st, function_specs_st
@@ -79,6 +79,52 @@ def subcube(data, base):
     return Cube(base.n, base.mask | extra, base.bits | values)
 
 
+def refuted(x, care):
+    """x bound against each cube of `care` it meets, so that it meets
+    none; None when x lies inside one, with no variable left to bind."""
+    for q in care:
+        if (q.mask & x.mask) & (q.bits ^ x.bits):
+            continue
+        free = q.mask & ~x.mask
+        if not free:
+            return None
+        b = free & -free
+        x = Cube(x.n, x.mask | b, x.bits | (b & ~q.bits))
+    return x
+
+
+@st.composite
+def specs_with_off_st(draw, max_n=70):
+    """A function and a list of cubes mixing ones that meet its on+dc
+    (subcubes of its cubes) with ones that do not (mirrors of its cubes
+    across a literal, bound off on+dc). The cubes bind about one
+    variable in four, so that at n=70 expand probes still meet cubes."""
+    n = draw(st.integers(1, max_n))
+    top = (1 << n) - 1
+
+    def sparse():
+        mask = draw(st.integers(0, top)) & draw(st.integers(0, top))
+        return Cube(n, mask, draw(st.integers(0, top)) & mask)
+
+    on = [sparse() for _ in range(draw(st.integers(1, 8)))]
+    dc = [sparse() for _ in range(draw(st.integers(0, 3)))]
+    care = on + dc
+    off = []
+    for _ in range(draw(st.integers(0, 10))):
+        base = draw(st.sampled_from(care))
+        if draw(st.booleans()):
+            extra = draw(st.integers(0, top)) & ~base.mask
+            bits = draw(st.integers(0, top)) & extra
+            off.append(Cube(n, base.mask | extra, base.bits | bits))
+        elif base.mask:
+            bound = [i for i in range(n) if base.mask >> i & 1]
+            b = 1 << draw(st.sampled_from(bound))
+            x = refuted(Cube(n, base.mask, base.bits ^ b), care)
+            if x is not None:
+                off.append(x)
+    return FunctionSpec(n, Cover(n, tuple(on)), Cover(n, tuple(dc))), off
+
+
 def script(tmp_path, body, name="fakemin.py"):
     path = tmp_path / name
     path.write_text("#!/usr/bin/env python3\n" + textwrap.dedent(body))
@@ -128,6 +174,53 @@ class TestExpand:
             want = reference_expand(seed, valid)
             assert expand_cube(seed, valid) == want
             assert expand_cube(seed, valid, index) == want
+
+    @given(specs_with_off_st())
+    @settings(max_examples=150)
+    def test_refuters_change_no_expansion(self, case):
+        f, off = case
+        valid = f.care_cover()
+        k = len(valid.cubes)
+        index = CubeIndex(f.n, valid.cubes + tuple(off))
+        index.live = (1 << k) - 1
+        refute = sum(
+            1 << s
+            for s, x in enumerate(off, k)
+            if not cover_intersects_cube(valid, x)
+        )
+        plain = CubeIndex(f.n, valid.cubes)
+        for seed in f.on.cubes:
+            want = expand_cube(seed, valid, plain)
+            assert expand_cube(seed, valid, index, refute) == want
+
+    def test_probe_meeting_a_refuter_runs_no_containment_check(self, monkeypatch):
+        # freeing x0 of 0-- probes the mirror 1--, which meets the valid
+        # 1-0 and the refuter 1-1: it fails on the refuter alone, so the
+        # one containment check left is the entry check of 0-- itself
+        valid = cov("0--", "1-0")
+        index = CubeIndex(3, valid.cubes + (c("1-1"),))
+        index.live = 0b011
+        calls = []
+        real = minimize._slots_contain
+
+        def counting(*args):
+            calls.append(args[3])
+            return real(*args)
+
+        monkeypatch.setattr(minimize, "_slots_contain", counting)
+        assert expand_cube(c("0--"), valid, index, 0b100) == c("0--")
+        assert calls == [c("0--").mask]
+        calls.clear()
+        assert expand_cube(c("0--"), valid, index) == c("0--")
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("refute", [0b001, 0b1000], ids=["live", "missing"])
+    def test_refute_must_name_indexed_slots_that_are_not_live(self, refute):
+        valid = cov("0--", "1-0")
+        index = CubeIndex(3, valid.cubes + (c("1-1"),))
+        index.live = 0b011
+        with pytest.raises(ContractViolation, match="refute"):
+            expand_cube(c("0--"), valid, index, refute)
 
     def test_width_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -243,6 +336,38 @@ class TestBuiltin:
             monkeypatch.setattr(minimize, name, counted)
         assert build_sop(FunctionSpec(2, cov("00", "01"))).to_strings() == ["0-"]
         assert calls == {"expand_cube": 2, "irredundant": 1}
+
+    @given(specs_with_off_st())
+    @settings(max_examples=150)
+    def test_off_cubes_change_nothing(self, case):
+        # the cubes meeting on+dc are not refuters, and build_sop finds
+        # them itself; the others only cut probes short
+        f, off = case
+        assert build_sop(f, off=off).cubes == build_sop(f).cubes
+
+    def test_off_cubes_meeting_the_care_set_refute_nothing(self, monkeypatch):
+        # 11- meets the dc cube 1-0, so it may not refute the probe of
+        # 1-- that 1-1 refutes
+        f = FunctionSpec(3, cov("0--"), cov("1-0"))
+        calls = []
+        real = minimize._slots_contain
+
+        def counting(*args):
+            calls.append(args[3])
+            return real(*args)
+
+        monkeypatch.setattr(minimize, "_slots_contain", counting)
+        want = build_sop(f)
+        plain = len(calls)
+        for off, fewer in (([c("11-")], 0), ([c("1-1"), c("11-")], 1)):
+            calls.clear()
+            assert build_sop(f, off=off) == want
+            assert len(calls) == plain - fewer
+
+    def test_identity_backend_ignores_off(self):
+        f = FunctionSpec(3, cov("0--", "00-"), cov("1-0"))
+        identity = MinimizerBackend.identity()
+        assert build_sop(f, identity, off=[c("1-1")]) == normalize(f.on)
 
     @given(function_specs_st(max_n=8))
     def test_one_round_is_a_fixed_point(self, f):

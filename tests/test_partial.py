@@ -160,9 +160,9 @@ class TestPartialDsop:
     def test_given_sop_replaces_only_the_first_build(self, monkeypatch):
         calls = []
 
-        def counting(g, backend=None):
+        def counting(g, backend=None, **kwargs):
             calls.append(g)
-            return build_sop(g, backend)
+            return build_sop(g, backend, **kwargs)
 
         monkeypatch.setattr(partial_mod, "build_sop", counting)
         plain = partial_dsop(E2)
@@ -241,9 +241,9 @@ class TestDcFeedback:
             events.append(("break", p, list(reusable)))
             return fragments, reusable
 
-        def building(f, backend=None):
+        def building(f, backend=None, **kwargs):
             events.append(("pass", f.dc, None))
-            return build_sop(f, backend)
+            return build_sop(f, backend, **kwargs)
 
         monkeypatch.setattr(partial_mod, "partial_break", breaking)
         monkeypatch.setattr(partial_mod, "build_sop", building)

@@ -89,6 +89,22 @@ class TestParse:
             parse_pla("# no variables\n.i 0\n.o 1\n1\n.e\n")
         assert info.value.line == 2
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("# labels first\n.ilb a b c\n.i 2\n.o 1\n0- 1\n",
+             "line 2: .ilb lists 3 names for 2 inputs"),
+            (".i 2\n.o 2\n.ob f\n0- 11\n.ob f g h\n.e\n",
+             "line 5: .ob lists 3 names for 2 outputs"),
+        ],
+    )
+    def test_label_count_mismatch_names_the_directive_line(self, text, message):
+        # the count is checked once .i/.o are known, against the last
+        # .ilb/.ob given, and the error names that directive's line
+        with pytest.raises(PlaParseError) as info:
+            parse_pla(text)
+        assert str(info.value) == message
+
     def test_zero_outputs_rejected_at_the_directive(self):
         with pytest.raises(PlaParseError, match="at least one output") as info:
             parse_pla(".i 2\n.o 0\n11\n.e\n")
