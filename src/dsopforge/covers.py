@@ -129,6 +129,10 @@ class PartialSpec:
 
     unique: FunctionSpec
     shared: FunctionSpec
+    # shared_cover(), built on first call
+    _shared: Cover | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.unique.n != self.shared.n:
@@ -144,7 +148,13 @@ class PartialSpec:
         return self.unique.care_cover()
 
     def shared_cover(self) -> Cover:
-        return self.shared.care_cover()
+        """shared.on + shared.dc, built once and kept: the selection
+        loop asks for it at every split."""
+        cover = self._shared
+        if cover is None:
+            cover = self.shared.care_cover()
+            object.__setattr__(self, "_shared", cover)
+        return cover
 
     def combined(self) -> FunctionSpec:
         """Both parts as one function: on = unique.on + shared.on and

@@ -14,10 +14,12 @@ immutable; operations return new cubes.
 
 A cube also knows its literals as positions in a table of 2n entries,
 one per (variable, value): `keys`, the set bits of
-(mask & ~bits) | bits << n. They are found by one bit scan on first
-read and kept, outside equality, hashing and repr, so the cube indexes
-(covers.CubeIndex) and weights that ask about a cube many times never
-scan its literals again.
+(mask & ~bits) | bits << n. They are read on first use, a byte of that
+word at a time, from a shared table mapping (byte index j, nonzero
+byte value) to the byte's set-bit positions plus 8j, and kept, outside
+equality, hashing and repr, so the cube indexes (covers.CubeIndex) and
+weights that ask about a cube many times never look its literals up
+again. The table holds only the (j, byte) pairs some cube has used.
 """
 
 from __future__ import annotations
@@ -120,18 +122,34 @@ class Cube:
         """The positions of the literals in a table of 2n entries, one
         per (variable, value), ascending: v for the literal v=0, n + v
         for v=1. They are the set bits of (mask & ~bits) | bits << n,
+        joined from _BYTE_KEYS one nonzero byte of that word at a time,
         found once and kept for the cube's lifetime."""
         keys = self._keys
         if keys is None:
-            k = (self.mask & ~self.bits) | self.bits << self.n
-            out = []
-            while k:
-                low = k & -k
-                out.append(low.bit_length() - 1)
-                k ^= low
-            keys = tuple(out)
+            n = self.n
+            word = (self.mask & ~self.bits) | self.bits << n
+            keys = ()
+            j = 0  # the byte's index, shifted left by 8
+            for b in word.to_bytes((2 * n + 7) >> 3, "little"):
+                if b:
+                    part = _BYTE_KEYS.get(j | b)
+                    if part is None:
+                        part = _BYTE_KEYS[j | b] = _byte_keys(j | b)
+                    keys += part
+                j += 256
             object.__setattr__(self, "_keys", keys)
         return keys
+
+
+# Cube.keys's table: (j << 8 | byte) -> the byte's set-bit positions
+# plus 8j, filled as cubes use the entries. An entry depends on its own
+# key alone, so threads racing to fill one store equal tuples.
+_BYTE_KEYS: dict[int, tuple[int, ...]] = {}
+
+
+def _byte_keys(jb: int) -> tuple[int, ...]:
+    base = (jb >> 8) << 3
+    return tuple(base + i for i in range(8) if jb >> i & 1)
 
 
 # to_string's byte sums to trits

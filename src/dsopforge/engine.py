@@ -36,11 +36,18 @@ running (total, count) per cube, started from the weights and peer
 counts weight_all gave: a cube leaving or entering P updates only
 its neighbours' sums, and P's weights are published from those sums,
 never recomputed from scratch.
+
+P is never re-sorted either. Its selection order is a heap keyed by
+literal count, published weight and tie key, sorted once when the
+pass builds P; a publish reads only the cubes whose sums moved since
+the last one, and pushes a new key only for a cube whose weight
+changed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 from .covers import Cover, CubeIndex, FunctionSpec, PartialSpec, slots_of
@@ -164,7 +171,7 @@ def sort_cubes(
 
     `ties`, when given, is extended by each cube's tie-break key
     (_tie_key), in input order, so a caller that needs them again
-    (the pool, which re-sorts) does not recompute them."""
+    (the pool, whose heap keys hold them) does not recompute them."""
     if policy not in SORT_POLICIES:
         raise ValueError(f"unknown sort policy {policy!r}")
     weighted = list(weighted)
@@ -178,24 +185,38 @@ def sort_cubes(
     return [weighted[i] for i in sorted(range(len(weighted)), key=keys.__getitem__)]
 
 
+# a slot's place in P's selection order: (literal count, weight, tie
+# key, slot) or (weight, literal count, tie key, slot)
+_Key = tuple[int, int, int, int]
+
+
 class _Pool:
     """P: the cubes a pass may still select, in selection order.
 
     P holds the pass's SOP index, the one weight_all read: every cube
     keeps its SOP slot, and the isolated cubes (weight -1), which the
     loop commits first, are discarded from it at the start. That index
-    answers "which cubes of P overlap c" without scanning P. Removal
-    only marks a slot dead; the order list keeps dead slots until the
-    next re-sort, so popping and deleting cost no list shifts. `rank`
-    gives each live slot's place in the order, -1 once it left P (and
-    from the start for an isolated slot).
+    answers "which cubes of P overlap c" without scanning P.
+
+    The selection order lives in a min-heap of keys: (literal count,
+    published weight, tie key, slot) under dimension_weight, (weight,
+    literal count, tie key, slot) under weight_dimension. `key[s]` is
+    slot s's current key, None once it left P (and from the start for
+    an isolated slot). A slot whose published weight changes gets a new
+    key pushed; entries that are no longer their slot's key are skipped
+    when popped, so P is never re-sorted. The first three fields tie
+    only for equal cubes (v4/v5 pushes can make them), and equal cubes
+    carry equal weights, so the slot breaks those ties in the order they
+    entered P.
 
     Variants 2, 4 and 5 publish fresh weights, so under them every cube
     of P also keeps a running (total, count) over its overlapping peers
     in P. A cube leaving or entering P updates only its neighbours'
-    sums, and publishing a weight is a lookup, not a rescan of P. The
-    sums start from weight_all's weights and peer counts: an isolated
-    cube is no cube's peer, so those are the counts within P too.
+    sums, and marks them in `moved`, the slots whose sums changed since
+    they were last published; publishing a weight is a lookup, not a
+    rescan of P. The sums start from weight_all's weights and peer
+    counts: an isolated cube is no cube's peer, so those are the counts
+    within P too.
     """
 
     def __init__(
@@ -211,32 +232,37 @@ class _Pool:
         weighted[s].cube. P takes the slots weighing >= 0, in
         sort_cubes order under `sort`."""
         self.variant = variant
-        self.sort = sort
         self.index = index
-        slot = {id(w): s for s, w in enumerate(weighted)}
-        members = [w for w in weighted if w.weight >= 0]
+        self.dw = sort == SORT_DIMENSION_WEIGHT
+        members = [s for s, w in enumerate(weighted) if w.weight >= 0]
         ties: list[int] = []
-        self.order = [slot[id(w)] for w in sort_cubes(members, sort, ties)]
-        self.head = 0
-        self.rank = rank = [-1] * len(weighted)
-        for i, s in enumerate(self.order):
-            rank[s] = i
+        ranked = sort_cubes([weighted[s] for s in members], sort, ties)
+        # the slot and tie key of each member, by identity
+        found = {id(weighted[s]): (s, t) for s, t in zip(members, ties)}
+        self.key: list[_Key | None] = [None] * len(weighted)
+        self.heap: list[_Key] = []
+        # sort_cubes orders by the keys' first three fields (-dimension
+        # as the literal count, the width being fixed), which tie for no
+        # two cubes of an absorption-free SOP: sorted, the keys already
+        # form a heap
+        key, heap, dw = self.key, self.heap, self.dw
+        for w in ranked:
+            s, t = found[id(w)]
+            lits = w.cube.literal_count
+            key[s] = k = (lits, w.weight, t, s) if dw else (w.weight, lits, t, s)
+            heap.append(k)
         for s, w in enumerate(weighted):
             if w.weight < 0:
                 index.discard(s)
         self.weight = [w.weight for w in weighted]  # as last published
-        # only the running sums and the re-sorts that come with them read
-        # these, and only at the slots of P
+        # only the running sums read these, and only at the slots of P
         self.track = variant in (2, 4, 5)
         self.lits: list[int] = []
-        self.tie: list[int] = []
         self.total: list[int] = []
         self.count: list[int] = []
+        self.moved = index.live
         if self.track:
             self.lits = [c.literal_count for c in index.cubes]
-            self.tie = [0] * len(weighted)
-            for w, t in zip(members, ties):
-                self.tie[slot[id(w)]] = t
             self.count = list(counts)
             self.total = [w if m else 0 for w, m in zip(self.weight, counts)]
 
@@ -245,44 +271,43 @@ class _Pool:
 
     def slots(self) -> list[int]:
         """The live slots in selection order."""
-        rank = self.rank
-        return [s for s in self.order[self.head :] if rank[s] >= 0]
+        return sorted(slots_of(self.index.live), key=self.key.__getitem__)
 
     def first(self, near: int) -> int:
         """The live slot in `near` that comes first in selection order;
         -1 when there is none."""
-        rank = self.rank
-        best, best_rank = -1, len(self.order)
-        for s in slots_of(near & self.index.live):
-            if rank[s] < best_rank:
-                best, best_rank = s, rank[s]
-        return best
+        near &= self.index.live
+        if not near:
+            return -1
+        return min(map(self.key.__getitem__, slots_of(near)))[3]
 
     def pop(self) -> Cube:
         """Remove and return the first cube of P, which is not empty."""
-        order, rank = self.order, self.rank
-        while rank[order[self.head]] < 0:
-            self.head += 1
-        s = order[self.head]
-        self.head += 1
+        heap, key = self.heap, self.key
+        k = heappop(heap)
+        while key[k[3]] is not k:
+            k = heappop(heap)
+        s = k[3]
         self.remove(s)
         return self.index.cubes[s]
 
     def remove(self, s: int) -> None:
         self.index.discard(s)
-        self.rank[s] = -1
+        self.key[s] = None
         if self.track:
             self._shift(s, -1)
 
     def push(self, c: Cube) -> None:
-        """Append c to P, published weight 0 until the next publish."""
+        """Add c to P, published weight 0 until the next publish."""
         s = self.index.add(c)
-        self.rank.append(len(self.order))
-        self.order.append(s)
         self.weight.append(0)
+        lits, tie = c.literal_count, _tie_key(c)
+        k = (lits, 0, tie, s) if self.dw else (0, lits, tie, s)
+        self.key.append(k)
+        heappush(self.heap, k)
+        self.moved |= 1 << s
         if self.track:
-            self.lits.append(c.literal_count)
-            self.tie.append(_tie_key(c))
+            self.lits.append(lits)
             total, count = _weigh(self.index, s)
             self.total.append(total)
             self.count.append(count)
@@ -293,30 +318,26 @@ class _Pool:
         # peer t gains or loses the term lits[t] - common - 1
         index, lits, total, count = self.index, self.lits, self.total, self.count
         cm = index.cubes[s].mask
-        for t in slots_of(index.overlapping(index.cubes[s]) & ~(1 << s)):
+        near = index.overlapping(index.cubes[s]) & ~(1 << s)
+        self.moved |= near
+        for t in slots_of(near):
             total[t] += sign * (lits[t] - (cm & index.cubes[t].mask).bit_count() - 1)
             count[t] += sign
 
-    def publish(self, slots: Iterable[int]) -> None:
-        """Set the weights of `slots` to their running sums."""
-        weight, total, count = self.weight, self.total, self.count
-        for s in slots:
-            weight[s] = total[s] if count[s] else -1
-
-    def resort(self) -> None:
-        """Re-sort P by its published weights under the sort policy."""
-        live = self.slots()
-        weight, lits, tie = self.weight, self.lits, self.tie
-        # -dimension orders as the literal count does, the width being fixed
-        if self.sort == SORT_DIMENSION_WEIGHT:
-            live.sort(key=lambda s: (lits[s], weight[s], tie[s]))
-        else:
-            live.sort(key=lambda s: (weight[s], lits[s], tie[s]))
-        self.order = live
-        self.head = 0
-        rank = self.rank
-        for i, s in enumerate(live):
-            rank[s] = i
+    def publish(self, slots: int) -> None:
+        """Set the weights of the live slots in bitset `slots` to their
+        running sums, re-keying the slots whose weight changed, and
+        clear their `moved` marks."""
+        weight, total, count, key = self.weight, self.total, self.count, self.key
+        heap, dw = self.heap, self.dw
+        self.moved &= ~slots
+        for s in slots_of(slots & self.index.live):
+            w = total[s] if count[s] else -1
+            if w != weight[s]:
+                weight[s] = w
+                k = key[s]
+                key[s] = k = (k[0], w, k[2], s) if dw else (w, k[1], k[2], s)
+                heappush(heap, k)
 
 
 def _apply_opt(q: Cube, fragments: list[Cube], P: _Pool, B: list[Cube]) -> None:
@@ -325,29 +346,28 @@ def _apply_opt(q: Cube, fragments: list[Cube], P: _Pool, B: list[Cube]) -> None:
 
     1: fragments wait in B for the next round.
     2: like 1, but cubes of P that overlapped q get their weights
-       against the current P published, and the whole of P is
-       re-sorted; other cubes keep the weights they had.
+       against the current P published, and P's order follows them;
+       other cubes keep the weights they had.
     3: fragments and every P cube overlapping q all move to B; the
-       neighbours leave P unbroken.
+       neighbours leave P unbroken, in selection order.
     4: a single fragment goes back into P; several go to B. Then every
-       weight is published and P re-sorted.
+       weight of P is published.
     5: the biggest fragment (largest dimension, ties to the ascending
        trit string) goes back into P; the rest go to B; every weight is
-       published and P re-sorted.
+       published.
 
     The neighbours of q come from P's index, and the published weights
-    from the running sums P keeps, so no variant rescans P.
+    from the running sums P keeps, so no variant rescans P: publishing
+    every weight reads only the slots whose sums moved since the last
+    publish, and only a weight that changed re-keys its slot.
     """
     variant = P.variant
     if variant <= 3:
         B.extend(fragments)
     if variant == 2:
-        near = P.index.overlapping(q)
-        if near:
-            P.publish(slots_of(near))
-            P.resort()
+        P.publish(P.index.overlapping(q))
     elif variant == 3:
-        moved = sorted(slots_of(P.index.overlapping(q)), key=P.rank.__getitem__)
+        moved = sorted(slots_of(P.index.overlapping(q)), key=P.key.__getitem__)
         for s in moved:
             P.remove(s)
         B.extend(P.index.cubes[s] for s in moved)
@@ -364,8 +384,7 @@ def _apply_opt(q: Cube, fragments: list[Cube], P: _Pool, B: list[Cube]) -> None:
         P.push(fragments[bi])
         B.extend(fragments[:bi] + fragments[bi + 1 :])
     if variant >= 4:
-        P.publish(P.slots())
-        P.resort()
+        P.publish(P.moved)
 
 
 def dsop(

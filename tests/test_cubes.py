@@ -1,6 +1,9 @@
 import copy
 import pickle
 import random
+import sys
+import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -11,10 +14,12 @@ from dsopforge import (
     ContractViolation,
     Cube,
     DimensionMismatch,
+    chain_family,
     contains,
     disjoint_sharp,
     intersect,
 )
+from dsopforge import cubes as cubes_mod
 from dsopforge.exact import point_mask
 
 
@@ -99,6 +104,24 @@ class TestToString:
         assert Cube.from_string(p.to_string()) == p
 
 
+def reference_keys(p):
+    """Cube.keys as a bit scan of the literal word, kept as an oracle
+    for the byte-table lookup."""
+    k = (p.mask & ~p.bits) | p.bits << p.n
+    out = []
+    while k:
+        low = k & -k
+        out.append(low.bit_length() - 1)
+        k ^= low
+    return tuple(out)
+
+
+@st.composite
+def any_width_cubes_st(draw, n):
+    mask = draw(st.integers(0, (1 << n) - 1))
+    return Cube(n, mask, draw(st.integers(0, (1 << n) - 1)) & mask)
+
+
 class TestKeys:
     def test_universe_has_none(self):
         assert Cube.universe(5).keys == ()
@@ -114,6 +137,64 @@ class TestKeys:
         assert p.keys == tuple(i for i in range(2 * p.n) if word >> i & 1)
         assert len(p.keys) == p.literal_count
         assert p.keys is p.keys
+
+    @given(st.integers(0, 70).flatmap(any_width_cubes_st))
+    def test_match_the_bit_scan(self, p):
+        assert p.keys == reference_keys(p)
+
+    @given(any_width_cubes_st(1000))
+    def test_match_the_bit_scan_at_1000_inputs(self, p):
+        assert p.keys == reference_keys(p)
+
+    def test_threads_racing_on_first_use_read_equal_entries(self, monkeypatch):
+        # an empty table and widths no cube had before: every thread
+        # fills the same entries at once, and each must store what its
+        # own (byte index, byte) gives, whatever the others stored
+        monkeypatch.setattr(cubes_mod, "_BYTE_KEYS", {})
+        rng = random.Random(4711)
+        work = []
+        for _ in range(8):
+            batch = []
+            for n in (2500, 2501, 2600, 3000):
+                mask = rng.getrandbits(n)
+                batch.append(Cube(n, mask, rng.getrandbits(n) & mask))
+            work.append(batch)
+        got = [None] * len(work)
+
+        def read(i):
+            got[i] = [p.keys for p in work[i]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(i,)) for i in range(len(work))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for batch, keys in zip(work, got):
+            assert keys == [reference_keys(p) for p in batch]
+
+    def test_table_grows_with_the_entries_used(self, monkeypatch):
+        # the 1000-input chain's cubes each use one (byte index, byte)
+        # pair: 500 entries, not the 256 per byte index of a full table
+        # (256 * 250 entries, over 500 KiB in pointers alone)
+        cubes = [Cube(p.n, p.mask, p.bits) for p in chain_family(500).on.cubes]
+        table = {}
+        monkeypatch.setattr(cubes_mod, "_BYTE_KEYS", table)
+        tracemalloc.start()
+        try:
+            for p in cubes:
+                p.keys
+            used, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 500
+        assert used < 160 * 1024
+        assert all(p.keys == reference_keys(p) for p in cubes)
 
     @given(cubes_st(max_n=70))
     def test_reading_them_changes_no_equality_hash_or_repr(self, p):

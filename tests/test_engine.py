@@ -2,7 +2,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -30,6 +30,7 @@ from dsopforge import (
     build_sop,
     chain_family,
     cover_contains_cube,
+    disjoint_sharp,
     dsop,
     intersect,
     normalize,
@@ -40,7 +41,7 @@ from dsopforge import (
 )
 from dsopforge import engine as engine_mod
 from dsopforge import partial as partial_mod
-from dsopforge.covers import CubeIndex
+from dsopforge.covers import CubeIndex, slots_of
 from dsopforge.engine import _apply_opt, _Pool, _tie_key, _weigh
 
 
@@ -215,7 +216,7 @@ class TestPool:
         weighted = weight_all(sop, index, counts)
         P = _Pool(index, 4, sort, weighted, counts)
         isolated = [s for s, w in enumerate(weighted) if w.weight < 0]
-        assert all(P.rank[s] == -1 for s in isolated)
+        assert all(P.key[s] is None for s in isolated)
         assert not any(P.index.live >> s & 1 for s in isolated)
         popped = []
         while P:
@@ -228,7 +229,7 @@ class TestPool:
     def test_tie_key_runs_once_per_cube_of_p_in_a_pass(self, monkeypatch, variant):
         # under these variants no cube enters P after it is built, so
         # every tie key a pass needs is computed while P is built: one
-        # for each cube of P, whether or not P re-sorts later (v2)
+        # for each cube of P, whether or not P re-keys cubes later (v2)
         calls = []
 
         def counted(x):
@@ -258,6 +259,202 @@ class TestPool:
 def entries(P):
     """P's cubes in selection order, with their published weights."""
     return [WeightedCube(P.index.cubes[s], P.weight[s]) for s in P.slots()]
+
+
+class ReferencePool:
+    """_Pool as it was before it kept a heap, kept as an oracle: an
+    order list that every publish re-sorts whole, stably, by
+    (literal count, weight, tie key) or (weight, literal count, tie
+    key), with dead slots skipped through `rank`."""
+
+    def __init__(self, index, variant, sort, weighted, counts):
+        self.variant = variant
+        self.sort = sort
+        self.index = index
+        slot = {id(w): s for s, w in enumerate(weighted)}
+        members = [w for w in weighted if w.weight >= 0]
+        ties = []
+        self.order = [slot[id(w)] for w in sort_cubes(members, sort, ties)]
+        self.head = 0
+        self.rank = rank = [-1] * len(weighted)
+        for i, s in enumerate(self.order):
+            rank[s] = i
+        for s, w in enumerate(weighted):
+            if w.weight < 0:
+                index.discard(s)
+        self.weight = [w.weight for w in weighted]
+        self.track = variant in (2, 4, 5)
+        self.lits, self.tie, self.total, self.count = [], [], [], []
+        if self.track:
+            self.lits = [x.literal_count for x in index.cubes]
+            self.tie = [0] * len(weighted)
+            for w, t in zip(members, ties):
+                self.tie[slot[id(w)]] = t
+            self.count = list(counts)
+            self.total = [w if m else 0 for w, m in zip(self.weight, counts)]
+
+    def __bool__(self):
+        return bool(self.index.live)
+
+    def slots(self):
+        rank = self.rank
+        return [s for s in self.order[self.head :] if rank[s] >= 0]
+
+    def first(self, near):
+        rank = self.rank
+        best, best_rank = -1, len(self.order)
+        for s in slots_of(near & self.index.live):
+            if rank[s] < best_rank:
+                best, best_rank = s, rank[s]
+        return best
+
+    def pop(self):
+        order, rank = self.order, self.rank
+        while rank[order[self.head]] < 0:
+            self.head += 1
+        s = order[self.head]
+        self.head += 1
+        self.remove(s)
+        return self.index.cubes[s]
+
+    def remove(self, s):
+        self.index.discard(s)
+        self.rank[s] = -1
+        if self.track:
+            self._shift(s, -1)
+
+    def push(self, x):
+        s = self.index.add(x)
+        self.rank.append(len(self.order))
+        self.order.append(s)
+        self.weight.append(0)
+        if self.track:
+            self.lits.append(x.literal_count)
+            self.tie.append(_tie_key(x))
+            total, count = _weigh(self.index, s)
+            self.total.append(total)
+            self.count.append(count)
+            self._shift(s, 1)
+
+    def _shift(self, s, sign):
+        index, lits, total, count = self.index, self.lits, self.total, self.count
+        cm = index.cubes[s].mask
+        for t in slots_of(index.overlapping(index.cubes[s]) & ~(1 << s)):
+            total[t] += sign * (lits[t] - (cm & index.cubes[t].mask).bit_count() - 1)
+            count[t] += sign
+
+    def publish(self, slots):
+        weight, total, count = self.weight, self.total, self.count
+        for s in slots:
+            weight[s] = total[s] if count[s] else -1
+
+    def resort(self):
+        live = self.slots()
+        weight, lits, tie = self.weight, self.lits, self.tie
+        if self.sort == SORT_DIMENSION_WEIGHT:
+            live.sort(key=lambda s: (lits[s], weight[s], tie[s]))
+        else:
+            live.sort(key=lambda s: (weight[s], lits[s], tie[s]))
+        self.order = live
+        self.head = 0
+        for i, s in enumerate(live):
+            self.rank[s] = i
+
+
+def reference_apply_opt(q, fragments, P, B):
+    """_apply_opt over a ReferencePool: every publish re-sorts P, and
+    variants 4 and 5 publish every slot of P."""
+    variant = P.variant
+    if variant <= 3:
+        B.extend(fragments)
+    if variant == 2:
+        near = P.index.overlapping(q)
+        if near:
+            P.publish(slots_of(near))
+            P.resort()
+    elif variant == 3:
+        moved = sorted(slots_of(P.index.overlapping(q)), key=P.rank.__getitem__)
+        for s in moved:
+            P.remove(s)
+        B.extend(P.index.cubes[s] for s in moved)
+    elif variant == 4:
+        if len(fragments) == 1:
+            P.push(fragments[0])
+        else:
+            B.extend(fragments)
+    elif variant == 5 and fragments:
+        bi = min(
+            range(len(fragments)),
+            key=lambda k: (-fragments[k].dimension, _tie_key(fragments[k])),
+        )
+        P.push(fragments[bi])
+        B.extend(fragments[:bi] + fragments[bi + 1 :])
+    if variant >= 4:
+        P.publish(P.slots())
+        P.resort()
+
+
+def drive(make, apply_opt, sop, variant, sort, copies):
+    """Run one pass of the selection loop's pool traffic over `sop`:
+    pop p, dispatch each neighbour q of p that P.first names. Where
+    `copies` (one flag per dispatch, then False) says so under variants
+    4 and 5, the fragments are replaced by one copy of a cube still in
+    P, so the push puts two equal cubes in P. Returns every popped cube,
+    every P.first answer and the weight list after every dispatch, in
+    order, and B."""
+    index = CubeIndex(sop.n, sop.cubes)
+    counts = []
+    weighted = weight_all(sop, index, counts)
+    P = make(index, variant, sort, weighted, counts)
+    log, B = [], []
+    copies = iter(copies)
+    while P:
+        p = P.pop()
+        log.append(p)
+        near = P.index.overlapping(p)
+        while True:
+            qs = P.first(near)
+            log.append(qs)
+            if qs < 0:
+                break
+            q = P.index.cubes[qs]
+            fragments = disjoint_sharp(q, p)
+            P.remove(qs)
+            live = list(slots_of(P.index.live))
+            if variant >= 4 and live and next(copies, False):
+                fragments = [P.index.cubes[live[len(live) // 2]]]
+            apply_opt(q, fragments, P, B)
+            log.append(list(P.weight))
+    return log, B
+
+
+class TestHeapMatchesResort:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(13, 15),
+        copies=st.lists(st.booleans(), max_size=60),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_same_pops_firsts_and_weights_as_a_full_resort(self, seed, n, copies):
+        # P spans more than one 64-bit word of slots; under v4 and v5
+        # the copies put equal cubes in P, which tie on all but the slot
+        rng = random.Random(seed)
+        sop = normalize(rand_cover(rng, n, 90, bind=0.5))
+        assume(len(sop.cubes) > 64)
+        for cfg in ALL_CONFIGS:
+            variant, sort = cfg.variant, cfg.sort
+            got = drive(_Pool, _apply_opt, sop, variant, sort, copies)
+            want = drive(ReferencePool, reference_apply_opt, sop, variant, sort, copies)
+            assert got == want, (variant, sort)
+
+    def test_copies_tie_on_everything_but_the_slot(self):
+        # two equal cubes in P pop in the order they entered it
+        P = pool(4, ("11--", 0), ("0-0-", 0))
+        B = []
+        _apply_opt(c("1-1-"), [c("0-0-")], P, B)
+        assert P.index.cubes[2] == P.index.cubes[1]
+        assert P.key[1][:3] == P.key[2][:3]
+        assert P.slots() == [1, 2, 0]
 
 
 class TestApplyOpt:

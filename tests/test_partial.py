@@ -1,3 +1,4 @@
+import pickle
 import re
 
 import pytest
@@ -109,6 +110,41 @@ class TestPartialBreak:
     def test_disjoint_pair_is_a_contract_error(self):
         with pytest.raises(ContractViolation):
             partial_break(c("0-0-"), c("11-1"), E2)
+
+    def test_the_shared_cover_is_built_once_per_spec(self, monkeypatch):
+        # partial_break asks for the shared cover at every split; the
+        # spec builds it on the first request and hands out the same one
+        built = []
+        care_cover = FunctionSpec.care_cover
+
+        def counted(f):
+            built.append(f)
+            return care_cover(f)
+
+        breaks = []
+
+        def counted_break(q, p, spec):
+            breaks.append(q)
+            return partial_break(q, p, spec)
+
+        want = [partial_dsop(E2, cfg) for cfg in ALL_CONFIGS]
+        spec = PartialSpec(E2.unique, FunctionSpec(4, E2.shared.on, E2.shared.dc))
+        monkeypatch.setattr(FunctionSpec, "care_cover", counted)
+        monkeypatch.setattr(partial_mod, "partial_break", counted_break)
+        assert [partial_dsop(spec, cfg) for cfg in ALL_CONFIGS] == want
+        assert len(breaks) > 10
+        assert sum(f is spec.shared for f in built) == 1
+        assert spec.shared_cover() is spec.shared_cover()
+
+    def test_keeping_the_shared_cover_changes_no_equality_hash_or_repr(self):
+        fresh = PartialSpec(E2.unique, E2.shared)
+        read = PartialSpec(E2.unique, E2.shared)
+        read.shared_cover()
+        assert read == fresh and hash(read) == hash(fresh)
+        assert repr(read) == repr(fresh)
+        for x in (fresh, read):
+            y = pickle.loads(pickle.dumps(x))
+            assert y == x and y.shared_cover() == x.shared_cover()
 
 
 class TestPartialDsop:
