@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .cubes import Cube, DimensionMismatch, intersect
+from .cubes import Cube, DimensionMismatch
 
 __all__ = [
     "Cover",
@@ -125,12 +125,13 @@ class FunctionSpec:
 
 @dataclass(frozen=True, slots=True)
 class PartialSpec:
-    """Two point-disjoint function parts sharing one variable space."""
+    """Two point-disjoint function parts sharing one variable space.
+    One index, shared_index(), answers every shared-region question."""
 
     unique: FunctionSpec
     shared: FunctionSpec
-    # shared_cover(), built on first call
-    _shared: Cover | None = field(
+    # shared_index(), built on first call
+    _shared: CubeIndex | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -147,14 +148,16 @@ class PartialSpec:
     def unique_cover(self) -> Cover:
         return self.unique.care_cover()
 
+    def shared_index(self) -> CubeIndex:
+        """shared.on + shared.dc in one CubeIndex, built once, only queried."""
+        if self._shared is None:
+            index = CubeIndex(self.n, self.shared.care_cover().cubes)
+            object.__setattr__(self, "_shared", index)
+        return self._shared
+
     def shared_cover(self) -> Cover:
-        """shared.on + shared.dc, built once and kept: the selection
-        loop asks for it at every split."""
-        cover = self._shared
-        if cover is None:
-            cover = self.shared.care_cover()
-            object.__setattr__(self, "_shared", cover)
-        return cover
+        """shared.on + shared.dc: the cubes of shared_index()."""
+        return Cover(self.n, tuple(self.shared_index().cubes))
 
     def combined(self) -> FunctionSpec:
         """Both parts as one function: on = unique.on + shared.on and
@@ -168,19 +171,17 @@ class PartialSpec:
         )
 
     def overlap(self) -> tuple[Cube, Cube] | None:
-        """The first unique cube and shared cube that share a point, or
-        None when the parts are point-disjoint."""
-        shared = self.shared_cover().cubes
+        """The first unique cube and the first shared cube it meets (the
+        lowest slot shared_index() names), or None when none meet."""
+        index = self.shared_index()
         for a in self.unique_cover().cubes:
-            for b in shared:
-                if intersect(a, b) is not None:
-                    return a, b
+            if hits := index.overlapping(a):
+                return a, index.cubes[next(slots_of(hits))]
         return None
 
     def validate_disjoint(self) -> None:
         """Raise ValueError when any unique cube meets any shared cube."""
-        hit = self.overlap()
-        if hit is not None:
+        if (hit := self.overlap()) is not None:
             raise ValueError(
                 f"unique cube {hit[0]} overlaps shared cube {hit[1]}; "
                 "the two parts must be point-disjoint"

@@ -27,7 +27,7 @@ from: a cube missing an entry misses all its pieces.
 The don't-care rule stays per mode. dsop drops f.dc after the first
 pass; partial_dsop keeps the unique dc points no committed cube has
 claimed, plus the shared overlap slices partial_break reports. Neither
-rule is never worse for full DSOP: on random functions the
+rule gives smaller full DSOPs in general: on random functions the
 keep-unclaimed rule makes some dsop covers smaller and others larger.
 
 partial_break() is the overlap-aware version of the splitting step:
@@ -43,7 +43,7 @@ from typing import Iterable, Iterator
 
 from .covers import (
     Cover, CubeIndex, FunctionSpec, PartialSpec, cover_contains_cube,
-    cover_intersects_cube, normalize, slots_of,
+    normalize, slots_of,
 )
 from .cubes import Cube, ContractViolation, disjoint_sharp, intersect
 from .engine import (
@@ -72,20 +72,18 @@ def partial_break(
     is disjoint_sharp(q, p), empty when p contains q, and `reusable`
     lists the shared slices of x, points already covered by p that
     later passes may treat as don't cares. An x inside the unique
-    region meets no shared cube, so it has none.
+    region meets no shared cube, so it has none. Only the shared cubes
+    x meets are looked at, as spec.shared_index() names them: x lies in
+    the shared region exactly when it lies in their union.
     """
     x = intersect(q, p)
     if x is None:
         raise ContractViolation("partial_break requires overlapping cubes")
-    shared_all = spec.shared_cover()
-    if cover_contains_cube(shared_all, x):
+    index = spec.shared_index()
+    near = [index.cubes[s] for s in slots_of(index.overlapping(x))]
+    if near and cover_contains_cube(Cover(spec.n, tuple(near)), x):
         return None, []
-    reusable = []
-    for s in shared_all.cubes:
-        piece = intersect(x, s)
-        if piece is not None:
-            reusable.append(piece)
-    return disjoint_sharp(q, p), reusable
+    return disjoint_sharp(q, p), [intersect(x, s) for s in near]
 
 
 def _subtract_all(cubes: list[Cube], p: Cube, split) -> list[Cube]:
@@ -164,6 +162,7 @@ def _select(
             "repeats or lies inside another cube"
         )
     first = spec.combined()
+    on_index = CubeIndex(n, first.on.cubes) if cfg.drop_dc_only else None
     committed: list[Cube] = []
     todo_on = first.on
     dc_once = list(spec.unique.dc.cubes)
@@ -172,7 +171,7 @@ def _select(
     # during the loop, dc_many itself while B is split
     slices = dc_many
 
-    if spec.shared_cover().cubes:
+    if spec.shared_index().cubes:
 
         def split(q: Cube, p: Cube) -> list[Cube] | None:
             # None: the overlap is shared, so q may stay whole
@@ -185,7 +184,7 @@ def _select(
 
     def commit(c: Cube) -> bool:
         # False: drop_dc_only discards c, which then splits nothing
-        if cfg.drop_dc_only and not cover_intersects_cube(first.on, c):
+        if on_index is not None and not on_index.overlapping(c):
             return False
         committed.append(c)
         return True

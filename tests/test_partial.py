@@ -1,4 +1,5 @@
 import pickle
+import random
 import re
 
 import pytest
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 from conftest import (
     ALL_CONFIGS,
     covers_st,
+    crowded_covers_st,
     cubes_st,
     function_specs_st,
     partial_specs_st,
+    rand_cover,
     rescan_subtract,
 )
 from dsopforge import (
@@ -21,6 +24,7 @@ from dsopforge import (
     FunctionSpec,
     PartialSpec,
     cover_contains_cube,
+    cover_intersects_cube,
     cover_point_mask,
     disjoint_sharp,
     dsop,
@@ -32,6 +36,7 @@ from dsopforge import (
     verify_dsop,
     verify_partial_dsop,
 )
+from dsopforge import covers as covers_mod
 from dsopforge import partial as partial_mod
 
 
@@ -80,6 +85,67 @@ def three_way_break(q, p, spec):
     return disjoint_sharp(q, p), reusable
 
 
+def pairwise_overlap(spec):
+    """PartialSpec.overlap's earlier double loop, kept as an oracle: the
+    first unique cube meeting a shared cube, and the first it meets."""
+    for a in spec.unique_cover().cubes:
+        for b in spec.shared_cover().cubes:
+            if intersect(a, b) is not None:
+                return a, b
+    return None
+
+
+def split_parts(n, k, seed):
+    """k random unique cubes with x0 = 0 and k random shared ones with
+    x0 = 1, half on and half dc: point-disjoint parts."""
+    rng = random.Random(seed)
+    unique = [Cube(n, c.mask | 1, c.bits & ~1) for c in rand_cover(rng, n, k)]
+    shared = [Cube(n, c.mask | 1, c.bits | 1) for c in rand_cover(rng, n, k)]
+    return PartialSpec(
+        unique=FunctionSpec(n, Cover(n, tuple(unique))),
+        shared=FunctionSpec(
+            n, Cover(n, tuple(shared[: k // 2])), Cover(n, tuple(shared[k // 2 :]))
+        ),
+    )
+
+
+class TestSharedRegionScaling:
+    """The shared-region questions cost queries of one index, not a pass
+    over a part: `intersect` calls are counted, not seconds."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+
+        def counted(a, b):
+            made.append(a)
+            return intersect(a, b)
+
+        for module in (covers_mod, partial_mod):
+            monkeypatch.setattr(module, "intersect", counted, raising=False)
+        return made
+
+    @pytest.mark.parametrize("k", [250, 500, 1000])
+    def test_overlap_makes_no_pairwise_test(self, calls, k):
+        spec = split_parts(16, k, seed=k)
+        assert spec.overlap() is None
+        assert len(calls) == 0
+
+    @pytest.mark.parametrize("k", [250, 500, 1000])
+    def test_partial_break_intersects_only_the_shared_cubes_x_meets(
+        self, calls, k
+    ):
+        spec = split_parts(16, k, seed=k)
+        # x0 free: x reaches the unique half, so it is never shared-only
+        q, p = c("-01" + "-" * 13), c("---10" + "-" * 11)
+        x = intersect(q, p)
+        m = sum(intersect(x, s) is not None for s in spec.shared_cover().cubes)
+        assert m > 0
+        fragments, reusable = partial_break(q, p, spec)
+        assert len(reusable) == m and fragments == disjoint_sharp(q, p)
+        assert len(calls) == 1 + m
+
+
 class TestPartialBreak:
     @given(st.data())
     @settings(max_examples=300)
@@ -112,8 +178,8 @@ class TestPartialBreak:
             partial_break(c("0-0-"), c("11-1"), E2)
 
     def test_the_shared_cover_is_built_once_per_spec(self, monkeypatch):
-        # partial_break asks for the shared cover at every split; the
-        # spec builds it on the first request and hands out the same one
+        # partial_break asks the shared index at every split; the spec
+        # builds it on the first request and hands out the same one
         built = []
         care_cover = FunctionSpec.care_cover
 
@@ -134,7 +200,7 @@ class TestPartialBreak:
         assert [partial_dsop(spec, cfg) for cfg in ALL_CONFIGS] == want
         assert len(breaks) > 10
         assert sum(f is spec.shared for f in built) == 1
-        assert spec.shared_cover() is spec.shared_cover()
+        assert spec.shared_index() is spec.shared_index()
 
     def test_keeping_the_shared_cover_changes_no_equality_hash_or_repr(self):
         fresh = PartialSpec(E2.unique, E2.shared)
@@ -145,6 +211,33 @@ class TestPartialBreak:
         for x in (fresh, read):
             y = pickle.loads(pickle.dumps(x))
             assert y == x and y.shared_cover() == x.shared_cover()
+
+
+class TestOverlap:
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_matches_the_pairwise_double_loop(self, data):
+        # up to 150 shared cubes: the index's bitsets span several words
+        shared = data.draw(crowded_covers_st(max_n=10, max_cubes=150))
+        n = shared.n
+        unique = data.draw(covers_st(n=n, max_cubes=6))
+        cut = data.draw(st.integers(0, len(shared)))
+        on, dc = shared.cubes[:cut], shared.cubes[cut:]
+        if data.draw(st.booleans()):
+            # keep only the shared cubes meeting no unique cube
+            on, dc = (
+                tuple(s for s in part if not cover_intersects_cube(unique, s))
+                for part in (on, dc)
+            )
+        spec = PartialSpec(
+            unique=FunctionSpec(n, unique),
+            shared=FunctionSpec(n, Cover(n, on), Cover(n, dc)),
+        )
+        assert spec.overlap() == pairwise_overlap(spec)
+
+    def test_an_empty_shared_part_meets_nothing(self):
+        spec = PartialSpec(E2.unique, FunctionSpec(4, Cover(4)))
+        assert spec.overlap() is None and pairwise_overlap(spec) is None
 
 
 class TestPartialDsop:
