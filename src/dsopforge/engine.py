@@ -16,11 +16,12 @@ re-queued into the working set, or accompanied by their neighbours).
 Fragments left at the end of a pass form the cover for the next round.
 
 A full DSOP is a partial DSOP whose shared region is empty, so dsop()
-runs the one selection loop in `partial` (partial._select) with an
-empty shared part and the full-DSOP don't-care rule: f.dc is seen by
-the first pass only. This module holds the pieces the loop is built
-from: weights, sort order, the pool P of cubes a pass selects from,
-and the five fragment policies (_apply_opt).
+runs the one selection loop in `partial` (partial._select) under
+partial_dsop's rules. Only the input differs: f for the first pass and
+an empty dc pool, so f.dc is seen by the first pass only. This module
+holds the pieces the loop is built from: weights, sort order, the pool
+P of cubes a pass selects from, and the five fragment policies
+(_apply_opt).
 
 Weights never come from a scan over pairs of cubes. A covers.CubeIndex
 holds, for each literal position of Cube.keys, the bitset of the
@@ -393,9 +394,9 @@ def dsop(
     """Synthesize a pairwise-disjoint cover of f.
 
     On-minterms end up covered exactly once, off-minterms never, and
-    don't-care minterms at most once (disjointness). Only the first
-    re-minimization pass sees f.dc; later passes treat the residual
-    fragments as a completely specified function. With drop_dc_only
+    don't-care minterms at most once (disjointness). partial_dsop's
+    loop runs with f as the first pass's input and an empty dc pool,
+    so only that pass sees f.dc. With drop_dc_only
     set, a cube about to be committed that covers no original on-point
     is discarded instead, without splitting its neighbours.
 
@@ -408,5 +409,5 @@ def dsop(
     # the loop lives in partial, which imports this module
     from .partial import _select
 
-    spec = PartialSpec(unique=f, shared=FunctionSpec(f.n, Cover(f.n)))
-    return _select(spec, cfg or DsopConfig(), sop, full=True)
+    spec = PartialSpec(FunctionSpec(f.n, f.on), FunctionSpec(f.n, Cover(f.n)))
+    return _select(spec, cfg or DsopConfig(), f, sop)

@@ -24,11 +24,13 @@ those are split, in commit order. This equals splitting the whole list
 after every commit, because a fragment lies inside the entry it came
 from: a cube missing an entry misses all its pieces.
 
-The don't-care rule stays per mode. dsop drops f.dc after the first
-pass; partial_dsop keeps the unique dc points no committed cube has
-claimed, plus the shared overlap slices partial_break reports. Neither
-rule gives smaller full DSOPs in general: on random functions the
-keep-unclaimed rule makes some dsop covers smaller and others larger.
+The loop has no mode: the don't-care rule rides on `first`, the
+function pass 1 re-minimizes. Later passes keep the unique dc points
+no committed cube has claimed, plus shared dc and the slices
+partial_break reports. dsop passes f as `first` and a spec without
+f.dc, so f.dc reaches pass 1 alone. Neither rule gives smaller full
+DSOPs in general: on random functions the keep-unclaimed rule makes
+some dsop covers smaller and others larger.
 
 partial_break() is the overlap-aware version of the splitting step:
 when the overlap q & p lies inside the shared region, q survives
@@ -129,16 +131,16 @@ def _split_late(
 
 
 def _select(
-    spec: PartialSpec, cfg: DsopConfig, sop: Cover | None, *, full: bool
+    spec: PartialSpec, cfg: DsopConfig, first: FunctionSpec, sop: Cover | None
 ) -> Cover:
-    """The selection loop behind dsop (full=True) and partial_dsop.
+    """The selection loop behind dsop and partial_dsop.
 
-    Pass 1 uses `sop` when given; fragments left in B at the end of a
-    pass are the next pass's on-set. `full` selects the full-DSOP
-    rules, which differ in two places: the dc-set drops out after pass
-    1 instead of staying in the pool minus the points committed cubes
-    claim, and a neighbour that p swallows whole still passes through
-    _apply_opt, with no fragments.
+    Pass 1 re-minimizes `first`, or uses `sop` when given; fragments
+    left in B at the end of a pass are the next pass's on-set, and the
+    dc pool its dc-set. dsop and partial_dsop differ only in the
+    `first` and `spec` they pass (see the module docstring), so one
+    rule set serves both: every neighbour that leaves P goes through
+    _apply_opt, also one that p swallows whole, leaving no fragment.
 
     B and the unique dc cubes are split at the end of the pass, by the
     pass's committed cubes in commit order. Each loop commit records
@@ -161,10 +163,10 @@ def _select(
             f"sop= is not absorption-free: cube {i} ({sop.cubes[i]}) "
             "repeats or lies inside another cube"
         )
-    first = spec.combined()
     on_index = CubeIndex(n, first.on.cubes) if cfg.drop_dc_only else None
     committed: list[Cube] = []
-    todo_on = first.on
+    # the function the current pass re-minimizes
+    todo = first
     dc_once = list(spec.unique.dc.cubes)
     dc_many = list(spec.shared.dc.cubes)
     # where split reports shared overlap slices: one list per commit
@@ -199,18 +201,12 @@ def _select(
             yield p, end
 
     outer = 0
-    while todo_on.cubes:
+    while todo.on.cubes:
         outer += 1
         if outer > _MAX_PASSES:
             raise ProgressError(f"no convergence after {_MAX_PASSES} passes")
         if sop is None:
-            sop = build_sop(
-                FunctionSpec(n, todo_on, Cover(n, tuple(dc_once + dc_many))),
-                cfg.backend,
-                off=committed,
-            )
-        if full:
-            dc_once.clear()
+            sop = build_sop(todo, cfg.backend, off=committed)
         start = len(committed)
         # sop is absorption-free, so -1 marks exactly the isolated cubes;
         # the pool selects the others through the index weight_all read
@@ -243,8 +239,7 @@ def _select(
                     near &= ~(1 << qs)
                     continue
                 P.remove(qs)
-                if fragments or full:
-                    _apply_opt(q, fragments, P, B)
+                _apply_opt(q, fragments, P, B)
             cuts.append((p, len(B), slices))
         slices = dc_many
         B = _split_late(n, B, replay(cuts), split)
@@ -256,7 +251,9 @@ def _select(
                 [(c, len(dc_once)) for c in committed[start:]],
                 disjoint_sharp,
             )
-        todo_on = Cover(n, tuple(B))
+        todo = FunctionSpec(
+            n, Cover(n, tuple(B)), Cover(n, tuple(dc_once + dc_many))
+        )
         sop = None
     return Cover(n, tuple(committed))
 
@@ -279,4 +276,4 @@ def partial_dsop(
     build_sop result it must be absorption-free, or ContractViolation.
     """
     spec.validate_disjoint()
-    return _select(spec, cfg or DsopConfig(), sop, full=False)
+    return _select(spec, cfg or DsopConfig(), spec.combined(), sop)

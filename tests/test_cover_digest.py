@@ -3,7 +3,7 @@
 A seeded population of random fd functions and random partial specs is
 solved under every variant x sort x drop_dc_only configuration, on the
 builtin and the identity backends, and the result cubes are hashed in
-output order. Any change to either selection loop that moves a single
+output order. Any change to the selection loop that moves a single
 cube, or reorders the output, changes the digest. Regenerate
 EXPECTED only for a change that is meant to move covers, and record
 the evidence for it.

@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 import random
 import re
@@ -22,7 +23,9 @@ from dsopforge import (
     Cube,
     DsopConfig,
     FunctionSpec,
+    MinimizerBackend,
     PartialSpec,
+    SORT_WEIGHT_DIMENSION,
     cover_contains_cube,
     cover_intersects_cube,
     cover_point_mask,
@@ -262,11 +265,43 @@ class TestPartialDsop:
         with pytest.raises(ValueError, match="011-.*-1-1"):
             partial_dsop(spec)
 
-    @given(function_specs_st(max_n=6, max_dc=0))
-    @settings(max_examples=50)
-    def test_empty_shared_and_no_dc_matches_dsop_exactly(self, f):
+    def test_empty_shared_swallowed_neighbour_publishes_like_dsop(self):
+        # Under v5 a fragment re-queued into P lies inside a later p,
+        # which swallows it whole. Both entry points must publish P's
+        # weights after that, or the last two cubes come out swapped.
+        f = FunctionSpec.from_strings(
+            on="0-1-0-0 000-1-1 --000-- --0--00 ---0-1- 01100-0 00100--".split()
+        )
+        cfg = DsopConfig(
+            variant=5,
+            sort=SORT_WEIGHT_DIMENSION,
+            backend=MinimizerBackend.identity(),
+        )
         spec = PartialSpec(unique=f, shared=FunctionSpec(f.n, Cover(f.n)))
-        assert partial_dsop(spec) == dsop(f)
+        out = dsop(f, cfg)
+        assert [str(q) for q in out.cubes[-2:]] == ["0000101", "0110000"]
+        assert partial_dsop(spec, cfg) == out
+
+    def test_empty_on_set_makes_no_build(self, monkeypatch):
+        # an external minimizer may return dc-only cubes, which a pass
+        # over an empty on-set would commit
+        calls = []
+        monkeypatch.setattr(partial_mod, "build_sop", lambda *a, **k: calls.append(a))
+        f = FunctionSpec(2, Cover(2), cov("1-"))
+        spec = PartialSpec(f, FunctionSpec(2, Cover(2), cov("01")))
+        assert dsop(f) == Cover(2) and partial_dsop(spec) == Cover(2)
+        assert calls == []
+
+    @given(
+        function_specs_st(max_n=8, max_dc=0),
+        st.sampled_from(ALL_CONFIGS),
+        st.sampled_from([MinimizerBackend.builtin(), MinimizerBackend.identity()]),
+    )
+    @settings(max_examples=300)
+    def test_empty_shared_and_no_dc_matches_dsop_exactly(self, f, cfg, backend):
+        cfg = dataclasses.replace(cfg, backend=backend)
+        spec = PartialSpec(unique=f, shared=FunctionSpec(f.n, Cover(f.n)))
+        assert partial_dsop(spec, cfg) == dsop(f, cfg)
 
     @given(function_specs_st(max_n=6))
     @settings(max_examples=50)
