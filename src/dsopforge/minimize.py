@@ -27,10 +27,22 @@ An expand probe fails as soon as it reaches one point off on+dc, so
 build_sop also takes `off`, cubes the caller knows lie outside on+dc:
 the selection loop passes the cubes it committed in earlier passes, a
 partial OFF-set it has for free. They get slots in the same index,
-after on+dc's and not live. Only those sharing no point with on+dc are
-kept as refuters, a check build_sop makes itself, and a probe whose
-raised cube meets a refuter fails with no tautology check. A refuted probe
-would have failed anyway, so `off` changes no cover, only its cost.
+after the live ones, and a probe whose raised cube meets a refuter
+fails with no tautology check. On its own, build_sop keeps as
+refuters only the `off` cubes sharing no point with on+dc, a check it
+makes itself; a refuted probe would have failed anyway, so `off`
+changes no cover, only its cost.
+
+A caller may also pass `care`, a cover whose union minus the union of
+`off` is exactly on+dc. The live slots are then care's cubes, and every
+`off` cube refutes, with no overlap check: "mirror inside on+dc" is the
+same predicate as "mirror inside care and meeting no off cube", so
+every expand, and every cover, is the same. The selection loop passes
+its pass-1 SOP, which has a few dozen cubes where a later pass's on-set
+may hold thousands of fragments, and each probe cofactors only the
+cubes it meets. When the dc-set is empty, every expanded cube lies in
+on, so irredundant keeps a cube exactly when the rest miss one of its
+points: one probe per candidate instead of one per on cube meeting it.
 """
 
 from __future__ import annotations
@@ -101,26 +113,28 @@ def expand_cube(
     p: Cube, valid: Cover, index: CubeIndex | None = None, refute: int = 0
 ) -> Cube:
     """Greedily free literals of p, in ascending variable order, keeping
-    each removal only while the enlarged cube stays inside `valid`.
+    each removal only while the enlarged cube stays inside the region:
+    `valid` minus the cubes of the slots in `refute`.
 
-    Requires p itself to be inside `valid`. The result contains p and is
-    an implicant of `valid`, though not necessarily prime under every
+    Requires p itself to be inside the region. The result contains p and
+    is an implicant of it, though not necessarily prime under every
     removal order. `index`, when given, is a CubeIndex whose live slots
     are valid's cubes in order, so that callers expanding many cubes
     against one cover build it once. Slots after those may hold other
-    cubes, not live; `refute`, a bitset of slots, names those of them
-    that share no point with `valid`. That is the caller's promise: a
-    refute bit on a live or missing slot raises ContractViolation, but
-    a refuter meeting `valid` is not detected. A probe whose mirror
-    meets a refuter fails at once, with no containment check, since
-    the mirror has a point outside `valid`. So `refute` saves work and
-    never changes the result.
+    cubes, not live; `refute`, a bitset of such slots, names the
+    refuters. A refute bit on a live or missing slot, or a refuter
+    sharing a point with p, raises ContractViolation. A probe whose
+    mirror meets a refuter fails at once, with no containment check,
+    since the mirror has a point outside the region. When no refuter
+    meets `valid` the region is `valid` itself, and `refute` only saves
+    work; build_sop's `care` path passes refuters that do meet it.
 
     Freeing variable i of the current cube c gives c plus its mirror
-    across i (c with literal i complemented). c is already inside
-    `valid`, so the raised cube is inside `valid` exactly when the
-    mirror is; each probe tests only that half, which binds one more
-    literal than the raised cube and so has a smaller cofactor.
+    across i (c with literal i complemented). c is already inside the
+    region, so the raised cube is inside it exactly when the mirror is:
+    when the mirror meets no refuter and lies inside `valid`. Each probe
+    tests only that half, which binds one more literal than the raised
+    cube and so has a smaller cofactor.
 
     Only the cubes sharing a point with the mirror can cover any of it,
     and the index names them without a scan of `valid`: they are the
@@ -163,6 +177,8 @@ def expand_cube(
         above[k] = above[k + 1] | lits[k][1]
     if not _slots_contain(n, cubes, live & ~above[0], mask):
         raise ContractViolation("expand_cube: cube not contained in valid cover")
+    if refute & ~above[0]:
+        raise ContractViolation("expand_cube: cube meets a refuter")
     below = 0
     for k, (b, opposing, same) in enumerate(lits):
         meets = ~(below | same | above[k + 1])
@@ -175,13 +191,17 @@ def expand_cube(
     return Cube(n, mask, bits)
 
 
-def irredundant(cover: Cover, must_cover: Cover) -> Cover:
+def irredundant(cover: Cover, must_cover: Cover | None = None) -> Cover:
     """Remove cubes whose must_cover points are already covered elsewhere.
 
     Scans candidates in ascending size (smallest dimension first, ties
     in original order) and removes a cube when the remaining ones still
     cover its overlap with must_cover. Survivors keep their original
-    relative order.
+    relative order. `must_cover` None means every point of the cover
+    must stay covered: a cube goes when the rest cover all of it. That
+    is the answer must_cover gives whenever the cover lies inside its
+    union, as build_sop's does when the dc-set is empty, at one probe
+    per candidate.
 
     A CubeIndex over the cover gives each cube, and each must_cover
     cube, the bitset of cover cubes it shares a point with, once. So
@@ -190,12 +210,12 @@ def irredundant(cover: Cover, must_cover: Cover) -> Cover:
     asks only the remaining cubes in both bitsets, the ones meeting it.
     """
     n = cover.n
-    if must_cover.n != n:
+    if must_cover is not None and must_cover.n != n:
         raise DimensionMismatch("must_cover width differs from cover")
     cubes = list(cover.cubes)
     index = CubeIndex(n, cubes)
     meets = [index.overlapping(c) for c in cubes]
-    musts = must_cover.cubes
+    musts = must_cover.cubes if must_cover is not None else ()
     must_meets = [index.overlapping(m) for m in musts]
     live = index.live
     order = sorted(range(len(cubes)), key=lambda i: (cubes[i].dimension, i))
@@ -204,6 +224,10 @@ def irredundant(cover: Cover, must_cover: Cover) -> Cover:
         slot = 1 << idx
         live &= ~slot
         rest = live & meets[idx]
+        if must_cover is None:
+            if not _slots_contain(n, cubes, rest, c.mask):
+                live |= slot
+            continue
         for m, m_meets in zip(musts, must_meets):
             if not m_meets & slot:
                 continue
@@ -288,15 +312,26 @@ def build_sop(
     backend: MinimizerBackend | None = None,
     *,
     off: Iterable[Cube] = (),
+    care: Cover | None = None,
 ) -> Cover:
     """Re-minimize a function into an SOP cover via the chosen backend.
 
     `off` may list cubes known to lie outside on+dc, such as those a
     selection loop committed in earlier passes; the builtin backend
     uses them to refute expand probes early, and the other backends
-    ignore them. The result does not depend on `off`: only its cubes
-    sharing no point with on+dc are used, which build_sop checks
-    itself, so a cube that meets on+dc costs one query and nothing else.
+    ignore them. Without `care` the result does not depend on `off`:
+    only its cubes sharing no point with on+dc are used, which
+    build_sop checks itself, so a cube that meets on+dc costs one query
+    and nothing else.
+
+    `care`, when given, must be a cover whose union minus the union of
+    `off` is exactly on+dc; this is the caller's promise, not checked.
+    The builtin backend then expands against care's cubes and refutes
+    with every `off` cube, a test equal to "inside on+dc" (see the
+    module docstring), so the result is the one build_sop(f, backend,
+    off=off) gives. The other backends ignore it. With f.dc empty,
+    irredundant runs with must_cover None, which gives the answers the
+    on-set would.
     """
     backend = backend or MinimizerBackend.builtin()
     if backend.kind == "external":
@@ -305,13 +340,16 @@ def build_sop(
     if backend.kind == "identity":
         return on
     n = f.n
-    valid = f.care_cover()
+    valid = f.care_cover() if care is None else care
     # valid's cubes, live, then the off cubes in slots past them
     index = CubeIndex(n, valid.cubes + tuple(off))
-    index.live = (1 << len(valid.cubes)) - 1
-    refute = 0
-    for s in range(len(valid.cubes), len(index.cubes)):
-        if not index.overlapping(index.cubes[s]):
-            refute |= 1 << s
+    index.live = live = (1 << len(valid.cubes)) - 1
+    if care is None:
+        refute = 0
+        for s in range(len(valid.cubes), len(index.cubes)):
+            if not index.overlapping(index.cubes[s]):
+                refute |= 1 << s
+    else:
+        refute = ((1 << len(index.cubes)) - 1) & ~live
     expanded = Cover(n, tuple(expand_cube(c, valid, index, refute) for c in on.cubes))
-    return irredundant(normalize(expanded), on)
+    return irredundant(normalize(expanded), on if f.dc.cubes else None)

@@ -154,6 +154,30 @@ def _select(
     and the unique dc pool were split by them, so they meet only the
     shared points of a pass's on+dc; build_sop keeps the ones meeting
     none as refuters of its expand probes, which changes no cover.
+
+    With no shared region, no drop_dc_only and the builtin backend,
+    later passes also get `care`: the pass-1 SOP's cubes plus those of
+    U = spec.unique.dc (empty for dsop). The invariant: the on+dc of
+    pass i+1 is care minus C_i, the cubes committed in passes 1..i.
+    A pass commits or splits every cube of its SOP S, a split piece of
+    q being q minus the committed p, and B, split late by every commit,
+    keeps no committed point; so B is S minus the pass's commits c_i.
+    The dc pool is U minus C_i, since shared slices come only from a
+    shared region. S misses C_{i-1}: for pass 1 that is empty, and a
+    later S lies in its on+dc. So the next on+dc, B plus the pool, is
+    (S plus U) minus C_i. For pass 1, S plus U is care. A later pass's
+    on+dc is B_{i-1} plus its pool, where B_{i-1}, its on-set, lies in
+    S and S in that on+dc; so it is (S plus U) minus C_{i-1}, which is
+    care minus C_{i-1} by induction, and the next is care minus C_i.
+    build_sop can then expand against care's few cubes instead of B's
+    fragments, refuting with every committed cube.
+
+    The other paths make the plain call. With a shared region a
+    committed cube may cover shared points, which stay valid, so it
+    cannot refute a probe; drop_dc_only discards cubes without
+    splitting their neighbours, so their points may end up in B, in a
+    later commit or nowhere; and the identity and external backends
+    ignore `care`, so it is not even built for them.
     """
     n = spec.n
     if sop is not None and len(kept := normalize(sop).cubes) < len(sop.cubes):
@@ -173,7 +197,11 @@ def _select(
     # during the loop, dc_many itself while B is split
     slices = dc_many
 
-    if spec.shared_index().cubes:
+    shared = bool(spec.shared_index().cubes)
+    # None until pass 1's SOP is known, and on the paths that cannot use it
+    care: Cover | None = None
+    keep_care = not shared and not cfg.drop_dc_only and cfg.backend.kind == "builtin"
+    if shared:
 
         def split(q: Cube, p: Cube) -> list[Cube] | None:
             # None: the overlap is shared, so q may stay whole
@@ -206,7 +234,9 @@ def _select(
         if outer > _MAX_PASSES:
             raise ProgressError(f"no convergence after {_MAX_PASSES} passes")
         if sop is None:
-            sop = build_sop(todo, cfg.backend, off=committed)
+            sop = build_sop(todo, cfg.backend, off=committed, care=care)
+        if keep_care and care is None:
+            care = Cover(n, sop.cubes + spec.unique.dc.cubes)
         start = len(committed)
         # sop is absorption-free, so -1 marks exactly the isolated cubes;
         # the pool selects the others through the index weight_all read

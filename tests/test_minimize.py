@@ -19,12 +19,14 @@ from dsopforge import (
     cover_contains_cube,
     cover_intersects_cube,
     cover_point_mask,
+    disjoint_sharp,
     expand_cube,
+    intersect,
     irredundant,
     normalize,
 )
 from dsopforge import minimize
-from dsopforge.covers import CubeIndex, _pairs_contain
+from dsopforge.covers import CubeIndex, _pairs_contain, slots_of
 from dsopforge.exact import point_mask
 
 
@@ -36,10 +38,11 @@ def cov(*strings, n=None):
     return Cover.from_strings(strings, n=n)
 
 
-def reference_expand(p, valid):
+def reference_expand(p, valid, inside=None):
     """Greedy ascending expand that tests each whole raised cube
-    against the point set of `valid`."""
-    inside = cover_point_mask(valid)
+    against the point set of `valid`, or the point mask `inside`."""
+    if inside is None:
+        inside = cover_point_mask(valid)
     mask, bits = p.mask, p.bits
     for i in range(p.n):
         b = 1 << i
@@ -123,6 +126,49 @@ def specs_with_off_st(draw, max_n=70):
             if x is not None:
                 off.append(x)
     return FunctionSpec(n, Cover(n, tuple(on)), Cover(n, tuple(dc))), off
+
+
+def cut(g, x):
+    """The pieces of g outside x."""
+    return disjoint_sharp(g, x) if intersect(g, x) is not None else [g]
+
+
+@st.composite
+def care_triples_st(draw, max_n=24):
+    """(f, off, care) with f's on+dc exactly care minus off, as the
+    selection loop builds them: care and off are drawn, the pieces of
+    care's cubes outside every off cube are dealt into on and dc, and
+    dc is empty in about half the cases. The cubes bind each variable
+    with chance 7/16, so that wide probes still meet cubes."""
+    n = draw(st.integers(1, max_n))
+    top = (1 << n) - 1
+
+    def sparse():
+        mask = draw(st.integers(0, top)) & draw(st.integers(0, top))
+        mask |= draw(st.integers(0, top)) & draw(st.integers(0, top))
+        return Cube(n, mask, draw(st.integers(0, top)) & mask)
+
+    care = [sparse() for _ in range(draw(st.integers(1, 5)))]
+    off = []
+    for _ in range(draw(st.integers(0, 5))):
+        x = sparse()
+        if draw(st.booleans()):
+            # a cube meeting care, which cuts pieces out of it
+            base = draw(st.sampled_from(care))
+            x = Cube(n, base.mask | x.mask, base.bits | x.bits & ~base.mask)
+        off.append(x)
+    pieces = []
+    for q in care:
+        frags = [q]
+        for x in off:
+            frags = [r for g in frags for r in cut(g, x)]
+        pieces += frags
+    with_dc = draw(st.booleans())
+    on, dc = [], []
+    for r in pieces:
+        (dc if with_dc and draw(st.booleans()) else on).append(r)
+    f = FunctionSpec(n, Cover(n, tuple(on)), Cover(n, tuple(dc)))
+    return f, off, Cover(n, tuple(care))
 
 
 def script(tmp_path, body, name="fakemin.py"):
@@ -222,6 +268,31 @@ class TestExpand:
         with pytest.raises(ContractViolation, match="refute"):
             expand_cube(c("0--"), valid, index, refute)
 
+    @given(care_triples_st(max_n=10))
+    @settings(max_examples=150)
+    def test_refuters_meeting_valid_cut_them_out_of_the_region(self, case):
+        # build_sop's care path: every off cube refutes, also one that
+        # meets care, and the region is care minus the off cubes
+        f, off, care = case
+        k = len(care.cubes)
+        index = CubeIndex(f.n, care.cubes + tuple(off))
+        index.live = (1 << k) - 1
+        refute = ((1 << len(off)) - 1) << k
+        inside = cover_point_mask(f.care_cover())
+        for seed in f.on.cubes:
+            want = reference_expand(seed, None, inside)
+            assert expand_cube(seed, care, index, refute) == want
+
+    def test_seed_meeting_a_refuter_rejected(self):
+        # 00- meets the valid 0--, as build_sop's care path allows, so
+        # only the seed's own meeting with it is caught
+        valid = cov("0--")
+        index = CubeIndex(3, valid.cubes + (c("00-"),))
+        index.live = 0b01
+        assert expand_cube(c("01-"), valid, index, 0b10) == c("01-")
+        with pytest.raises(ContractViolation, match="meets a refuter"):
+            expand_cube(c("000"), valid, index, 0b10)
+
     def test_width_mismatch(self):
         with pytest.raises(DimensionMismatch):
             expand_cube(c("01"), cov("01-"))
@@ -269,6 +340,21 @@ class TestIrredundant:
         must = Cover(cover.n, tuple(data.draw(st.permutations(must))))
         out = irredundant(cover, must)
         assert out.cubes == reference_irredundant(cover, must).cubes
+
+
+    @given(covers_st(max_n=7, min_cubes=1, max_cubes=8), st.data())
+    def test_no_must_cover_matches_the_on_set_the_cover_lies_in(self, on, data):
+        # implicants of on: subcubes of its cubes, some expanded across
+        # several of them
+        cubes = []
+        for _ in range(data.draw(st.integers(0, 12))):
+            x = subcube(data, data.draw(st.sampled_from(on.cubes)))
+            cubes.append(expand_cube(x, on) if data.draw(st.booleans()) else x)
+        cover = Cover(on.n, tuple(data.draw(st.permutations(cubes))))
+        out = irredundant(cover)
+        assert out == irredundant(cover, None) == irredundant(cover, on)
+        assert out.cubes == reference_irredundant(cover, on).cubes
+        assert cover_point_mask(out) == cover_point_mask(cover)
 
 
 class TestBackendConfig:
@@ -363,6 +449,57 @@ class TestBuiltin:
             calls.clear()
             assert build_sop(f, off=off) == want
             assert len(calls) == plain - fewer
+
+    @given(care_triples_st())
+    @settings(max_examples=200)
+    def test_care_changes_nothing(self, case):
+        # care minus off is on+dc, so "inside care and meeting no off
+        # cube" is "inside on+dc": the same probes, the same cover
+        f, off, care = case
+        want = build_sop(f, off=off)
+        assert build_sop(f, off=off, care=care) == want
+        assert want == build_sop(f)
+
+    @given(function_specs_st(max_n=8, max_on=8))
+    def test_irredundant_answers_are_the_on_sets(self, f):
+        # with f.dc empty build_sop trims with must_cover None; that
+        # must keep the cubes the on-set keeps, and with dc it may not
+        on = normalize(f.on)
+        valid = f.care_cover()
+        expanded = Cover(f.n, tuple(expand_cube(x, valid) for x in on.cubes))
+        assert build_sop(f) == irredundant(normalize(expanded), on)
+
+    def test_a_cube_holding_only_dc_points_of_its_own_goes(self):
+        # 11 expands to -1 over the dc cube; 1- covers its on-point 11,
+        # so -1 goes, though its dc-point 01 is covered nowhere else
+        f = FunctionSpec(2, cov("11", "10"), cov("-1"))
+        assert build_sop(f).to_strings() == ["1-"]
+
+    def test_care_probes_ask_its_cubes_not_the_fragments(self, monkeypatch):
+        # on+dc is 0-- minus 00-, handed over as the fragments 010 and
+        # 011; with care, every probe asks 0-- (or, in irredundant, the
+        # empty rest), and the refuter 00- meets it
+        f = FunctionSpec(3, cov("010", "011"))
+        asked = []
+        real = minimize._slots_contain
+
+        def recording(n, cubes, slots, mask):
+            asked.append([cubes[s] for s in slots_of(slots)])
+            return real(n, cubes, slots, mask)
+
+        monkeypatch.setattr(minimize, "_slots_contain", recording)
+        want = build_sop(f, off=[c("00-")])
+        assert want.to_strings() == ["01-"]
+        assert [c("010")] in asked
+        asked.clear()
+        assert build_sop(f, off=[c("00-")], care=cov("0--")) == want
+        assert asked and all(x in ([], [c("0--")]) for x in asked)
+
+    def test_identity_backend_ignores_care(self):
+        f = FunctionSpec(3, cov("01-", "011"))
+        identity = MinimizerBackend.identity()
+        out = build_sop(f, identity, off=[c("00-")], care=cov("0--"))
+        assert out == normalize(f.on)
 
     def test_identity_backend_ignores_off(self):
         f = FunctionSpec(3, cov("0--", "00-"), cov("1-0"))

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import (
     ALL_CONFIGS,
+    rand_partial_spec,
+    rand_spec,
     covers_st,
     crowded_covers_st,
     cubes_st,
@@ -40,6 +42,7 @@ from dsopforge import (
     verify_partial_dsop,
 )
 from dsopforge import covers as covers_mod
+from dsopforge.exact import point_mask
 from dsopforge import partial as partial_mod
 
 
@@ -453,6 +456,91 @@ class TestDcFeedback:
             out = partial_dsop(spec)
             checked += self._check(events, out)
         assert checked > 0
+
+
+class TestCareInvariant:
+    """Later passes may hand build_sop `care`, the pass-1 SOP plus
+    unique.dc, with every committed cube as a refuter. That is sound
+    only while care minus the committed cubes is the pass's on+dc, as
+    _select's docstring argues; these tests check the point sets on
+    random inputs, and pin the paths that must not pass care."""
+
+    def _record(self, monkeypatch):
+        calls = []
+
+        def building(f, backend=None, **kwargs):
+            # off is the loop's list of committed cubes, which grows on
+            calls.append((f, list(kwargs.get("off", ())), kwargs.get("care")))
+            return build_sop(f, backend, **kwargs)
+
+        monkeypatch.setattr(partial_mod, "build_sop", building)
+        return calls
+
+    @staticmethod
+    def _runs(rng, cases, cfgs, shared=False):
+        """Solver calls, one per input and config: dsop on random
+        functions, alternating with partial_dsop on specs with unique
+        dc and no shared region, or, when `shared`, partial_dsop alone,
+        on specs with a shared region."""
+        k = 0
+        while k < cases:
+            n = rng.randint(2, 10)
+            if shared:
+                spec = rand_partial_spec(rng, n)
+                if not spec.shared_index().cubes:
+                    continue
+            elif k % 2:
+                unique = FunctionSpec(
+                    n,
+                    rand_cover(rng, n, rng.randint(1, 8)),
+                    rand_cover(rng, n, rng.randint(1, 3)),
+                )
+                spec = PartialSpec(unique, FunctionSpec(n, Cover(n)))
+            else:
+                f = rand_spec(rng, n, max_on=8, max_dc=3)
+                spec = None
+            k += 1
+            for cfg in cfgs:
+                if spec is None:
+                    yield lambda cfg=cfg: dsop(f, cfg)
+                else:
+                    yield lambda cfg=cfg, spec=spec: partial_dsop(spec, cfg)
+
+    def test_care_minus_committed_is_each_later_pass_on_dc(self, monkeypatch):
+        calls = self._record(monkeypatch)
+        later = 0
+        for run in self._runs(random.Random(23), 200, ALL_CONFIGS):
+            calls.clear()
+            run()
+            assert not calls or calls[0][2] is None
+            for todo, off, care in calls[1:]:
+                gone = 0
+                for x in off:
+                    gone |= point_mask(x)
+                got = cover_point_mask(care) & ~gone
+                assert got == cover_point_mask(todo.care_cover())
+            later += len(calls[1:])
+        assert later > 1000
+
+    @pytest.mark.parametrize("path", ["shared", "drop_dc_only", "identity"])
+    def test_care_is_not_passed_where_it_does_not_hold(self, monkeypatch, path):
+        calls = self._record(monkeypatch)
+        identity = MinimizerBackend.identity()
+        cfgs = [
+            dataclasses.replace(
+                cfg,
+                drop_dc_only=path == "drop_dc_only",
+                backend=identity if path == "identity" else cfg.backend,
+            )
+            for cfg in ALL_CONFIGS
+        ]
+        later = 0
+        for run in self._runs(random.Random(5), 20, cfgs, shared=path == "shared"):
+            calls.clear()
+            run()
+            assert all(care is None for _, _, care in calls)
+            later += len(calls[1:])
+        assert later > 80
 
 
 class TestSplitLate:
