@@ -38,9 +38,12 @@ A caller may also pass `care`, a cover whose union minus the union of
 `off` cube refutes, with no overlap check: "mirror inside on+dc" is the
 same predicate as "mirror inside care and meeting no off cube", so
 every expand, and every cover, is the same. The selection loop passes
-its pass-1 SOP, which has a few dozen cubes where a later pass's on-set
-may hold thousands of fragments, and each probe cofactors only the
-cubes it meets. When the dc-set is empty, every expanded cube lies in
+its pass-1 SOP plus the dc cubes it started from, a few dozen cubes
+where a later pass's on-set may hold thousands of fragments, so each
+probe cofactors only the few it meets. Its `off` is then the pieces
+of its committed cubes outside the shared dc-set: a committed cube
+may cover shared dc points, which stay valid, so only its other
+points refute. When the dc-set is empty, every expanded cube lies in
 on, so irredundant keeps a cube exactly when the rest miss one of its
 points: one probe per candidate instead of one per on cube meeting it.
 """

@@ -47,7 +47,9 @@ from .covers import (
     Cover, CubeIndex, FunctionSpec, PartialSpec, cover_contains_cube,
     normalize, slots_of,
 )
-from .cubes import Cube, ContractViolation, disjoint_sharp, intersect
+from .cubes import (
+    Cube, ContractViolation, _check_same_n, disjoint_sharp, intersect,
+)
 from .engine import (
     DsopConfig,
     ProgressError,
@@ -76,12 +78,17 @@ def partial_break(
     later passes may treat as don't cares. An x inside the unique
     region meets no shared cube, so it has none. Only the shared cubes
     x meets are looked at, as spec.shared_index() names them: x lies in
-    the shared region exactly when it lies in their union.
+    the shared region exactly when it lies in their union. A q meeting
+    no shared cube is split at once, without building x.
     """
-    x = intersect(q, p)
-    if x is None:
+    _check_same_n(q, p)
+    if (q.mask & p.mask) & (q.bits ^ p.bits):
         raise ContractViolation("partial_break requires overlapping cubes")
     index = spec.shared_index()
+    if not index.overlapping(q):
+        # nor does x, which lies in q: a plain split with no slices
+        return disjoint_sharp(q, p), []
+    x = intersect(q, p)
     near = [index.cubes[s] for s in slots_of(index.overlapping(x))]
     if near and cover_contains_cube(Cover(spec.n, tuple(near)), x):
         return None, []
@@ -100,6 +107,20 @@ def _subtract_all(cubes: list[Cube], p: Cube, split) -> list[Cube]:
             out.append(c)
         else:
             out.extend(fragments)
+    return out
+
+
+def _outside_shared(cubes: Iterable[Cube], spec: PartialSpec) -> list[Cube]:
+    """The pieces of `cubes` outside the shared region: each cube
+    sharped by the shared cubes spec.shared_index() says it meets, in
+    slot order. A cube meeting none is its own piece."""
+    index = spec.shared_index()
+    out: list[Cube] = []
+    for c in cubes:
+        pieces = [c]
+        for s in slots_of(index.overlapping(c)):
+            pieces = _subtract_all(pieces, index.cubes[s], disjoint_sharp)
+        out.extend(pieces)
     return out
 
 
@@ -155,26 +176,37 @@ def _select(
     shared points of a pass's on+dc; build_sop keeps the ones meeting
     none as refuters of its expand probes, which changes no cover.
 
-    With no shared region, no drop_dc_only and the builtin backend,
-    later passes also get `care`: the pass-1 SOP's cubes plus those of
-    U = spec.unique.dc (empty for dsop). The invariant: the on+dc of
-    pass i+1 is care minus C_i, the cubes committed in passes 1..i.
-    A pass commits or splits every cube of its SOP S, a split piece of
-    q being q minus the committed p, and B, split late by every commit,
-    keeps no committed point; so B is S minus the pass's commits c_i.
-    The dc pool is U minus C_i, since shared slices come only from a
-    shared region. S misses C_{i-1}: for pass 1 that is empty, and a
-    later S lies in its on+dc. So the next on+dc, B plus the pool, is
-    (S plus U) minus C_i. For pass 1, S plus U is care. A later pass's
-    on+dc is B_{i-1} plus its pool, where B_{i-1}, its on-set, lies in
-    S and S in that on+dc; so it is (S plus U) minus C_{i-1}, which is
-    care minus C_{i-1} by induction, and the next is care minus C_i.
-    build_sop can then expand against care's few cubes instead of B's
-    fragments, refuting with every committed cube.
+    When the shared region has no on-set, with no drop_dc_only and the
+    builtin backend, later passes get `care` instead: the pass-1 SOP's
+    cubes plus those of U = spec.unique.dc (empty for dsop) and of
+    D = spec.shared.dc (empty for dsop and an empty shared region).
+    Their `off` is R_i, the pieces of C_i, the cubes committed in
+    passes 1..i, outside every shared cube (_outside_shared), so R_i is
+    C_i minus D; with no shared region the pieces are the cubes. The
+    invariant: the on+dc of pass i+1 is care minus C_i, plus D.
 
-    The other paths make the plain call. With a shared region a
-    committed cube may cover shared points, which stay valid, so it
-    cannot refute a probe; drop_dc_only discards cubes without
+    - A pass commits, splits or keeps whole every cube q of its SOP S:
+      a split piece is q minus the committed p, and q stays whole only
+      when q & p lies in D. So B, split late by every commit, is S
+      minus the pass's commits c_i, plus some points of D. The dc pool
+      is U minus C_i, plus D, where every shared slice lies.
+    - S misses C_{i-1} outside D: for pass 1 that is empty, and a later
+      S lies in its on+dc. So the next on+dc, B plus the pool, is
+      (S plus U) minus C_i, plus D.
+    - For pass 1, S plus U plus D is care. A later pass's S lies in its
+      on+dc T and covers T's on-set B_{i-1}, so T is S plus (U minus
+      C_{i-1}) plus D, and the next on+dc is T minus C_i, plus D: by
+      induction, care minus C_i, plus D.
+    - care minus R_i is that same set, since D lies in care.
+
+    So every expand probe asks "inside care and meeting no refuter",
+    the same question as "inside on+dc", of care's few cubes instead of
+    B's fragments.
+
+    The other paths make the plain call. With a shared on-set, a
+    committed shared on-point is valid later only if a split reported
+    it as a slice or left it in B, so care minus the refuters no longer
+    names the next on+dc; drop_dc_only discards cubes without
     splitting their neighbours, so their points may end up in B, in a
     later commit or nowhere; and the identity and external backends
     ignore `care`, so it is not even built for them.
@@ -200,7 +232,14 @@ def _select(
     shared = bool(spec.shared_index().cubes)
     # None until pass 1's SOP is known, and on the paths that cannot use it
     care: Cover | None = None
-    keep_care = not shared and not cfg.drop_dc_only and cfg.backend.kind == "builtin"
+    keep_care = (
+        not spec.shared.on.cubes
+        and not cfg.drop_dc_only
+        and cfg.backend.kind == "builtin"
+    )
+    # the care path's refuters: the committed cubes' pieces outside the
+    # shared region, which are the committed cubes when it is empty
+    outside: list[Cube] = []
     if shared:
 
         def split(q: Cube, p: Cube) -> list[Cube] | None:
@@ -234,9 +273,10 @@ def _select(
         if outer > _MAX_PASSES:
             raise ProgressError(f"no convergence after {_MAX_PASSES} passes")
         if sop is None:
-            sop = build_sop(todo, cfg.backend, off=committed, care=care)
+            off = committed if care is None else outside
+            sop = build_sop(todo, cfg.backend, off=off, care=care)
         if keep_care and care is None:
-            care = Cover(n, sop.cubes + spec.unique.dc.cubes)
+            care = Cover(n, sop.cubes + spec.unique.dc.cubes + spec.shared.dc.cubes)
         start = len(committed)
         # sop is absorption-free, so -1 marks exactly the isolated cubes;
         # the pool selects the others through the index weight_all read
@@ -281,6 +321,8 @@ def _select(
                 [(c, len(dc_once)) for c in committed[start:]],
                 disjoint_sharp,
             )
+        if care is not None:
+            outside += _outside_shared(committed[start:], spec)
         todo = FunctionSpec(
             n, Cover(n, tuple(B)), Cover(n, tuple(dc_once + dc_many))
         )

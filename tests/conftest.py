@@ -153,6 +153,27 @@ def rand_partial_spec(rng, n):
     )
 
 
+def rand_dc_shared_spec(rng, n, unique_dc):
+    """A partial spec whose shared region is a dc-set alone, as the
+    CLI's one-file pdsop form builds: random unique on cubes, unique dc
+    cubes when `unique_dc`, and shared dc cubes missing both. Redrawn
+    until some shared cube is left."""
+    while True:
+        on = rand_cover(rng, n, rng.randint(1, 8))
+        dc = rand_cover(rng, n, rng.randint(1, 3)) if unique_dc else Cover(n)
+        care = Cover(n, on.cubes + dc.cubes)
+        s_dc = tuple(
+            c
+            for c in rand_cover(rng, n, rng.randint(1, 3)).cubes
+            if not cover_intersects_cube(care, c)
+        )
+        if s_dc:
+            return PartialSpec(
+                unique=FunctionSpec(n, on, dc),
+                shared=FunctionSpec(n, Cover(n), Cover(n, s_dc)),
+            )
+
+
 # Pairwise references for the index-based weight_all and normalize.
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     ALL_CONFIGS,
+    rand_dc_shared_spec,
     rand_partial_spec,
     rand_spec,
     covers_st,
@@ -150,6 +151,16 @@ class TestSharedRegionScaling:
         fragments, reusable = partial_break(q, p, spec)
         assert len(reusable) == m and fragments == disjoint_sharp(q, p)
         assert len(calls) == 1 + m
+
+    def test_partial_break_of_a_q_meeting_no_shared_cube_intersects_nothing(
+        self, calls
+    ):
+        spec = split_parts(16, 250, seed=250)
+        # x0 = 0: q lies in the unique half
+        q, p = c("0-1" + "-" * 13), c("---10" + "-" * 11)
+        assert not spec.shared_index().overlapping(q)
+        assert partial_break(q, p, spec) == (disjoint_sharp(q, p), [])
+        assert len(calls) == 0
 
 
 class TestPartialBreak:
@@ -460,36 +471,46 @@ class TestDcFeedback:
 
 class TestCareInvariant:
     """Later passes may hand build_sop `care`, the pass-1 SOP plus
-    unique.dc, with every committed cube as a refuter. That is sound
-    only while care minus the committed cubes is the pass's on+dc, as
-    _select's docstring argues; these tests check the point sets on
-    random inputs, and pin the paths that must not pass care."""
+    unique.dc and shared.dc, with the committed cubes' pieces outside
+    the shared region as refuters. That is sound only while care minus
+    the refuters is the pass's on+dc, as _select's docstring argues;
+    these tests check the point sets on random inputs, check that the
+    covers are those of the plain call, and pin the paths that must
+    not pass care."""
 
     def _record(self, monkeypatch):
         calls = []
 
         def building(f, backend=None, **kwargs):
-            # off is the loop's list of committed cubes, which grows on
+            # off is one of the loop's lists, which grows on
             calls.append((f, list(kwargs.get("off", ())), kwargs.get("care")))
+            if backend is not None and backend.kind == "external":
+                # the loop's choice is pinned, so no minimizer needs to run
+                backend = None
             return build_sop(f, backend, **kwargs)
 
         monkeypatch.setattr(partial_mod, "build_sop", building)
         return calls
 
     @staticmethod
-    def _runs(rng, cases, cfgs, shared=False):
-        """Solver calls, one per input and config: dsop on random
-        functions, alternating with partial_dsop on specs with unique
-        dc and no shared region, or, when `shared`, partial_dsop alone,
-        on specs with a shared region."""
+    def _runs(rng, cases, cfgs, shared_on=False):
+        """Solver calls, one per input and config. In turn: dsop on a
+        random function, then partial_dsop on a spec with unique dc and
+        no shared region, on one whose shared region is a dc-set alone,
+        and on one with such a region and unique dc too. When
+        `shared_on`, partial_dsop alone, on specs with a shared
+        on-set."""
         k = 0
         while k < cases:
             n = rng.randint(2, 10)
-            if shared:
+            f = spec = None
+            if shared_on:
                 spec = rand_partial_spec(rng, n)
-                if not spec.shared_index().cubes:
+                if not spec.shared.on.cubes:
                     continue
-            elif k % 2:
+            elif k % 4 == 0:
+                f = rand_spec(rng, n, max_on=8, max_dc=3)
+            elif k % 4 == 1:
                 unique = FunctionSpec(
                     n,
                     rand_cover(rng, n, rng.randint(1, 8)),
@@ -497,8 +518,7 @@ class TestCareInvariant:
                 )
                 spec = PartialSpec(unique, FunctionSpec(n, Cover(n)))
             else:
-                f = rand_spec(rng, n, max_on=8, max_dc=3)
-                spec = None
+                spec = rand_dc_shared_spec(rng, n, unique_dc=k % 4 == 3)
             k += 1
             for cfg in cfgs:
                 if spec is None:
@@ -509,7 +529,7 @@ class TestCareInvariant:
     def test_care_minus_committed_is_each_later_pass_on_dc(self, monkeypatch):
         calls = self._record(monkeypatch)
         later = 0
-        for run in self._runs(random.Random(23), 200, ALL_CONFIGS):
+        for run in self._runs(random.Random(23), 400, ALL_CONFIGS):
             calls.clear()
             run()
             assert not calls or calls[0][2] is None
@@ -520,22 +540,66 @@ class TestCareInvariant:
                 got = cover_point_mask(care) & ~gone
                 assert got == cover_point_mask(todo.care_cover())
             later += len(calls[1:])
-        assert later > 1000
+        assert later > 2000
 
-    @pytest.mark.parametrize("path", ["shared", "drop_dc_only", "identity"])
+    def test_care_path_changes_no_cover(self, monkeypatch):
+        # the reference strips care and passes the committed cubes as
+        # off, as the plain path does; the loop hands those cubes to
+        # _outside_shared at the end of each pass
+        rng = random.Random(24)
+        specs = [
+            rand_dc_shared_spec(rng, rng.randint(2, 12), unique_dc=k % 2 == 1)
+            for k in range(150)
+        ]
+        committed = []
+        cared = []
+
+        def cutting(cubes, spec):
+            cubes = list(cubes)
+            committed.extend(cubes)
+            return _outside_shared(cubes, spec)
+
+        def plain(f, backend=None, *, off=(), care=None):
+            cared.append(care is not None)
+            if care is not None:
+                off = list(committed)
+            return build_sop(f, backend, off=off)
+
+        _outside_shared = partial_mod._outside_shared
+        monkeypatch.setattr(partial_mod, "_outside_shared", cutting)
+        for spec in specs:
+            for cfg in ALL_CONFIGS:
+                got = partial_dsop(spec, cfg)
+                committed.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(partial_mod, "build_sop", plain)
+                    want = partial_dsop(spec, cfg)
+                committed.clear()
+                assert got == want, (spec, cfg)
+        assert sum(cared) > 800
+
+    @pytest.mark.parametrize(
+        "path", ["shared", "drop_dc_only", "identity", "external"]
+    )
     def test_care_is_not_passed_where_it_does_not_hold(self, monkeypatch, path):
+        # "shared": a shared region with an on-set
         calls = self._record(monkeypatch)
-        identity = MinimizerBackend.identity()
+        backend = {
+            "identity": MinimizerBackend.identity(),
+            "external": MinimizerBackend.external("/no/such/minimizer"),
+        }.get(path)
         cfgs = [
             dataclasses.replace(
                 cfg,
                 drop_dc_only=path == "drop_dc_only",
-                backend=identity if path == "identity" else cfg.backend,
+                backend=backend or cfg.backend,
             )
             for cfg in ALL_CONFIGS
         ]
         later = 0
-        for run in self._runs(random.Random(5), 20, cfgs, shared=path == "shared"):
+        for run in self._runs(
+            random.Random(5), 24, cfgs, shared_on=path == "shared"
+        ):
             calls.clear()
             run()
             assert all(care is None for _, _, care in calls)
