@@ -43,9 +43,15 @@ where a later pass's on-set may hold thousands of fragments, so each
 probe cofactors only the few it meets. Its `off` is then the pieces
 of its committed cubes outside the shared dc-set: a committed cube
 may cover shared dc points, which stay valid, so only its other
-points refute. When the dc-set is empty, every expanded cube lies in
-on, so irredundant keeps a cube exactly when the rest miss one of its
-points: one probe per candidate instead of one per on cube meeting it.
+points refute.
+
+Every expanded cube lies in on+dc, so build_sop hands irredundant the
+dc-set with that promise. A cube may then go when the rest plus the dc
+cubes cover it, and the rest cover its overlap with each on cube that
+meets a dc cube meeting it: one probe per candidate, plus one per such
+on cube, instead of one per on cube meeting the candidate. Where on and
+dc share no point, or there is no dc-set, that is one probe per
+candidate.
 """
 
 from __future__ import annotations
@@ -194,50 +200,85 @@ def expand_cube(
     return Cube(n, mask, bits)
 
 
-def irredundant(cover: Cover, must_cover: Cover | None = None) -> Cover:
+def irredundant(
+    cover: Cover, must_cover: Cover | None = None, *, dc: Cover | None = None
+) -> Cover:
     """Remove cubes whose must_cover points are already covered elsewhere.
 
     Scans candidates in ascending size (smallest dimension first, ties
     in original order) and removes a cube when the remaining ones still
     cover its overlap with must_cover. Survivors keep their original
     relative order. `must_cover` None means every point of the cover
-    must stay covered: a cube goes when the rest cover all of it. That
-    is the answer must_cover gives whenever the cover lies inside its
-    union, as build_sop's does when the dc-set is empty, at one probe
-    per candidate.
+    must stay covered: a cube goes when the rest cover all of it.
 
-    A CubeIndex over the cover gives each cube, and each must_cover
-    cube, the bitset of cover cubes it shares a point with, once. So
-    the must_cover cubes meeting a candidate c are those whose bitset
-    holds c's slot, and the probe of the overlap of c and such an m
-    asks only the remaining cubes in both bitsets, the ones meeting it.
+    `dc`, which needs must_cover, is the caller's promise that the cover
+    lies inside the union of must_cover and dc, as every build_sop
+    expansion does; it is not checked. A candidate c then goes exactly
+    when (a) c lies inside the rest plus dc, and (b) c ∩ m lies inside
+    the rest for every must cube m meeting a dc cube that meets c:
+    - (a) puts each point of c ∩ must_cover outside dc in the rest;
+    - a point of c ∩ must_cover inside dc lies in a must cube m and a
+      dc cube meeting both c and m, so (b) puts it in the rest;
+    - conversely, if the rest hold c ∩ must_cover, (b) holds, and so
+      does (a), since each point of c lies in must_cover or in dc.
+    So a candidate costs one probe, plus one per such m; must_cover
+    None is the rule for a cover that is its own must_cover, with no
+    dc: (a) alone. Without dc, each must cube meeting c is a probe.
+
+    A CubeIndex over the cover, then dc, gives each cover cube, and
+    each must_cover cube, the bitset of indexed cubes it shares a point
+    with, once. The dc slots are never candidates and stay live. So the
+    must_cover cubes meeting a candidate c are those whose bitset holds
+    c's slot, and the probe of the overlap of c and such an m asks only
+    the remaining cover cubes in both bitsets, the ones meeting it.
     """
     n = cover.n
     if must_cover is not None and must_cover.n != n:
         raise DimensionMismatch("must_cover width differs from cover")
-    cubes = list(cover.cubes)
-    index = CubeIndex(n, cubes)
-    meets = [index.overlapping(c) for c in cubes]
-    musts = must_cover.cubes if must_cover is not None else ()
-    must_meets = [index.overlapping(m) for m in musts]
+    if dc is not None:
+        if dc.n != n:
+            raise DimensionMismatch("dc width differs from cover")
+        if must_cover is None:
+            raise ContractViolation("irredundant: dc needs must_cover")
+    k = len(cover.cubes)
+    dc_cubes = dc.cubes if dc is not None else ()
+    # the cover's cubes, then dc's in the slots `spare`
+    index = CubeIndex(n, cover.cubes + dc_cubes)
+    cubes = index.cubes
+    spare = ((1 << len(dc_cubes)) - 1) << k
+    meets = [index.overlapping(c) for c in cover.cubes]
     live = index.live
-    order = sorted(range(len(cubes)), key=lambda i: (cubes[i].dimension, i))
+    # one probe per candidate, and the must cubes needing their own:
+    # with dc, those meeting a dc cube; without, every one
+    single = dc is not None or must_cover is None
+    probes = []
+    if spare or not single:
+        for m in must_cover.cubes:
+            m_meets = index.overlapping(m)
+            if not single or m_meets & spare:
+                probes.append((m, m_meets))
+    # without dc, every must cube meeting c is probed
+    near = -1
+    order = sorted(range(k), key=lambda i: (cubes[i].dimension, i))
     for idx in order:
         c = cubes[idx]
         slot = 1 << idx
         live &= ~slot
         rest = live & meets[idx]
-        if must_cover is None:
+        if single:
             if not _slots_contain(n, cubes, rest, c.mask):
                 live |= slot
-            continue
-        for m, m_meets in zip(musts, must_meets):
-            if not m_meets & slot:
                 continue
-            if not _slots_contain(n, cubes, rest & m_meets, m.mask | c.mask):
-                live |= slot
-                break
-    return Cover(n, tuple(c for i, c in enumerate(cubes) if live >> i & 1))
+            near = rest & spare
+            if not near:
+                continue
+            rest &= ~spare
+        for m, m_meets in probes:
+            if m_meets & slot and m_meets & near:
+                if not _slots_contain(n, cubes, rest & m_meets, m.mask | c.mask):
+                    live |= slot
+                    break
+    return Cover(n, tuple(c for i, c in enumerate(cover.cubes) if live >> i & 1))
 
 
 def _write_single_output_pla(f: FunctionSpec) -> str:
@@ -332,9 +373,10 @@ def build_sop(
     The builtin backend then expands against care's cubes and refutes
     with every `off` cube, a test equal to "inside on+dc" (see the
     module docstring), so the result is the one build_sop(f, backend,
-    off=off) gives. The other backends ignore it. With f.dc empty,
-    irredundant runs with must_cover None, which gives the answers the
-    on-set would.
+    off=off) gives. The other backends ignore it. Irredundant trims
+    the expansion against the on-set with f.dc as its dc-set, which
+    keeps what probing every on cube keeps (see irredundant), at one
+    probe per candidate where no on cube meets a dc cube.
     """
     backend = backend or MinimizerBackend.builtin()
     if backend.kind == "external":
@@ -355,4 +397,4 @@ def build_sop(
     else:
         refute = ((1 << len(index.cubes)) - 1) & ~live
     expanded = Cover(n, tuple(expand_cube(c, valid, index, refute) for c in on.cubes))
-    return irredundant(normalize(expanded), on if f.dc.cubes else None)
+    return irredundant(normalize(expanded), on, dc=f.dc)

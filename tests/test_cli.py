@@ -25,6 +25,7 @@ from dsopforge import (
     split_outputs,
 )
 from dsopforge import covers as covers_mod
+from dsopforge import minimize as minimize_mod
 from dsopforge import partial as partial_mod
 from dsopforge.cli import RunStats, main
 
@@ -573,7 +574,11 @@ class TestWideOneFileInput:
     plus the dc rows, refuting with the committed cubes' pieces outside
     them. Bounded by tautology calls, not wall time: refuting only with
     committed cubes that miss each pass's on+dc makes 40,632 calls
-    handed 1.39M cubes in all, the care path 33,295 handed 0.55M."""
+    handed 1.39M cubes in all, the care path 33,295 handed 0.55M, and
+    an irredundant that decides most candidates by one probe against
+    the rest plus the dc cubes 21,143 handed 163,590. Its containment
+    probes: 4,893, where probing every on cube meeting a candidate
+    makes 86,754."""
 
     DIGEST = "62700989af3365e5e2457f5cf35a1d1c8512c64536bc1221a4ae1849019f13a5"
 
@@ -582,18 +587,36 @@ class TestWideOneFileInput:
         src.write_text(random_wide_dc_pla())
         out = tmp_path / "out.pla"
         real = covers_mod._recursive_tautology
+        real_irredundant = minimize_mod.irredundant
+        real_probe = minimize_mod._slots_contain
         calls = [0, 0]
+        probes = [0]
+        trimming = [False]
 
         def counting(n, items):
             calls[0] += 1
             calls[1] += len(items)
             return real(n, items)
 
+        def irredundant(*args, **kwargs):
+            trimming[0] = True
+            try:
+                return real_irredundant(*args, **kwargs)
+            finally:
+                trimming[0] = False
+
+        def probe(*args):
+            probes[0] += trimming[0]
+            return real_probe(*args)
+
         monkeypatch.setattr(covers_mod, "_recursive_tautology", counting)
+        monkeypatch.setattr(minimize_mod, "irredundant", irredundant)
+        monkeypatch.setattr(minimize_mod, "_slots_contain", probe)
         assert main(["pdsop", "--verify", str(src), "-o", str(out)]) == 0
         assert "sop=40 dsop=598" in capsys.readouterr().err
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGEST
-        assert calls[0] < 37_000 and calls[1] < 900_000, calls
+        assert calls[0] < 27_000 and calls[1] < 350_000, calls
+        assert probes[0] < 10_000, probes
 
 
 class TestBenchCommand:

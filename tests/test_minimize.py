@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import covers_st, crowded_covers_st, function_specs_st
+from conftest import (
+    ALL_CONFIGS,
+    FIXTURES,
+    covers_st,
+    crowded_covers_st,
+    function_specs_st,
+)
 from dsopforge import (
     ContractViolation,
     Cover,
@@ -20,10 +26,13 @@ from dsopforge import (
     cover_intersects_cube,
     cover_point_mask,
     disjoint_sharp,
+    dsop,
     expand_cube,
     intersect,
     irredundant,
     normalize,
+    parse_pla,
+    split_outputs,
 )
 from dsopforge import minimize
 from dsopforge.covers import CubeIndex, _pairs_contain, slots_of
@@ -356,6 +365,30 @@ class TestIrredundant:
         assert out.cubes == reference_irredundant(cover, on).cubes
         assert cover_point_mask(out) == cover_point_mask(cover)
 
+    @given(function_specs_st(max_n=8, max_on=6, max_dc=4), st.data())
+    def test_dc_probe_matches_the_per_on_cube_rule(self, f, data):
+        # implicants of on+dc, with on and dc free to overlap: subcubes
+        # of their cubes, some expanded across several. A candidate
+        # goes on one probe against the rest plus dc, and one per on
+        # cube meeting a dc cube that meets it; that must keep what
+        # probing every on cube keeps, order included
+        care = f.care_cover()
+        cubes = []
+        for _ in range(data.draw(st.integers(0, 14))):
+            x = subcube(data, data.draw(st.sampled_from(care.cubes)))
+            cubes.append(expand_cube(x, care) if data.draw(st.booleans()) else x)
+        cover = Cover(f.n, tuple(data.draw(st.permutations(cubes))))
+        out = irredundant(cover, f.on, dc=f.dc)
+        assert out.cubes == reference_irredundant(cover, f.on).cubes
+
+    def test_dc_width_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            irredundant(cov("0-"), cov("0-"), dc=cov("0--"))
+
+    def test_dc_needs_must_cover(self):
+        with pytest.raises(ContractViolation):
+            irredundant(cov("0-"), dc=cov("1-"))
+
 
 class TestBackendConfig:
     def test_builtin_and_external_describe(self):
@@ -462,8 +495,9 @@ class TestBuiltin:
 
     @given(function_specs_st(max_n=8, max_on=8))
     def test_irredundant_answers_are_the_on_sets(self, f):
-        # with f.dc empty build_sop trims with must_cover None; that
-        # must keep the cubes the on-set keeps, and with dc it may not
+        # build_sop trims with dc, one probe per candidate where no on
+        # cube meets a dc cube; that must keep the cubes probing every
+        # on cube keeps, with or without a dc-set
         on = normalize(f.on)
         valid = f.care_cover()
         expanded = Cover(f.n, tuple(expand_cube(x, valid) for x in on.cubes))
@@ -474,6 +508,24 @@ class TestBuiltin:
         # so -1 goes, though its dc-point 01 is covered nowhere else
         f = FunctionSpec(2, cov("11", "10"), cov("-1"))
         assert build_sop(f).to_strings() == ["1-"]
+
+    def test_overlapping_on_and_dc_rows_keep_the_per_on_cube_covers(
+        self, monkeypatch
+    ):
+        # every output's dc row overlaps an on row, so pass 1 has on
+        # cubes meeting dc cubes and probes them on their own; the
+        # covers must be those of probing every on cube, without dc
+        specs = split_outputs(parse_pla((FIXTURES / "ondc_overlap.pla").read_text()))
+        for f in specs:
+            assert any(cover_intersects_cube(f.dc, m) for m in f.on.cubes)
+        want = [dsop(f, cfg) for f in specs for cfg in ALL_CONFIGS]
+        real = minimize.irredundant
+
+        def per_on_cube(cover, must_cover=None, *, dc=None):
+            return real(cover, must_cover)
+
+        monkeypatch.setattr(minimize, "irredundant", per_on_cube)
+        assert [dsop(f, cfg) for f in specs for cfg in ALL_CONFIGS] == want
 
     def test_care_probes_ask_its_cubes_not_the_fragments(self, monkeypatch):
         # on+dc is 0-- minus 00-, handed over as the fragments 010 and
