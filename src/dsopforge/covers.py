@@ -207,8 +207,9 @@ class CubeIndex:
     discarded. A query about a cube c is then one bitset operation per
     literal of c, read through c.keys, instead of one test per indexed
     cube: the cubes sharing a point with c are the live slots in no
-    opp[k] of c's literals. Slots are never reused, and a discarded
-    slot keeps its literal bits; queries mask with `live`. Every cube
+    opp[k] of c's literals, and the cubes inside c those in every
+    alike[k] of them. Slots are never reused, and a discarded slot
+    keeps its literal bits; queries mask with `live`. Every cube
     queried or added must be n variables wide.
 
     The constructor builds the bitsets by one transposition, with no
@@ -280,26 +281,38 @@ def normalize(cover: Cover) -> Cover:
 
     Keeps the first occurrence of duplicates and preserves the relative
     order of the survivors. The result is absorption-free and has the
-    same point set. The cubes overlapping each cube come from a
-    CubeIndex over the cover, a few bitset operations per cube and
-    variable, and only those are tested as containers: no test runs on
-    a pair of disjoint cubes.
+    same point set.
+
+    The question is asked of each cube's contents, not of its
+    containers. dict.fromkeys first drops every later copy of a cube,
+    keeping the order. A CubeIndex over the distinct cubes then gives
+    each literal k its bitset alike[k]. For each cube j, the AND of
+    alike[k] over j's literals, j.keys, starting from every slot but
+    j's and stopping once it is empty, is the set of the other cubes j
+    contains, and they go. No pair of cubes is tested. This is exact:
+    c lies inside j exactly when every literal of j is a literal of c,
+    which holds exactly when c's slot is in alike[k] for each k in
+    j.keys. With the duplicates gone, every such c other than j is
+    strictly inside j, so c goes wherever it sits: of equal cubes the
+    earliest stays, and a strictly larger cube absorbs from any
+    position.
     """
-    cubes = cover.cubes
-    index = CubeIndex(cover.n, cubes)
-    kept: list[Cube] = []
-    for i, c in enumerate(cubes):
-        # a container of c overlaps it and binds no variable c leaves
-        # free; one before c absorbs it even when equal (the earliest of
-        # equal cubes survives), one after c only when strictly larger
-        cm = c.mask
-        if not any(
-            j < i or cubes[j].mask != cm
-            for j in slots_of(index.overlapping(c) & ~(1 << i))
-            if not cubes[j].mask & ~cm
-        ):
-            kept.append(c)
-    return Cover(cover.n, tuple(kept))
+    cubes = list(dict.fromkeys(cover.cubes))
+    alike = CubeIndex(cover.n, cubes).alike
+    every = (1 << len(cubes)) - 1
+    absorbed = 0
+    for j, c in enumerate(cubes):
+        inside = every ^ (1 << j)
+        for k in c.keys:
+            inside &= alike[k]
+            if not inside:
+                break
+        absorbed |= inside
+    if absorbed:
+        # reversed, the binary string has bit j at index j
+        gone = format(absorbed, f"0{len(cubes)}b")[::-1]
+        cubes = [c for c, g in zip(cubes, gone) if g == "0"]
+    return Cover(cover.n, tuple(cubes))
 
 
 def _recursive_tautology(n: int, items: list[tuple[int, int]]) -> bool:

@@ -127,16 +127,18 @@ def expand_cube(
 
     Requires p itself to be inside the region. The result contains p and
     is an implicant of it, though not necessarily prime under every
-    removal order. `index`, when given, is a CubeIndex whose live slots
-    are valid's cubes in order, so that callers expanding many cubes
-    against one cover build it once. Slots after those may hold other
-    cubes, not live; `refute`, a bitset of such slots, names the
-    refuters. A refute bit on a live or missing slot, or a refuter
-    sharing a point with p, raises ContractViolation. A probe whose
-    mirror meets a refuter fails at once, with no containment check,
-    since the mirror has a point outside the region. When no refuter
-    meets `valid` the region is `valid` itself, and `refute` only saves
-    work; build_sop's `care` path passes refuters that do meet it.
+    removal order; when no literal can be freed it is p itself, so its
+    keys are not scanned again. `index`, when given, is a CubeIndex
+    whose live slots are valid's cubes in order, so that callers
+    expanding many cubes against one cover build it once. Slots after
+    those may hold other cubes, not live; `refute`, a bitset of such
+    slots, names the refuters. A refute bit on a live or missing slot,
+    or a refuter sharing a point with p, raises ContractViolation. A
+    probe whose mirror meets a refuter fails at once, with no
+    containment check, since the mirror has a point outside the region.
+    When no refuter meets `valid` the region is `valid` itself, and
+    `refute` only saves work; build_sop's `care` path passes refuters
+    that do meet it.
 
     Freeing variable i of the current cube c gives c plus its mirror
     across i (c with literal i complemented). c is already inside the
@@ -197,6 +199,8 @@ def expand_cube(
             bits &= ~b
         else:
             below |= opposing
+    if mask == p.mask:
+        return p
     return Cube(n, mask, bits)
 
 

@@ -619,6 +619,47 @@ class TestWideOneFileInput:
         assert probes[0] < 10_000, probes
 
 
+class TestWideDcTail:
+    """One-file pdsop on random_wide_dc_pla(2), a slow seed of the wide
+    dc generator: later passes normalize tens of thousands of
+    expansions of B fragments, each overlapping hundreds of others.
+    Bounded by operation counts, not wall time: a normalize that walks
+    each cube's overlapping slots for a container yields 6,714,435
+    slots through covers.slots_of, one that ANDs each cube's literal
+    bitsets for the cubes it contains yields none. The run makes
+    123,790 tautology calls handed 2,211,644 cubes in all, nearly all
+    from irredundant's probes."""
+
+    DIGEST = "d546186444459bc2cfd756087e6d1d55131e05f6d5b9d9ce8db44fd88c993966"
+
+    def test_normalize_walks_no_slots(self, tmp_path, monkeypatch, capsys):
+        src = tmp_path / "rand48dc2.pla"
+        src.write_text(random_wide_dc_pla(2))
+        out = tmp_path / "out.pla"
+        real_slots = covers_mod.slots_of
+        real_tautology = covers_mod._recursive_tautology
+        walked = [0]
+        calls = [0, 0]
+
+        def walking(x):
+            for s in real_slots(x):
+                walked[0] += 1
+                yield s
+
+        def counting(n, items):
+            calls[0] += 1
+            calls[1] += len(items)
+            return real_tautology(n, items)
+
+        monkeypatch.setattr(covers_mod, "slots_of", walking)
+        monkeypatch.setattr(covers_mod, "_recursive_tautology", counting)
+        assert main(["pdsop", "--verify", str(src), "-o", str(out)]) == 0
+        assert "sop=40 dsop=2415" in capsys.readouterr().err
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGEST
+        assert walked[0] < 1_000, walked
+        assert calls[0] < 130_000 and calls[1] < 2_400_000, calls
+
+
 class TestBenchCommand:
     def _bench_dir(self, tmp_path, names):
         d = tmp_path / "suite"

@@ -71,6 +71,20 @@ class TestNormalize:
     def test_matches_the_pairwise_reference_past_one_word(self, x):
         assert normalize(x) == pairwise_normalize(x)
 
+    # literal words span several bytes and slot bitsets several words
+    @given(crowded_covers_st(min_n=40, max_n=64, min_cubes=65))
+    @settings(max_examples=20)
+    def test_matches_the_pairwise_reference_at_width(self, x):
+        assert normalize(x) == pairwise_normalize(x)
+
+    def test_all_free_cube_absorbs_every_other_and_its_copies(self):
+        n = 48
+        u, a, b = "-" * n, "01" * 24, "0" + "-" * (n - 1)
+        x = cov(a, u, b, u, a, u)
+        assert normalize(x).to_strings() == [u]
+        assert normalize(x) == pairwise_normalize(x)
+        assert normalize(cov(a, a, b, a)).to_strings() == [b]
+
     @given(covers_st(max_n=8))
     def test_preserves_point_set(self, x):
         assert cover_point_mask(normalize(x)) == cover_point_mask(x)

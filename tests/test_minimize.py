@@ -203,7 +203,9 @@ class TestExpand:
         assert expand_cube(c("01"), cov("0-", "1-")) == c("--")
 
     def test_unexpandable_cube_is_unchanged(self):
-        assert expand_cube(c("01"), cov("01")) == c("01")
+        # not a copy: the seed itself, with its keys already found
+        p = c("01-")
+        assert expand_cube(p, cov("01-", "1-1")) is p
 
     def test_seed_outside_valid_rejected(self):
         with pytest.raises(ContractViolation):
@@ -228,7 +230,10 @@ class TestExpand:
             seed = subcube(data, data.draw(st.sampled_from(valid.cubes)))
             want = reference_expand(seed, valid)
             assert expand_cube(seed, valid) == want
-            assert expand_cube(seed, valid, index) == want
+            out = expand_cube(seed, valid, index)
+            assert out == want
+            # the seed itself comes back exactly when nothing is freed
+            assert (out is seed) == (out == seed)
 
     @given(specs_with_off_st())
     @settings(max_examples=150)
