@@ -50,8 +50,11 @@ dc-set with that promise. A cube may then go when the rest plus the dc
 cubes cover it, and the rest cover its overlap with each on cube that
 meets a dc cube meeting it: one probe per candidate, plus one per such
 on cube, instead of one per on cube meeting the candidate. Where on and
-dc share no point, or there is no dc-set, that is one probe per
-candidate.
+dc share no point, or the dc-set is empty, that is one probe per
+candidate. Called with a must_cover and no dc-set at all, irredundant
+takes the cover itself as its dc-set, so the promise holds; every must
+cube meeting a candidate then meets the candidate's dc copy and gets a
+probe of its own.
 """
 
 from __future__ import annotations
@@ -227,7 +230,10 @@ def irredundant(
       does (a), since each point of c lies in must_cover or in dc.
     So a candidate costs one probe, plus one per such m; must_cover
     None is the rule for a cover that is its own must_cover, with no
-    dc: (a) alone. Without dc, each must cube meeting c is a probe.
+    dc: (a) alone. A must_cover with no dc takes the cover itself as
+    its dc-set, which keeps the promise: c's own dc copy answers (a)
+    with no tautology check, and every must cube meeting c meets that
+    copy, so each gets its own probe (b).
 
     A CubeIndex over the cover, then dc, gives each cover cube, and
     each must_cover cube, the bitset of indexed cubes it shares a point
@@ -245,6 +251,8 @@ def irredundant(
         if must_cover is None:
             raise ContractViolation("irredundant: dc needs must_cover")
     k = len(cover.cubes)
+    if dc is None and must_cover is not None:
+        dc = cover
     dc_cubes = dc.cubes if dc is not None else ()
     # the cover's cubes, then dc's in the slots `spare`
     index = CubeIndex(n, cover.cubes + dc_cubes)
@@ -252,31 +260,27 @@ def irredundant(
     spare = ((1 << len(dc_cubes)) - 1) << k
     meets = [index.overlapping(c) for c in cover.cubes]
     live = index.live
-    # one probe per candidate, and the must cubes needing their own:
-    # with dc, those meeting a dc cube; without, every one
-    single = dc is not None or must_cover is None
+    # one probe per candidate, and the must cubes meeting a dc cube
+    # need their own
     probes = []
-    if spare or not single:
+    if spare:
         for m in must_cover.cubes:
             m_meets = index.overlapping(m)
-            if not single or m_meets & spare:
+            if m_meets & spare:
                 probes.append((m, m_meets))
-    # without dc, every must cube meeting c is probed
-    near = -1
     order = sorted(range(k), key=lambda i: (cubes[i].dimension, i))
     for idx in order:
         c = cubes[idx]
         slot = 1 << idx
         live &= ~slot
         rest = live & meets[idx]
-        if single:
-            if not _slots_contain(n, cubes, rest, c.mask):
-                live |= slot
-                continue
-            near = rest & spare
-            if not near:
-                continue
-            rest &= ~spare
+        if not _slots_contain(n, cubes, rest, c.mask):
+            live |= slot
+            continue
+        near = rest & spare
+        if not near:
+            continue
+        rest &= ~spare
         for m, m_meets in probes:
             if m_meets & slot and m_meets & near:
                 if not _slots_contain(n, cubes, rest & m_meets, m.mask | c.mask):

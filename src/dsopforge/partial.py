@@ -12,9 +12,10 @@ and `partial_dsop` are thin wrappers over one loop, `_select`. Each
 outer pass re-minimizes what is left, weights it once, commits the
 isolated cubes (weight -1), and selects the rest greedily; each
 neighbour q of a selected cube p goes through partial_break, which
-keeps q whole when q & p lies in the shared region. With no
-shared region every split is a plain disjoint sharp and the region
-tests are skipped.
+keeps q whole when q & p lies in the shared region. Every split has
+one shape, split(q, p) -> (fragments or None, shared slices): with a
+shared region it is partial_break, and with none _sharp, a plain
+disjoint sharp with no slices and no region tests.
 
 Fragments parked in B, the next pass's on-set, and the unclaimed unique
 dc cubes must also be split by every cube committed after them. Both
@@ -22,7 +23,11 @@ lists are split once, at the end of each pass (_split_late): one index
 over the list names the entries each committed cube overlaps, and only
 those are split, in commit order. This equals splitting the whole list
 after every commit, because a fragment lies inside the entry it came
-from: a cube missing an entry misses all its pieces.
+from: a cube missing an entry misses all its pieces. Each commit keeps
+the shared slices of its splits in a list of its own, those of its
+neighbour loop and then those of its B splits, and the lists join the
+dc pool in commit order once B is split: the order a split after every
+commit would give.
 
 The loop has no mode: the don't-care rule rides on `first`, the
 function pass 1 re-minimizes. Later passes keep the unique dc points
@@ -41,7 +46,8 @@ already-covered points as don't cares.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+import functools
+from typing import Iterable
 
 from .covers import (
     Cover, CubeIndex, FunctionSpec, PartialSpec, cover_contains_cube,
@@ -95,18 +101,27 @@ def partial_break(
     return disjoint_sharp(q, p), [intersect(x, s) for s in near]
 
 
-def _subtract_all(cubes: list[Cube], p: Cube, split) -> list[Cube]:
-    """Each cube overlapping p replaced by split(cube, p); a cube for
-    which split returns None stays as it is."""
+def _sharp(q: Cube, p: Cube) -> tuple[list[Cube], tuple[()]]:
+    """disjoint_sharp in the shape of partial_break: the fragments, and
+    no shared slices. The split of a spec with no shared cube, and of
+    the unique dc pool."""
+    return disjoint_sharp(q, p), ()
+
+
+def _subtract_all(cubes: list[Cube], p: Cube, split, found: list[Cube]) -> list[Cube]:
+    """Each cube overlapping p replaced by the fragments of split(cube,
+    p), or kept as it is when they are None; the slices of each split
+    are added to `found`."""
     out: list[Cube] = []
     pm, pb = p.mask, p.bits
     for c in cubes:
-        overlaps = not (c.mask & pm) & (c.bits ^ pb)
-        fragments = split(c, p) if overlaps else None
-        if fragments is None:
-            out.append(c)
-        else:
-            out.extend(fragments)
+        if not (c.mask & pm) & (c.bits ^ pb):
+            fragments, slices = split(c, p)
+            found += slices
+            if fragments is not None:
+                out.extend(fragments)
+                continue
+        out.append(c)
     return out
 
 
@@ -119,35 +134,31 @@ def _outside_shared(cubes: Iterable[Cube], spec: PartialSpec) -> list[Cube]:
     for c in cubes:
         pieces = [c]
         for s in slots_of(index.overlapping(c)):
-            pieces = _subtract_all(pieces, index.cubes[s], disjoint_sharp)
+            pieces = _subtract_all(pieces, index.cubes[s], _sharp, [])
         out.extend(pieces)
     return out
 
 
 def _split_late(
-    n: int, cubes: list[Cube], cuts: Iterable[tuple[Cube, int]], split
+    n: int, cubes: list[Cube], cuts: Iterable[tuple[Cube, int, list[Cube]]], split
 ) -> list[Cube]:
-    """Split the entries of `cubes` by each (p, end) of `cuts` in turn:
-    p splits the first `end` entries, those that existed when p was
-    committed (ends never decrease), or rather the pieces they are by
-    then.
+    """Split the entries of `cubes` by each (p, end, found) of `cuts`
+    in turn: p splits the first `end` entries, those that existed when
+    p was committed (ends never decrease), or rather the pieces they are
+    by then, and the slices of its splits are added to `found`.
 
-    The result, and split's calls in their order, are those of running
-    _subtract_all(list, p, split) after every commit over the list as
-    it stood. One CubeIndex over the entries names those each p
-    overlaps, and only their pieces are rescanned. That is exact: the
-    rescan is an order-keeping flat map, and a piece lies inside its
-    entry, so a p missing an entry misses every piece of it. `cuts` is
-    drawn one at a time, after the previous p's splits are done.
+    The result, each `found`, and split's calls in their order, are
+    those of running _subtract_all(list, p, split, found) after every
+    commit over the list as it stood. One CubeIndex over the entries
+    names those each p overlaps, and only their pieces are rescanned.
+    That is exact: the rescan is an order-keeping flat map, and a piece
+    lies inside its entry, so a p missing an entry misses all its pieces.
     """
     index = CubeIndex(n, cubes)
     chains = [[c] for c in cubes]
-    for p, end in cuts:
-        if not end:
-            # no entry yet
-            continue
+    for p, end, found in cuts:
         for i in slots_of(index.overlapping(p) & ((1 << end) - 1)):
-            chains[i] = _subtract_all(chains[i], p, split)
+            chains[i] = _subtract_all(chains[i], p, split, found)
     return [c for chain in chains for c in chain]
 
 
@@ -167,9 +178,10 @@ def _select(
     pass's committed cubes in commit order. Each loop commit records
     len(B) once its neighbour loop is done, so it splits only the B
     entries that existed by then; every dc entry predates the pass's
-    first commit. A commit's neighbour-loop shared slices are held back
-    and join dc_many just before its own B splits report theirs, so
-    dc_many keeps the order a split after every commit gives it.
+    first commit. Each commit's cut carries the list its splits add
+    shared slices to, in the neighbour loop and then in B, so extending
+    dc_many by the lists in commit order gives it the order a split
+    after every commit would.
 
     Each pass's build_sop gets the cubes committed so far as `off`. B
     and the unique dc pool were split by them, so they meet only the
@@ -219,17 +231,14 @@ def _select(
             f"sop= is not absorption-free: cube {i} ({sop.cubes[i]}) "
             "repeats or lies inside another cube"
         )
-    on_index = CubeIndex(n, first.on.cubes) if cfg.drop_dc_only else None
+    # drop_dc_only commits only cubes meeting the on-set; a cube it
+    # drops splits nothing
+    keep = CubeIndex(n, first.on.cubes).overlapping if cfg.drop_dc_only else None
     committed: list[Cube] = []
     # the function the current pass re-minimizes
     todo = first
     dc_once = list(spec.unique.dc.cubes)
     dc_many = list(spec.shared.dc.cubes)
-    # where split reports shared overlap slices: one list per commit
-    # during the loop, dc_many itself while B is split
-    slices = dc_many
-
-    shared = bool(spec.shared_index().cubes)
     # None until pass 1's SOP is known, and on the paths that cannot use it
     care: Cover | None = None
     keep_care = (
@@ -240,33 +249,11 @@ def _select(
     # the care path's refuters: the committed cubes' pieces outside the
     # shared region, which are the committed cubes when it is empty
     outside: list[Cube] = []
-    if shared:
-
-        def split(q: Cube, p: Cube) -> list[Cube] | None:
-            # None: the overlap is shared, so q may stay whole
-            fragments, reusable = partial_break(q, p, spec)
-            slices.extend(reusable)
-            return fragments
-
+    # (fragments, or None when q stays whole, and shared slices)
+    if spec.shared_index().cubes:
+        split = functools.partial(partial_break, spec=spec)
     else:
-        split = disjoint_sharp
-
-    def commit(c: Cube) -> bool:
-        # False: drop_dc_only discards c, which then splits nothing
-        if on_index is not None and not on_index.overlapping(c):
-            return False
-        committed.append(c)
-        return True
-
-    def replay(
-        cuts: list[tuple[Cube, int, list[Cube]]]
-    ) -> Iterator[tuple[Cube, int]]:
-        # each commit's loop slices join dc_many just before its own
-        # B splits add theirs: the order of a split after every commit
-        for p, end, found in cuts:
-            dc_many.extend(found)
-            yield p, end
-
+        split = _sharp
     outer = 0
     while todo.on.cubes:
         outer += 1
@@ -284,17 +271,18 @@ def _select(
         counts: list[int] = []
         weighted = weight_all(sop, index, counts)
         for w in weighted:
-            if w.weight < 0:
-                commit(w.cube)
+            if w.weight < 0 and (keep is None or keep(w.cube)):
+                committed.append(w.cube)
         P = _Pool(index, cfg.variant, cfg.sort, weighted, counts)
         B: list[Cube] = []
         # (p, len(B) after p's neighbour loop, p's slices), commit order
         cuts: list[tuple[Cube, int, list[Cube]]] = []
         while P:
             p = P.pop()
-            if not commit(p):
+            if keep is not None and not keep(p):
                 continue
-            slices = []
+            committed.append(p)
+            found: list[Cube] = []
             # p's neighbours in P; a fragment requeued below is a piece
             # of some q outside p, so it never joins them
             near = P.index.overlapping(p)
@@ -303,29 +291,26 @@ def _select(
                 if qs < 0:
                     break
                 q = P.index.cubes[qs]
-                fragments = split(q, p)
+                fragments, slices = split(q, p)
+                found += slices
                 if fragments is None:
                     # the overlap is shared: q stays whole in P
                     near &= ~(1 << qs)
                     continue
                 P.remove(qs)
                 _apply_opt(q, fragments, P, B)
-            cuts.append((p, len(B), slices))
-        slices = dc_many
-        B = _split_late(n, B, replay(cuts), split)
+            cuts.append((p, len(B), found))
+        B = _split_late(n, B, cuts, split)
+        for _, _, found in cuts:
+            dc_many += found
         if dc_once:
             # every entry predates the pass's first commit
             dc_once = _split_late(
-                n,
-                dc_once,
-                [(c, len(dc_once)) for c in committed[start:]],
-                disjoint_sharp,
+                n, dc_once, [(c, len(dc_once), []) for c in committed[start:]], _sharp
             )
         if care is not None:
             outside += _outside_shared(committed[start:], spec)
-        todo = FunctionSpec(
-            n, Cover(n, tuple(B)), Cover(n, tuple(dc_once + dc_many))
-        )
+        todo = FunctionSpec(n, Cover(n, tuple(B)), Cover(n, tuple(dc_once + dc_many)))
         sop = None
     return Cover(n, tuple(committed))
 

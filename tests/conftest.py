@@ -221,14 +221,15 @@ def pairwise_normalize(cover):
 
 def rescan_subtract(cubes, cuts, split):
     """partial._split_late the way the loop once ran it: after each
-    commit (p, end), the first `end` entries of `cubes` have been
-    appended, and the whole list so far is rescanned by p."""
+    commit (p, end, found), the first `end` entries of `cubes` have been
+    appended, and the whole list so far is rescanned by p, its splits'
+    slices going to `found`."""
     out = []
     born = 0
-    for p, end in cuts:
+    for p, end, found in cuts:
         out.extend(cubes[born:end])
         born = end
-        out = _subtract_all(out, p, split)
+        out = _subtract_all(out, p, split, found)
     return out + cubes[born:]
 
 

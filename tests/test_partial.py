@@ -621,21 +621,24 @@ class TestSplitLate:
         ends = sorted(
             data.draw(st.lists(st.integers(0, len(cubes)), min_size=k, max_size=k))
         )
-        cuts = list(zip(ps, ends))
         spared = data.draw(st.integers(0, 3))
 
         def logged(log):
             def split(q, p):
                 log.append((q, p))
-                # some overlaps keep q whole, as a shared one does
+                # every split reports its overlap as a slice; some keep
+                # q whole, as a shared overlap does
                 if (q.bits + p.bits + q.mask) % 4 < spared:
-                    return None
-                return disjoint_sharp(q, p)
+                    return None, [intersect(q, p)]
+                return disjoint_sharp(q, p), [intersect(q, p)]
 
             return split
 
         want_log, got_log = [], []
-        want = rescan_subtract(cubes, cuts, logged(want_log))
-        got = partial_mod._split_late(n, cubes, iter(cuts), logged(got_log))
+        want_cuts = [(p, end, []) for p, end in zip(ps, ends)]
+        got_cuts = [(p, end, []) for p, end in zip(ps, ends)]
+        want = rescan_subtract(cubes, want_cuts, logged(want_log))
+        got = partial_mod._split_late(n, cubes, got_cuts, logged(got_log))
         assert got == want
         assert got_log == want_log
+        assert [f for _, _, f in got_cuts] == [f for _, _, f in want_cuts]
