@@ -56,10 +56,11 @@ class Cover:
     cubes: tuple[Cube, ...] = ()
 
     def __post_init__(self) -> None:
+        n = self.n
         for c in self.cubes:
-            if c.n != self.n:
+            if c.n != n:
                 raise DimensionMismatch(
-                    f"cover over {self.n} variables given a {c.n}-variable cube"
+                    f"cover over {n} variables given a {c.n}-variable cube"
                 )
 
     @classmethod

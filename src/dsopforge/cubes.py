@@ -10,7 +10,11 @@ Internally a cube stores two integer masks: `mask` has bit i set when
 variable i is bound, and `bits` holds the bound value at those
 positions (zero elsewhere). Intersection, containment and literal
 counting are then word-parallel bit operations. All values are
-immutable; operations return new cubes.
+immutable; operations return new cubes. Building a cube checks its
+width, that its mask lies within the width and its bits within its
+mask, then writes its fields straight to their slots, skipping the
+frozen dataclass's setattr and post-init steps, which cost more than
+the checks themselves in a split loop making cubes by the thousand.
 
 A cube also knows its literals as positions in a table of 2n entries,
 one per (variable, value): `keys`, the set bits of
@@ -44,10 +48,18 @@ class ContractViolation(ValueError):
     """An operation was invoked outside its stated precondition."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Cube:
     """An n-variable product term: bit i of `mask` set iff variable i is
-    bound; `bits` gives the bound values and is a subset of `mask`."""
+    bound; `bits` gives the bound values and is a subset of `mask`.
+
+    Cube(n, mask, bits) checks, in this order, that n >= 0, that mask
+    binds no variable at or past n and that bits lies inside mask,
+    raising ContractViolation otherwise; it then writes the four slots
+    through their descriptors (_set_n and the rest, bound below the
+    class), not through the frozen __setattr__ the dataclass gives.
+    Equality, hashing, repr, pickling and dataclasses.replace, which
+    calls this __init__, are the dataclass's own."""
 
     n: int
     mask: int
@@ -57,14 +69,18 @@ class Cube:
         default=None, init=False, repr=False, compare=False
     )
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ContractViolation(f"negative variable count {self.n}")
-        space = (1 << self.n) - 1
-        if self.mask & ~space:
+    def __init__(self, n: int, mask: int, bits: int) -> None:
+        if n < 0:
+            raise ContractViolation(f"negative variable count {n}")
+        # nonzero iff mask has a bit at or past n, negative masks too
+        if mask >> n:
             raise ContractViolation("mask binds variables beyond n")
-        if self.bits & ~self.mask:
+        if bits & ~mask:
             raise ContractViolation("bits set outside bound positions")
+        _set_n(self, n)
+        _set_mask(self, mask)
+        _set_bits(self, bits)
+        _set_keys(self, None)
 
     @classmethod
     def from_string(cls, trits: str) -> "Cube":
@@ -137,8 +153,16 @@ class Cube:
                         part = _BYTE_KEYS[j | b] = _byte_keys(j | b)
                     keys += part
                 j += 256
-            object.__setattr__(self, "_keys", keys)
+            _set_keys(self, keys)
         return keys
+
+
+# Cube's slot writers: the __set__ of the slot descriptors that
+# dataclass(slots=True) made, which the frozen __setattr__ never sees
+_set_n = Cube.n.__set__  # type: ignore[attr-defined]
+_set_mask = Cube.mask.__set__  # type: ignore[attr-defined]
+_set_bits = Cube.bits.__set__  # type: ignore[attr-defined]
+_set_keys = Cube._keys.__set__  # type: ignore[attr-defined]
 
 
 # Cube.keys's table: (j << 8 | byte) -> the byte's set-bit positions
@@ -189,18 +213,21 @@ def disjoint_sharp(q: Cube, p: Cube) -> list[Cube]:
     value and the current position set to the complement of r's value.
     Exactly literal_count(r) - literal_count(q) fragments result; the
     list is empty iff p contains q. Requires a nonempty intersection.
+
+    r is never built: its bound positions outside q are those of
+    p.mask & ~q.mask, and its value at each of them is p's.
     """
-    r = intersect(q, p)
-    if r is None:
+    _check_same_n(q, p)
+    if (p.mask & q.mask) & (p.bits ^ q.bits):
         raise ContractViolation("disjoint_sharp requires overlapping cubes")
     out: list[Cube] = []
     acc_mask = q.mask
     acc_bits = q.bits
-    todo = r.mask & ~q.mask
+    todo = p.mask & ~q.mask
     while todo:
         b = todo & -todo
         todo ^= b
-        rv = r.bits & b
+        rv = p.bits & b
         # complement r's value at this position, keep earlier ones aligned
         out.append(Cube(q.n, acc_mask | b, acc_bits | (b ^ rv)))
         acc_mask |= b

@@ -27,9 +27,13 @@ Weights never come from a scan over pairs of cubes. A covers.CubeIndex
 holds, for each literal position of Cube.keys, the bitset of the
 cubes having that literal and the bitset of those opposing it. The
 peers of c are then the cubes in none of the opposing bitsets of c's
-keys, and the sum of its common literals with them is one popcount
-per key, so weight_all costs a few bitset operations per cube and
-literal, read off c.keys with no scan of c's mask. A pass builds one
+keys. Overlapping cubes agree wherever both are bound, so the common
+literals of c and a peer t are the variables both bind, and their sum
+over the peers has two equal forms: one popcount per key k of c,
+(peers & alike[k]), or one per peer, (c.mask & t.mask). _weigh takes
+the one with fewer terms, so weight_all costs a few bitset operations
+per cube and literal, read off c.keys, and less for the many cubes
+with fewer peers than literals. A pass builds one
 such index over its SOP: weight_all reads it, and P (_Pool) then
 holds it, with the isolated cubes' slots discarded. Under the
 variants that publish fresh weights (2, 4 and 5), P also keeps a
@@ -75,10 +79,21 @@ class ProgressError(RuntimeError):
     """The outer loop exceeded its iteration budget without converging."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class WeightedCube:
+    """A cube and its weight. Like Cube, it writes its slots through
+    their descriptors, not through the frozen __setattr__."""
+
     cube: Cube
     weight: int
+
+    def __init__(self, cube: Cube, weight: int) -> None:
+        _set_cube(self, cube)
+        _set_weight(self, weight)
+
+
+_set_cube = WeightedCube.cube.__set__  # type: ignore[attr-defined]
+_set_weight = WeightedCube.weight.__set__  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,19 +127,31 @@ def _weigh(index: CubeIndex, s: int) -> tuple[int, int]:
     cubes it overlaps, count being how many there are.
 
     Two overlapping cubes agree wherever both are bound, so their common
-    literals are the variables both bind: summed over the peers that is
-    one popcount per literal of the cube, against the slots sharing it.
+    literals are the variables both bind, (cm & tm).bit_count() for
+    masks cm and tm. Summed over the peers that is either one such
+    popcount per peer, or one popcount per literal of the cube, against
+    the peers sharing it; both count each (peer, shared variable) pair
+    once. The shorter of the two loops runs: most cubes have fewer
+    peers than literals, many of them none.
     """
-    keys = index.cubes[s].keys
-    opp, alike = index.opp, index.alike
+    cubes = index.cubes
+    c = cubes[s]
+    keys = c.keys
+    opp = index.opp
     against = 0
     for k in keys:
         against |= opp[k]
     peers = index.live & ~against & ~(1 << s)
-    common = 0
-    for k in keys:
-        common += (peers & alike[k]).bit_count()
     count = peers.bit_count()
+    common = 0
+    if count < len(keys):
+        cm = c.mask
+        for t in slots_of(peers):
+            common += (cm & cubes[t].mask).bit_count()
+    else:
+        alike = index.alike
+        for k in keys:
+            common += (peers & alike[k]).bit_count()
     return count * (len(keys) - 1) - common, count
 
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 import random
 import sys
@@ -14,6 +15,7 @@ from dsopforge import (
     ContractViolation,
     Cube,
     DimensionMismatch,
+    WeightedCube,
     chain_family,
     contains,
     disjoint_sharp,
@@ -68,6 +70,62 @@ class TestConstruction:
     @given(cubes_st(max_n=10))
     def test_literal_count_plus_dimension_is_n(self, p):
         assert p.literal_count + p.dimension == p.n
+
+
+class TestConstructionContract:
+    """Cube's own __init__ keeps the checks and the frozen fields a
+    generated dataclass __init__ with __post_init__ gave."""
+
+    @pytest.mark.parametrize("name", ["n", "mask", "bits", "_keys"])
+    def test_fields_are_frozen(self, name):
+        p = c("01-")
+        p.keys
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, 0)
+        assert p == c("01-") and p.keys == (0, 4)
+
+    @pytest.mark.parametrize(
+        "n, mask, bits, message",
+        [
+            (-1, 0, 0, "negative variable count -1"),
+            # the width is checked first, whatever mask and bits hold
+            (-2, 0b100, 0b1000, "negative variable count -2"),
+            (2, 0b100, 0, "mask binds variables beyond n"),
+            (0, 1, 0, "mask binds variables beyond n"),
+            (2, -1, 0, "mask binds variables beyond n"),
+            (3, -8, 0, "mask binds variables beyond n"),
+            # the mask is checked before the bits
+            (2, 0b100, 0b1000, "mask binds variables beyond n"),
+            (2, 0b01, 0b10, "bits set outside bound positions"),
+            (3, 0b011, -1, "bits set outside bound positions"),
+        ],
+    )
+    def test_each_check_fires_with_its_message(self, n, mask, bits, message):
+        with pytest.raises(ContractViolation) as info:
+            Cube(n, mask, bits)
+        assert str(info.value) == message
+
+    def test_replace_validates(self):
+        p = c("01--")
+        assert dataclasses.replace(p, bits=0) == c("00--")
+        assert dataclasses.replace(p, n=6).to_string() == "01----"
+        with pytest.raises(ContractViolation, match="bits set outside"):
+            dataclasses.replace(p, bits=0b100)
+        with pytest.raises(ContractViolation, match="mask binds"):
+            dataclasses.replace(p, n=1)
+
+    def test_weighted_cube_is_frozen_and_compares_by_value(self):
+        w = WeightedCube(c("01-"), 2)
+        assert (w.cube, w.weight) == (c("01-"), 2)
+        assert w == WeightedCube(c("01-"), 2) and hash(w) == hash(
+            WeightedCube(c("01-"), 2)
+        )
+        assert w != WeightedCube(c("01-"), 3) and w != WeightedCube(c("00-"), 2)
+        assert WeightedCube(cube=c("1"), weight=-1).weight == -1
+        for name in ("cube", "weight"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(w, name, None)
+        assert pickle.loads(pickle.dumps(w)) == w == copy.deepcopy(w)
 
 
 def loop_to_string(p):

@@ -77,6 +77,44 @@ class TestWeights:
             )
             assert (w.weight == -1) == alone
 
+    def test_both_peer_sums_match_the_pairwise_reference(self):
+        # _weigh sums common literals per peer when a cube has fewer
+        # peers than literals and per literal otherwise; these covers
+        # reach both sums, the per-peer one with zero, one and three peers
+        branches = set()
+        for cover in (
+            # 1--- and 11-- overlap more cubes than they bind; 001- and
+            # 0-11 have one peer each; 0000 and 01-0 none
+            cov("1---", "11--", "1-1-", "1--1", "001-", "0-11", "0000", "01-0"),
+            # 0011- and 0-111 three peers each, fewer than their four
+            # literals; ----- binds nothing and overlaps every cube
+            cov("0-1-1", "0011-", "0-111", "-----", "1-00-"),
+        ):
+            cubes = list(cover.cubes)
+            index = CubeIndex(cover.n, cubes)
+            for s, x in enumerate(cubes):
+                total, count = _weigh(index, s)
+                assert (total if count else -1) == pairwise_weight(cubes, s), x
+                assert count == sum(
+                    intersect(x, d) is not None for d in cubes if d is not x
+                )
+                branches.add((count < x.literal_count, min(count, 2)))
+        assert {(True, 0), (True, 1), (True, 2), (False, 2)} <= branches
+
+    @pytest.mark.parametrize("variant", [4, 5])
+    def test_push_weighs_the_new_slot_against_live_p(self, variant):
+        # P.push weighs the cube it adds by _weigh over the live slots
+        P = pool(variant, ("1---", 0), ("11--", 0), ("1-1-", 0), ("001-", 0))
+        P.remove(1)
+        for s, peers in (("1--1", 2), ("0-11", 1), ("0011", 2), ("0000", 0)):
+            P.push(c(s))
+            t = len(P.index.cubes) - 1
+            live = list(slots_of(P.index.live))
+            cubes = [P.index.cubes[u] for u in live]
+            want = pairwise_weight(cubes, live.index(t))
+            assert P.count[t] == peers
+            assert (P.total[t] if peers else -1) == want, s
+
     def test_mixed_widths_raise(self):
         # one index spans one width; a 2-variable cube cannot meet a
         # 3-variable one, so no weight could be consistent
