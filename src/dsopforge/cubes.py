@@ -17,13 +17,14 @@ frozen dataclass's setattr and post-init steps, which cost more than
 the checks themselves in a split loop making cubes by the thousand.
 
 A cube also knows its literals as positions in a table of 2n entries,
-one per (variable, value): `keys`, the set bits of
-(mask & ~bits) | bits << n. They are read on first use, a byte of that
-word at a time, from a shared table mapping (byte index j, nonzero
-byte value) to the byte's set-bit positions plus 8j, and kept, outside
-equality, hashing and repr, so the cube indexes (covers.CubeIndex) and
-weights that ask about a cube many times never look its literals up
-again. The table holds only the (j, byte) pairs some cube has used.
+one per (variable, value), v for the literal v=0 and n + v for v=1:
+`keys`, the set bits of (mask & ~bits) | bits << n, ascending. They
+are found when the cube is made, a byte of that word at a time, from
+a shared table mapping (byte index j, nonzero byte value) to the
+byte's set-bit positions plus 8j, and kept in a field outside
+equality, hashing and repr, so the cube indexes (covers.CubeIndex)
+and weights that ask about a cube many times read a slot. The table
+holds only the (j, byte) pairs some cube has used.
 """
 
 from __future__ import annotations
@@ -55,19 +56,18 @@ class Cube:
 
     Cube(n, mask, bits) checks, in this order, that n >= 0, that mask
     binds no variable at or past n and that bits lies inside mask,
-    raising ContractViolation otherwise; it then writes the four slots
-    through their descriptors (_set_n and the rest, bound below the
-    class), not through the frozen __setattr__ the dataclass gives.
-    Equality, hashing, repr, pickling and dataclasses.replace, which
-    calls this __init__, are the dataclass's own."""
+    raising ContractViolation otherwise; it then joins `keys` from the
+    shared table _BYTE_KEYS, one nonzero byte of the literal word at a
+    time, and writes the four slots through their descriptors (_set_n
+    and the rest, bound below the class), not through the frozen
+    __setattr__ the dataclass gives. Equality, hashing, repr, pickling
+    and dataclasses.replace, which calls this __init__, are the
+    dataclass's own."""
 
     n: int
     mask: int
     bits: int
-    # the literal positions, filled on first read of `keys`
-    _keys: tuple[int, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    keys: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, n: int, mask: int, bits: int) -> None:
         if n < 0:
@@ -80,7 +80,17 @@ class Cube:
         _set_n(self, n)
         _set_mask(self, mask)
         _set_bits(self, bits)
-        _set_keys(self, None)
+        word = (mask & ~bits) | bits << n
+        keys: tuple[int, ...] = ()
+        j = 0  # the byte's index, shifted left by 8
+        for b in word.to_bytes((2 * n + 7) >> 3, "little"):
+            if b:
+                part = _BYTE_KEYS.get(j | b)
+                if part is None:
+                    part = _BYTE_KEYS[j | b] = _byte_keys(j | b)
+                keys += part
+            j += 256
+        _set_keys(self, keys)
 
     @classmethod
     def from_string(cls, trits: str) -> "Cube":
@@ -133,40 +143,17 @@ class Cube:
         """Number of free variables; the cube covers 2**dimension points."""
         return self.n - self.mask.bit_count()
 
-    @property
-    def keys(self) -> tuple[int, ...]:
-        """The positions of the literals in a table of 2n entries, one
-        per (variable, value), ascending: v for the literal v=0, n + v
-        for v=1. They are the set bits of (mask & ~bits) | bits << n,
-        joined from _BYTE_KEYS one nonzero byte of that word at a time,
-        found once and kept for the cube's lifetime."""
-        keys = self._keys
-        if keys is None:
-            n = self.n
-            word = (self.mask & ~self.bits) | self.bits << n
-            keys = ()
-            j = 0  # the byte's index, shifted left by 8
-            for b in word.to_bytes((2 * n + 7) >> 3, "little"):
-                if b:
-                    part = _BYTE_KEYS.get(j | b)
-                    if part is None:
-                        part = _BYTE_KEYS[j | b] = _byte_keys(j | b)
-                    keys += part
-                j += 256
-            _set_keys(self, keys)
-        return keys
-
 
 # Cube's slot writers: the __set__ of the slot descriptors that
 # dataclass(slots=True) made, which the frozen __setattr__ never sees
 _set_n = Cube.n.__set__  # type: ignore[attr-defined]
 _set_mask = Cube.mask.__set__  # type: ignore[attr-defined]
 _set_bits = Cube.bits.__set__  # type: ignore[attr-defined]
-_set_keys = Cube._keys.__set__  # type: ignore[attr-defined]
+_set_keys = Cube.keys.__set__  # type: ignore[attr-defined]
 
 
 # Cube.keys's table: (j << 8 | byte) -> the byte's set-bit positions
-# plus 8j, filled as cubes use the entries. An entry depends on its own
+# plus 8j, filled as the cubes made use the entries. An entry depends on its own
 # key alone, so threads racing to fill one store equal tuples.
 _BYTE_KEYS: dict[int, tuple[int, ...]] = {}
 

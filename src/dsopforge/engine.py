@@ -43,10 +43,10 @@ its neighbours' sums, and P's weights are published from those sums,
 never recomputed from scratch.
 
 P is never re-sorted either. Its selection order is a heap keyed by
-literal count, published weight and tie key, sorted once when the
-pass builds P; a publish reads only the cubes whose sums moved since
-the last one, and pushes a new key only for a cube whose weight
-changed.
+literal count, published weight and the trit string, which breaks
+full ties, sorted once when the pass builds P; a publish reads only
+the cubes whose sums moved since the last one, and pushes a new key
+only for a cube whose weight changed.
 """
 
 from __future__ import annotations
@@ -108,18 +108,6 @@ class DsopConfig:
             raise ValueError(f"variant must be 1..5, got {self.variant}")
         if self.sort not in SORT_POLICIES:
             raise ValueError(f"unknown sort policy {self.sort!r}")
-
-
-def _tie_key(c: Cube) -> int:
-    """An int ordering cubes of one width as their trit strings do.
-
-    Read character i of the string as the base-4 digit mask_i + bits_i
-    ('-' 0, '0' 1, '1' 2), character 0 the most significant; the
-    numbers then compare as the strings do, at a fraction of the cost
-    of building them.
-    """
-    spec = f"0{c.n}b"
-    return int(format(c.mask, spec)[::-1], 4) + int(format(c.bits, spec)[::-1], 4)
 
 
 def _weigh(index: CubeIndex, s: int) -> tuple[int, int]:
@@ -191,19 +179,19 @@ def weight_all(
 
 
 def sort_cubes(
-    weighted: Iterable[WeightedCube], policy: str, ties: list[int] | None = None
+    weighted: Iterable[WeightedCube], policy: str, ties: list[str] | None = None
 ) -> list[WeightedCube]:
     """Order for selection: dimension_weight prefers big then light cubes,
     weight_dimension prefers light then big. Full ties break on the
     ascending trit string, so the order is deterministic.
 
-    `ties`, when given, is extended by each cube's tie-break key
-    (_tie_key), in input order, so a caller that needs them again
-    (the pool, whose heap keys hold them) does not recompute them."""
+    `ties`, when given, is extended by each cube's trit string, its
+    tie-break key, in input order, so a caller that needs them again
+    (the pool, whose heap keys hold them) does not rebuild them."""
     if policy not in SORT_POLICIES:
         raise ValueError(f"unknown sort policy {policy!r}")
     weighted = list(weighted)
-    tie = [_tie_key(w.cube) for w in weighted]
+    tie = [w.cube.to_string() for w in weighted]
     if ties is not None:
         ties.extend(tie)
     if policy == SORT_DIMENSION_WEIGHT:
@@ -213,9 +201,9 @@ def sort_cubes(
     return [weighted[i] for i in sorted(range(len(weighted)), key=keys.__getitem__)]
 
 
-# a slot's place in P's selection order: (literal count, weight, tie
-# key, slot) or (weight, literal count, tie key, slot)
-_Key = tuple[int, int, int, int]
+# a slot's place in P's selection order: (literal count, weight, trit
+# string, slot) or (weight, literal count, trit string, slot)
+_Key = tuple[int, int, str, int]
 
 
 class _Pool:
@@ -227,15 +215,15 @@ class _Pool:
     answers "which cubes of P overlap c" without scanning P.
 
     The selection order lives in a min-heap of keys: (literal count,
-    published weight, tie key, slot) under dimension_weight, (weight,
-    literal count, tie key, slot) under weight_dimension. `key[s]` is
-    slot s's current key, None once it left P (and from the start for
-    an isolated slot). A slot whose published weight changes gets a new
-    key pushed; entries that are no longer their slot's key are skipped
-    when popped, so P is never re-sorted. The first three fields tie
-    only for equal cubes (v4/v5 pushes can make them), and equal cubes
-    carry equal weights, so the slot breaks those ties in the order they
-    entered P.
+    published weight, trit string, slot) under dimension_weight,
+    (weight, literal count, trit string, slot) under weight_dimension.
+    `key[s]` is slot s's current key, None once it left P (and from the
+    start for an isolated slot). A slot whose published weight changes
+    gets a new key pushed; entries that are no longer their slot's key
+    are skipped when popped, so P is never re-sorted. The first three
+    fields tie only for equal cubes (v4/v5 pushes can make them), and
+    equal cubes carry equal weights, so the slot breaks those ties in
+    the order they entered P.
 
     Variants 2, 4 and 5 publish fresh weights, so under them every cube
     of P also keeps a running (total, count) over its overlapping peers
@@ -263,9 +251,9 @@ class _Pool:
         self.index = index
         self.dw = sort == SORT_DIMENSION_WEIGHT
         members = [s for s, w in enumerate(weighted) if w.weight >= 0]
-        ties: list[int] = []
+        ties: list[str] = []
         ranked = sort_cubes([weighted[s] for s in members], sort, ties)
-        # the slot and tie key of each member, by identity
+        # the slot and trit string of each member, by identity
         found = {id(weighted[s]): (s, t) for s, t in zip(members, ties)}
         self.key: list[_Key | None] = [None] * len(weighted)
         self.heap: list[_Key] = []
@@ -329,7 +317,7 @@ class _Pool:
         """Add c to P, published weight 0 until the next publish."""
         s = self.index.add(c)
         self.weight.append(0)
-        lits, tie = c.literal_count, _tie_key(c)
+        lits, tie = c.literal_count, c.to_string()
         k = (lits, 0, tie, s) if self.dw else (0, lits, tie, s)
         self.key.append(k)
         heappush(self.heap, k)
@@ -407,7 +395,7 @@ def _apply_opt(q: Cube, fragments: list[Cube], P: _Pool, B: list[Cube]) -> None:
     elif variant == 5 and fragments:
         bi = min(
             range(len(fragments)),
-            key=lambda k: (-fragments[k].dimension, _tie_key(fragments[k])),
+            key=lambda k: (-fragments[k].dimension, fragments[k].to_string()),
         )
         P.push(fragments[bi])
         B.extend(fragments[:bi] + fragments[bi + 1 :])

@@ -29,6 +29,11 @@ neighbour loop and then those of its B splits, and the lists join the
 dc pool in commit order once B is split: the order a split after every
 commit would give.
 
+Every pass's build_sop gets one list of refuters, `off`, which each
+pass extends by its commits: as they are, or on the care path (see
+_select) cut by the shared cubes they meet, by one more _split_late
+with the shared cubes in the place of the commits.
+
 The loop has no mode: the don't-care rule rides on `first`, the
 function pass 1 re-minimizes. Later passes keep the unique dc points
 no committed cube has claimed, plus shared dc and the slices
@@ -125,20 +130,6 @@ def _subtract_all(cubes: list[Cube], p: Cube, split, found: list[Cube]) -> list[
     return out
 
 
-def _outside_shared(cubes: Iterable[Cube], spec: PartialSpec) -> list[Cube]:
-    """The pieces of `cubes` outside the shared region: each cube
-    sharped by the shared cubes spec.shared_index() says it meets, in
-    slot order. A cube meeting none is its own piece."""
-    index = spec.shared_index()
-    out: list[Cube] = []
-    for c in cubes:
-        pieces = [c]
-        for s in slots_of(index.overlapping(c)):
-            pieces = _subtract_all(pieces, index.cubes[s], _sharp, [])
-        out.extend(pieces)
-    return out
-
-
 def _split_late(
     n: int, cubes: list[Cube], cuts: Iterable[tuple[Cube, int, list[Cube]]], split
 ) -> list[Cube]:
@@ -193,9 +184,9 @@ def _select(
     cubes plus those of U = spec.unique.dc (empty for dsop) and of
     D = spec.shared.dc (empty for dsop and an empty shared region).
     Their `off` is R_i, the pieces of C_i, the cubes committed in
-    passes 1..i, outside every shared cube (_outside_shared), so R_i is
-    C_i minus D; with no shared region the pieces are the cubes. The
-    invariant: the on+dc of pass i+1 is care minus C_i, plus D.
+    passes 1..i, outside every shared cube: each pass cuts its commits
+    by the shared cubes they meet (_split_late), so R_i is C_i minus D.
+    The invariant: the on+dc of pass i+1 is care minus C_i, plus D.
 
     - A pass commits, splits or keeps whole every cube q of its SOP S:
       a split piece is q minus the committed p, and q stays whole only
@@ -246,21 +237,18 @@ def _select(
         and not cfg.drop_dc_only
         and cfg.backend.kind == "builtin"
     )
-    # the care path's refuters: the committed cubes' pieces outside the
-    # shared region, which are the committed cubes when it is empty
-    outside: list[Cube] = []
+    # every build_sop's refuters: the committed cubes, or on the care
+    # path their pieces outside the shared region
+    off: list[Cube] = []
+    shared = spec.shared_index().cubes
     # (fragments, or None when q stays whole, and shared slices)
-    if spec.shared_index().cubes:
-        split = functools.partial(partial_break, spec=spec)
-    else:
-        split = _sharp
+    split = functools.partial(partial_break, spec=spec) if shared else _sharp
     outer = 0
     while todo.on.cubes:
         outer += 1
         if outer > _MAX_PASSES:
             raise ProgressError(f"no convergence after {_MAX_PASSES} passes")
         if sop is None:
-            off = committed if care is None else outside
             sop = build_sop(todo, cfg.backend, off=off, care=care)
         if keep_care and care is None:
             care = Cover(n, sop.cubes + spec.unique.dc.cubes + spec.shared.dc.cubes)
@@ -303,13 +291,15 @@ def _select(
         B = _split_late(n, B, cuts, split)
         for _, _, found in cuts:
             dc_many += found
+        fresh = committed[start:]
         if dc_once:
             # every entry predates the pass's first commit
             dc_once = _split_late(
-                n, dc_once, [(c, len(dc_once), []) for c in committed[start:]], _sharp
+                n, dc_once, [(c, len(dc_once), []) for c in fresh], _sharp
             )
-        if care is not None:
-            outside += _outside_shared(committed[start:], spec)
+        if care is not None and shared:
+            fresh = _split_late(n, fresh, [(s, len(fresh), []) for s in shared], _sharp)
+        off += fresh
         todo = FunctionSpec(n, Cover(n, tuple(B)), Cover(n, tuple(dc_once + dc_many)))
         sop = None
     return Cover(n, tuple(committed))

@@ -76,10 +76,9 @@ class TestConstructionContract:
     """Cube's own __init__ keeps the checks and the frozen fields a
     generated dataclass __init__ with __post_init__ gave."""
 
-    @pytest.mark.parametrize("name", ["n", "mask", "bits", "_keys"])
+    @pytest.mark.parametrize("name", ["n", "mask", "bits", "keys"])
     def test_fields_are_frozen(self, name):
         p = c("01-")
-        p.keys
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(p, name, 0)
         assert p == c("01-") and p.keys == (0, 4)
@@ -206,8 +205,9 @@ class TestKeys:
 
     def test_threads_racing_on_first_use_read_equal_entries(self, monkeypatch):
         # an empty table and widths no cube had before: every thread
-        # fills the same entries at once, and each must store what its
-        # own (byte index, byte) gives, whatever the others stored
+        # makes its own batch of cubes, so all fill the same entries at
+        # once, and each must store what its own (byte index, byte)
+        # gives, whatever the others stored
         monkeypatch.setattr(cubes_mod, "_BYTE_KEYS", {})
         rng = random.Random(4711)
         work = []
@@ -215,12 +215,12 @@ class TestKeys:
             batch = []
             for n in (2500, 2501, 2600, 3000):
                 mask = rng.getrandbits(n)
-                batch.append(Cube(n, mask, rng.getrandbits(n) & mask))
+                batch.append((n, mask, rng.getrandbits(n) & mask))
             work.append(batch)
         got = [None] * len(work)
 
         def read(i):
-            got[i] = [p.keys for p in work[i]]
+            got[i] = [Cube(*args).keys for args in work[i]]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -234,24 +234,32 @@ class TestKeys:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         for batch, keys in zip(work, got):
-            assert keys == [reference_keys(p) for p in batch]
+            assert keys == [reference_keys(Cube(*args)) for args in batch]
 
     def test_table_grows_with_the_entries_used(self, monkeypatch):
         # the 1000-input chain's cubes each use one (byte index, byte)
         # pair: 500 entries, not the 256 per byte index of a full table
         # (256 * 250 entries, over 500 KiB in pointers alone)
-        cubes = [Cube(p.n, p.mask, p.bits) for p in chain_family(500).on.cubes]
+        # The table's growth is what making the cubes takes with it empty
+        # less what making them again takes with it full.
+        chain = [(p.n, p.mask, p.bits) for p in chain_family(500).on.cubes]
         table = {}
         monkeypatch.setattr(cubes_mod, "_BYTE_KEYS", table)
-        tracemalloc.start()
-        try:
-            for p in cubes:
-                p.keys
-            used, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        def make():
+            tracemalloc.start()
+            try:
+                cubes = [Cube(*args) for args in chain]
+                used, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return cubes, used
+
+        cubes, first = make()
         assert len(table) == 500
-        assert used < 160 * 1024
+        _, again = make()
+        assert len(table) == 500
+        assert first - again < 160 * 1024
         assert all(p.keys == reference_keys(p) for p in cubes)
 
     @given(cubes_st(max_n=70))

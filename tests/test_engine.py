@@ -39,10 +39,9 @@ from dsopforge import (
     verify_dsop,
     weight_all,
 )
-from dsopforge import engine as engine_mod
 from dsopforge import partial as partial_mod
 from dsopforge.covers import CubeIndex, slots_of
-from dsopforge.engine import _apply_opt, _Pool, _tie_key, _weigh
+from dsopforge.engine import _apply_opt, _Pool, _weigh
 
 
 def c(s):
@@ -213,10 +212,22 @@ class TestSort:
         out = sort_cubes(weighted, SORT_DIMENSION_WEIGHT)
         assert [w.cube.to_string() for w in out] == ["0-0-", "1-1-"]
 
-    @given(crowded_covers_st(max_cubes=12))
-    def test_tie_key_orders_as_the_trit_string(self, cover):
-        cubes = list(cover.cubes)
-        assert sorted(cubes, key=_tie_key) == sorted(cubes, key=Cube.to_string)
+    @given(
+        crowded_covers_st(max_n=5, max_cubes=12),
+        st.lists(st.integers(0, 1), min_size=12, max_size=12),
+    )
+    def test_tie_key_orders_as_the_trit_string(self, cover, weights):
+        # full ties, equal weight and dimension, come out in ascending
+        # to_string() order under both policies, wherever the input
+        # put them
+        weighted = [WeightedCube(x, w) for x, w in zip(cover.cubes, weights)]
+        for sort in (SORT_DIMENSION_WEIGHT, SORT_WEIGHT_DIMENSION):
+            groups = {}
+            for w in sort_cubes(weighted, sort):
+                tie = (w.weight, w.cube.dimension)
+                groups.setdefault(tie, []).append(w.cube.to_string())
+            for strings in groups.values():
+                assert strings == sorted(strings)
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
@@ -227,7 +238,7 @@ class TestSort:
         weighted = weight_all(cover)
         ties = [7]
         out = sort_cubes(weighted, SORT_WEIGHT_DIMENSION, ties)
-        assert ties == [7] + [_tie_key(w.cube) for w in weighted]
+        assert ties == [7] + [w.cube.to_string() for w in weighted]
         assert out == sort_cubes(weighted, SORT_WEIGHT_DIMENSION)
 
 
@@ -266,13 +277,15 @@ class TestPool:
     @pytest.mark.parametrize("variant", [1, 2, 3])
     def test_tie_key_runs_once_per_cube_of_p_in_a_pass(self, monkeypatch, variant):
         # under these variants no cube enters P after it is built, so
-        # every tie key a pass needs is computed while P is built: one
-        # for each cube of P, whether or not P re-keys cubes later (v2)
+        # every trit string a pass breaks ties on is built while P is
+        # built: one for each cube of P, whether or not P re-keys cubes
+        # later (v2)
         calls = []
+        to_string = Cube.to_string
 
         def counted(x):
             calls.append(x)
-            return _tie_key(x)
+            return to_string(x)
 
         members = []
 
@@ -283,7 +296,7 @@ class TestPool:
                 members.append(sum(w.weight >= 0 for w in weighted))
                 assert len(calls) - before == members[-1]
 
-        monkeypatch.setattr(engine_mod, "_tie_key", counted)
+        monkeypatch.setattr(Cube, "to_string", counted)
         monkeypatch.setattr(partial_mod, "_Pool", Counted)
         rng = random.Random(25140)
         f = FunctionSpec(12, rand_cover(rng, 12, 60, bind=0.6))
@@ -302,8 +315,8 @@ def entries(P):
 class ReferencePool:
     """_Pool as it was before it kept a heap, kept as an oracle: an
     order list that every publish re-sorts whole, stably, by
-    (literal count, weight, tie key) or (weight, literal count, tie
-    key), with dead slots skipped through `rank`."""
+    (literal count, weight, trit string) or (weight, literal count,
+    trit string), with dead slots skipped through `rank`."""
 
     def __init__(self, index, variant, sort, weighted, counts):
         self.variant = variant
@@ -325,7 +338,7 @@ class ReferencePool:
         self.lits, self.tie, self.total, self.count = [], [], [], []
         if self.track:
             self.lits = [x.literal_count for x in index.cubes]
-            self.tie = [0] * len(weighted)
+            self.tie = [""] * len(weighted)
             for w, t in zip(members, ties):
                 self.tie[slot[id(w)]] = t
             self.count = list(counts)
@@ -368,7 +381,7 @@ class ReferencePool:
         self.weight.append(0)
         if self.track:
             self.lits.append(x.literal_count)
-            self.tie.append(_tie_key(x))
+            self.tie.append(x.to_string())
             total, count = _weigh(self.index, s)
             self.total.append(total)
             self.count.append(count)
@@ -423,7 +436,7 @@ def reference_apply_opt(q, fragments, P, B):
     elif variant == 5 and fragments:
         bi = min(
             range(len(fragments)),
-            key=lambda k: (-fragments[k].dimension, _tie_key(fragments[k])),
+            key=lambda k: (-fragments[k].dimension, fragments[k].to_string()),
         )
         P.push(fragments[bi])
         B.extend(fragments[:bi] + fragments[bi + 1 :])
