@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .cubes import Cube, DimensionMismatch
+from .cubes import Cube, DimensionMismatch, trit_strings
 
 __all__ = [
     "Cover",
@@ -73,7 +73,7 @@ class Cover:
         return cls(n, ())
 
     def to_strings(self) -> list[str]:
-        return [c.to_string() for c in self.cubes]
+        return trit_strings(self.cubes)
 
     def __len__(self) -> int:
         return len(self.cubes)
@@ -210,8 +210,10 @@ class CubeIndex:
     cube: the cubes sharing a point with c are the live slots in no
     opp[k] of c's literals, and the cubes inside c those in every
     alike[k] of them. Slots are never reused, and a discarded slot
-    keeps its literal bits; queries mask with `live`. Every cube
-    queried or added must be n variables wide.
+    keeps its literal bits. Every cube queried or added must be n
+    variables wide. overlapping(c) answers the first question over the
+    live slots; inside(c, slots), its dual, answers the second over the
+    slots the caller names, so a caller masks with `live` when it must.
 
     The constructor builds the bitsets by one transposition, with no
     step per literal: each cube's (mask & ~bits) | bits << n, whose
@@ -276,6 +278,17 @@ class CubeIndex:
             against |= opp[k]
         return self.live & ~against
 
+    def inside(self, c: Cube, slots: int) -> int:
+        """The slots in bitset `slots` whose cube lies inside c (c's
+        own slot too, when c is indexed and named): those having every
+        literal of c. Live or not, a slot is answered as named."""
+        alike = self.alike
+        for k in c.keys:
+            slots &= alike[k]
+            if not slots:
+                break
+        return slots
+
 
 def normalize(cover: Cover) -> Cover:
     """Drop duplicate cubes and cubes contained in another cube.
@@ -286,29 +299,23 @@ def normalize(cover: Cover) -> Cover:
 
     The question is asked of each cube's contents, not of its
     containers. dict.fromkeys first drops every later copy of a cube,
-    keeping the order. A CubeIndex over the distinct cubes then gives
-    each literal k its bitset alike[k]. For each cube j, the AND of
-    alike[k] over j's literals, j.keys, starting from every slot but
-    j's and stopping once it is empty, is the set of the other cubes j
-    contains, and they go. No pair of cubes is tested. This is exact:
-    c lies inside j exactly when every literal of j is a literal of c,
-    which holds exactly when c's slot is in alike[k] for each k in
-    j.keys. With the duplicates gone, every such c other than j is
-    strictly inside j, so c goes wherever it sits: of equal cubes the
-    earliest stays, and a strictly larger cube absorbs from any
-    position.
+    keeping the order. A CubeIndex over the distinct cubes then
+    answers, for each cube j, which of the other cubes lie inside it:
+    inside(j, every slot but j's), the AND of alike[k] over j's
+    literals, j.keys, stopping once it is empty. Those cubes go. No
+    pair of cubes is tested. This is exact: c lies inside j exactly
+    when every literal of j is a literal of c, which holds exactly when
+    c's slot is in alike[k] for each k in j.keys. With the duplicates
+    gone, every such c other than j is strictly inside j, so c goes
+    wherever it sits: of equal cubes the earliest stays, and a strictly
+    larger cube absorbs from any position.
     """
     cubes = list(dict.fromkeys(cover.cubes))
-    alike = CubeIndex(cover.n, cubes).alike
+    inside = CubeIndex(cover.n, cubes).inside
     every = (1 << len(cubes)) - 1
     absorbed = 0
     for j, c in enumerate(cubes):
-        inside = every ^ (1 << j)
-        for k in c.keys:
-            inside &= alike[k]
-            if not inside:
-                break
-        absorbed |= inside
+        absorbed |= inside(c, every ^ (1 << j))
     if absorbed:
         # reversed, the binary string has bit j at index j
         gone = format(absorbed, f"0{len(cubes)}b")[::-1]

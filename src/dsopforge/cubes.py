@@ -30,6 +30,7 @@ holds only the (j, byte) pairs some cube has used.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 __all__ = [
     "Cube",
@@ -38,6 +39,7 @@ __all__ = [
     "intersect",
     "contains",
     "disjoint_sharp",
+    "trit_strings",
 ]
 
 
@@ -94,22 +96,19 @@ class Cube:
 
     @classmethod
     def from_string(cls, trits: str) -> "Cube":
-        """Build a cube from a trit string such as "01--"."""
+        """Build a cube from a trit string such as "01--".
+
+        Reversed, the string lists variable n-1 first, so translating
+        it to binary digits spells mask and bits for int(..., 2)."""
         if not trits:
             raise ValueError("empty trit string")
-        mask = 0
-        bits = 0
-        for i, ch in enumerate(trits):
-            if ch == "-":
-                continue
-            if ch == "0":
-                mask |= 1 << i
-            elif ch == "1":
-                mask |= 1 << i
-                bits |= 1 << i
-            else:
-                raise ValueError(f"invalid trit {ch!r} at position {i}")
-        return cls(len(trits), mask, bits)
+        if trits.strip("-01"):
+            i = len(trits) - len(trits.lstrip("-01"))
+            raise ValueError(f"invalid trit {trits[i]!r} at position {i}")
+        rev = trits[::-1]
+        return cls(
+            len(trits), int(rev.translate(_MASK), 2), int(rev.translate(_BITS), 2)
+        )
 
     @classmethod
     def universe(cls, n: int) -> "Cube":
@@ -117,15 +116,7 @@ class Cube:
         return cls(n, 0, 0)
 
     def to_string(self) -> str:
-        # the ASCII digits of mask and bits, added as big integers, give
-        # one byte per variable: 0x60 free, 0x61 for '0', 0x62 for '1'
-        n = self.n
-        if not n:
-            return ""
-        spec = f"0{n}b"
-        x = int.from_bytes(format(self.mask, spec).encode(), "big")
-        x += int.from_bytes(format(self.bits, spec).encode(), "big")
-        return x.to_bytes(n, "little").translate(_TRITS).decode()
+        return trit_strings((self,))[0]
 
     def __str__(self) -> str:
         return self.to_string()
@@ -163,8 +154,39 @@ def _byte_keys(jb: int) -> tuple[int, ...]:
     return tuple(base + i for i in range(8) if jb >> i & 1)
 
 
-# to_string's byte sums to trits
+# from_string's trits to the binary digits of mask and of bits
+_MASK = str.maketrans("-01", "011")
+_BITS = str.maketrans("-01", "001")
+
+# trit_strings' byte sums to trits
 _TRITS = bytes.maketrans(b"`ab", b"-01")
+
+
+def trit_strings(cubes: Sequence[Cube]) -> list[str]:
+    """The trit strings of `cubes`, in order, rendered together.
+
+    The cubes' masks, as n-digit binary strings, are joined last cube
+    first, and so are their bits. The ASCII digits of the two, added as
+    big integers, give one byte per variable, 0x60 free, 0x61 for '0'
+    and 0x62 for '1', with no carry between bytes. Written out little
+    end first, the bytes list the first cube first, each from variable
+    0 up; one translate turns them into trits, and every n-th position
+    starts the next cube. Raises DimensionMismatch when the cubes'
+    widths differ."""
+    if not cubes:
+        return []
+    widths = {c.n for c in cubes}
+    if len(widths) > 1:
+        raise DimensionMismatch(f"cube widths differ: {sorted(widths)}")
+    n = cubes[0].n
+    if not n:
+        return [""] * len(cubes)
+    spec = f"0{n}b"
+    rev = cubes[::-1]
+    x = int.from_bytes("".join([format(c.mask, spec) for c in rev]).encode(), "big")
+    x += int.from_bytes("".join([format(c.bits, spec) for c in rev]).encode(), "big")
+    text = x.to_bytes(n * len(cubes), "little").translate(_TRITS).decode()
+    return [text[i : i + n] for i in range(0, len(text), n)]
 
 
 def _check_same_n(p: Cube, q: Cube) -> None:

@@ -56,7 +56,7 @@ from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 from .covers import Cover, CubeIndex, FunctionSpec, PartialSpec, slots_of
-from .cubes import Cube
+from .cubes import Cube, trit_strings
 from .minimize import MinimizerBackend
 
 __all__ = [
@@ -191,7 +191,7 @@ def sort_cubes(
     if policy not in SORT_POLICIES:
         raise ValueError(f"unknown sort policy {policy!r}")
     weighted = list(weighted)
-    tie = [w.cube.to_string() for w in weighted]
+    tie = trit_strings([w.cube for w in weighted])
     if ties is not None:
         ties.extend(tie)
     if policy == SORT_DIMENSION_WEIGHT:
@@ -393,9 +393,9 @@ def _apply_opt(q: Cube, fragments: list[Cube], P: _Pool, B: list[Cube]) -> None:
         else:
             B.extend(fragments)
     elif variant == 5 and fragments:
+        ties = trit_strings(fragments)
         bi = min(
-            range(len(fragments)),
-            key=lambda k: (-fragments[k].dimension, fragments[k].to_string()),
+            range(len(fragments)), key=lambda k: (-fragments[k].dimension, ties[k])
         )
         P.push(fragments[bi])
         B.extend(fragments[:bi] + fragments[bi + 1 :])

@@ -17,7 +17,7 @@ where every care point is exclusive.
 from __future__ import annotations
 
 from .covers import Cover, FunctionSpec, PartialSpec
-from .cubes import Cube
+from .cubes import Cube, trit_strings
 
 __all__ = [
     "EnumerationCapExceeded",
@@ -88,7 +88,9 @@ def exact_min_partial_dsop(spec: PartialSpec, max_n: int = 5) -> Cover:
         return Cover(n)
     care = exclusive | cover_point_mask(spec.shared_cover())
     cubes = [Cube(n, m, b) for m in range(1 << n) for b in range(1 << n) if not b & ~m]
-    cubes.sort(key=lambda c: (-c.dimension, c.to_string()))
+    ties = trit_strings(cubes)
+    order = sorted(range(len(cubes)), key=lambda i: (-cubes[i].dimension, ties[i]))
+    cubes = [cubes[i] for i in order]
     candidates = [(c, point_mask(c)) for c in cubes]
     candidates = [(c, pm) for c, pm in candidates if pm & required and not pm & ~care]
     by_point = {

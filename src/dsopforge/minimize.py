@@ -292,10 +292,8 @@ def irredundant(
 def _write_single_output_pla(f: FunctionSpec) -> str:
     lines = [f".i {f.n}", ".o 1", ".type fd"]
     lines.append(f".p {len(f.on.cubes) + len(f.dc.cubes)}")
-    for c in f.on.cubes:
-        lines.append(f"{c.to_string()} 1")
-    for c in f.dc.cubes:
-        lines.append(f"{c.to_string()} -")
+    lines += [f"{t} 1" for t in f.on.to_strings()]
+    lines += [f"{t} -" for t in f.dc.to_strings()]
     lines.append(".e")
     return "\n".join(lines) + "\n"
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .covers import Cover, FunctionSpec
-from .cubes import Cube
+from .cubes import Cube, trit_strings
 
 __all__ = [
     "PlaParseError",
@@ -30,9 +30,7 @@ __all__ = [
 _TYPES = ("f", "fd")
 
 # Accepted plane characters, normalized before validation.
-_CHAR_MAP = {"2": "-", "~": "-"}
-_INPUT_CHARS = frozenset("01-")
-_OUTPUT_CHARS = frozenset("01-")
+_PLANE = str.maketrans("2~", "--")
 
 
 class PlaParseError(ValueError):
@@ -106,7 +104,7 @@ def parse_pla(text: str) -> PlaFile:
             continue
         if num_inputs is None or num_outputs is None:
             raise PlaParseError("table row before .i/.o declarations", lineno)
-        packed = "".join(_CHAR_MAP.get(ch, ch) for ch in "".join(tokens))
+        packed = "".join(tokens).translate(_PLANE)
         if len(packed) != num_inputs + num_outputs:
             raise PlaParseError(
                 f"row has {len(packed)} plane characters, expected"
@@ -115,9 +113,9 @@ def parse_pla(text: str) -> PlaFile:
             )
         in_part = packed[:num_inputs]
         out_part = packed[num_inputs:]
-        if not set(in_part) <= _INPUT_CHARS:
+        if in_part.strip("01-"):
             raise PlaParseError(f"bad input plane {in_part!r}", lineno)
-        if not set(out_part) <= _OUTPUT_CHARS:
+        if out_part.strip("01-"):
             raise PlaParseError(f"bad output plane {out_part!r}", lineno)
         rows.append((Cube.from_string(in_part), out_part))
 
@@ -208,7 +206,7 @@ def write_pla(
     if ptype != "fd":
         lines.append(f".type {ptype}")
     lines.append(f".p {len(out_chars)}")
-    for cube, chars in out_chars.items():
-        lines.append(f"{cube.to_string()} {''.join(chars)}")
+    for trits, chars in zip(trit_strings(list(out_chars)), out_chars.values()):
+        lines.append(f"{trits} {''.join(chars)}")
     lines.append(".e")
     return "\n".join(lines) + "\n"

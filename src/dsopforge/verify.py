@@ -18,18 +18,28 @@ overlapping cubes always break one of those rules at a point they
 share. Every violation is (minterm, rule, observed): a witness minterm,
 the rule it breaks ("==1", "<=1", ">=1" or "==0"), and how many result
 cubes cover it. Every rule asks one question, which minterms of some
-cubes lie outside a union of cubes, answered by splitting each cube one
-free variable at a time and dropping every half the union contains
-(covers._pairs_contain). No point masks are built and nothing is
-sampled, so the cost does not depend on 2**n.
+cubes lie outside a union of cubes. A single cube of the union answers
+it first, for every cube at once: the "==0" rule asks the result's
+index, once per spec cube, which result cubes lie inside that cube
+(CubeIndex.inside), and the ">=1" rule asks an index over shared.on,
+once per result and unique cube, the same. A cube found inside one has
+no minterm outside the union. Only the others are searched, by
+splitting each cube one free variable at a time and dropping every
+half the union contains (covers._pairs_contain). The identity
+backend's covers leave none for "==0", so no search runs over result
+cubes times spec cubes.
+No point masks are built and nothing is sampled, so the cost does not
+depend on 2**n. The witnesses are rendered as trit strings together,
+one table per rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .covers import Cover, CubeIndex, FunctionSpec, PartialSpec, _pairs_contain, slots_of
-from .cubes import Cube, DimensionMismatch
+from .cubes import Cube, DimensionMismatch, trit_strings
 
 __all__ = [
     "VerificationReport",
@@ -86,6 +96,18 @@ def _witnesses(
         stack.append((m | v, b, outs))
 
 
+def _inside_none(index: CubeIndex, cubes: Iterable[Cube]) -> int:
+    """The live slots of `index` whose cube lies inside none of
+    `cubes`: only those can have a minterm outside the cubes' union,
+    so only those need a search."""
+    rest = index.live
+    for c in cubes:
+        if not rest:
+            break
+        rest &= ~index.inside(c, rest)
+    return rest
+
+
 def _meet(p: Pair, q: Pair) -> Pair:
     return p[0] | q[0], p[1] | q[1]
 
@@ -101,10 +123,10 @@ def _report(
     the result's, overlapping the minterm's cube."""
     n = index.n
     full = (1 << n) - 1
-    for m in sorted(found)[: _MAX_REPORTED - len(violations)]:
-        point = Cube(n, full, m)
-        observed = index.overlapping(point).bit_count()
-        violations.append((point.to_string(), constraint, observed))
+    kept = sorted(found)[: _MAX_REPORTED - len(violations)]
+    points = [Cube(n, full, m) for m in kept]
+    for point, trits in zip(points, trit_strings(points)):
+        violations.append((trits, constraint, index.overlapping(point).bit_count()))
 
 
 def verify_dsop(f: FunctionSpec, result: Cover) -> VerificationReport:
@@ -128,7 +150,10 @@ def verify_partial_dsop(spec: PartialSpec, result: Cover) -> VerificationReport:
     each, which alone can break a rule there, and proves an on cube
     with none covered when the volumes of its near pieces add up to
     its own. Once the "==1" overlap witnesses reach the report's cap,
-    the pairs after them go unsearched."""
+    the pairs after them go unsearched. The ">=1" and "==0" rules
+    search only the cubes that lie inside no single cube of the union
+    they must stay in, found by CubeIndex.inside; the cubes left out
+    have no witness, so the report is the same."""
     n = spec.n
     res = _pairs(result, n)
     on_u = _pairs(spec.unique.on, n)
@@ -136,6 +161,7 @@ def verify_partial_dsop(spec: PartialSpec, result: Cover) -> VerificationReport:
     on_s = _pairs(spec.shared.on, n)
     every = on_u + dc_u + on_s + _pairs(spec.shared.dc, n)
     unique = on_u + dc_u
+    unique_cubes = spec.unique.on.cubes + spec.unique.dc.cubes
     index = CubeIndex(n, result.cubes)
     later = [
         index.overlapping(c) & ~((2 << i) - 1) for i, c in enumerate(result.cubes)
@@ -147,7 +173,7 @@ def verify_partial_dsop(spec: PartialSpec, result: Cover) -> VerificationReport:
     gaps: list[Pair] = []
     multi_on: set[int] = set()
     multi_dc: set[int] = set()
-    for r, c in enumerate(spec.unique.on.cubes + spec.unique.dc.cubes):
+    for r, c in enumerate(unique_cubes):
         nr = index.overlapping(c)
         # the overlapping pairs i < j of result cubes near c
         pairs = (
@@ -173,10 +199,12 @@ def verify_partial_dsop(spec: PartialSpec, result: Cover) -> VerificationReport:
             gaps.append(unique[r])
     uncovered: set[int] = set()
     _witnesses(n, gaps, res, uncovered)
+    lone = _inside_none(CubeIndex(n, spec.shared.on.cubes), result.cubes + unique_cubes)
     short: set[int] = set()
-    _witnesses(n, on_s, res + unique, short)
+    _witnesses(n, [on_s[i] for i in slots_of(lone)], res + unique, short)
+    stray = _inside_none(index, unique_cubes + spec.shared.care_cover().cubes)
     off: set[int] = set()
-    _witnesses(n, res, every, off)
+    _witnesses(n, [res[i] for i in slots_of(stray)], every, off)
     report = VerificationReport()
     _report(report.violations, uncovered, "==1", index)
     _report(report.violations, multi_on, "==1", index)

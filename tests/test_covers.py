@@ -9,6 +9,7 @@ from dsopforge import (
     DimensionMismatch,
     EnumerationCapExceeded,
     FunctionSpec,
+    contains,
     cover_contains_cube,
     cover_intersects_cube,
     cover_point_mask,
@@ -143,6 +144,26 @@ class TestCubeIndex:
 
     @given(many_or_wide_covers_st, st.data())
     @settings(max_examples=40)
+    def test_inside_matches_the_pairwise_predicate(self, x, data):
+        # a discarded slot is still answered when named: inside masks
+        # with the slots it is given, not with `live`
+        cubes = list(x.cubes)
+        index = CubeIndex(x.n, cubes)
+        for s in data.draw(st.sets(st.integers(0, max(len(cubes) - 1, 0)))):
+            index.discard(s)
+        every = (1 << len(cubes)) - 1
+        named = data.draw(st.integers(0, every))
+        probes = cubes[:8] + [data.draw(cubes_st(n=x.n)) for _ in range(4)]
+        for p in probes:
+            want = [j for j, q in enumerate(cubes) if contains(p, q)]
+            assert list(slots_of(index.inside(p, every))) == want
+            assert list(slots_of(index.inside(p, named))) == [
+                j for j in want if named >> j & 1
+            ]
+            assert index.inside(p, 0) == 0
+
+    @given(many_or_wide_covers_st, st.data())
+    @settings(max_examples=40)
     def test_slots_contain_matches_pairs_contain(self, x, data):
         cubes = list(x.cubes)
         index = CubeIndex(x.n, cubes)
@@ -169,6 +190,7 @@ class TestCubeIndex:
         index = CubeIndex(0, [universe, universe])
         assert (index.alike, index.opp, index.live) == ([], [], 0b11)
         assert index.overlapping(universe) == 0b11
+        assert index.inside(universe, 0b10) == 0b10
         assert CubeIndex(0).live == 0
 
     def test_mixed_widths_raise(self):

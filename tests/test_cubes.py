@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 import tracemalloc
+import types
 
 import pytest
 from hypothesis import given
@@ -22,6 +23,7 @@ from dsopforge import (
     intersect,
 )
 from dsopforge import cubes as cubes_mod
+from dsopforge.cubes import trit_strings as render
 from dsopforge.exact import point_mask
 
 
@@ -193,7 +195,9 @@ class TestKeys:
         word = (p.mask & ~p.bits) | p.bits << p.n
         assert p.keys == tuple(i for i in range(2 * p.n) if word >> i & 1)
         assert len(p.keys) == p.literal_count
-        assert p.keys is p.keys
+        # kept in a slot from construction: a read computes nothing
+        assert isinstance(Cube.__dict__["keys"], types.MemberDescriptorType)
+        assert type(p.keys) is tuple
 
     @given(st.integers(0, 70).flatmap(any_width_cubes_st))
     def test_match_the_bit_scan(self, p):
@@ -262,25 +266,87 @@ class TestKeys:
         assert first - again < 160 * 1024
         assert all(p.keys == reference_keys(p) for p in cubes)
 
+    def test_are_a_field_outside_equality_hash_and_repr(self):
+        (keys,) = [f for f in dataclasses.fields(Cube) if f.name == "keys"]
+        assert (keys.init, keys.compare, keys.hash, keys.repr) == (
+            False,
+            False,
+            None,
+            False,
+        )
+
     @given(cubes_st(max_n=70))
-    def test_reading_them_changes_no_equality_hash_or_repr(self, p):
-        fresh = Cube(p.n, p.mask, p.bits)
-        p.keys
-        assert p == fresh and fresh == p
-        assert hash(p) == hash(fresh)
-        assert repr(p) == repr(fresh)
-        assert len({p, fresh}) == 1
+    def test_other_keys_change_no_equality_hash_or_repr(self, p):
+        # the same cube with keys no cube of its own could have
+        other = Cube(p.n, p.mask, p.bits)
+        object.__setattr__(other, "keys", p.keys + (2 * p.n,))
+        assert other.keys != p.keys
+        assert p == other and other == p
+        assert hash(p) == hash(other)
+        assert repr(p) == repr(other) == f"Cube({p.to_string()!r})"
+        assert len({p, other}) == 1
 
     @given(cubes_st(max_n=20))
-    def test_pickle_and_copy_with_or_without_them(self, p):
-        fresh = Cube(p.n, p.mask, p.bits)
-        read = Cube(p.n, p.mask, p.bits)
-        read.keys
-        for x in (fresh, read):
-            # copied before anything reads fresh's keys
-            for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
-                assert y == x
-                assert y.keys == x.keys
+    def test_pickle_copy_and_replace_keep_them(self, p):
+        for y in (
+            pickle.loads(pickle.dumps(p)),
+            copy.copy(p),
+            copy.deepcopy(p),
+            dataclasses.replace(p),
+        ):
+            assert y == p
+            assert y.keys == p.keys == reference_keys(p)
+        # replace builds a new cube, so new fields give new keys
+        q = dataclasses.replace(p, bits=0)
+        assert q.keys == reference_keys(Cube(p.n, p.mask, 0))
+
+
+class TestTritStrings:
+    @given(st.integers(0, 70).flatmap(lambda n: st.lists(any_width_cubes_st(n))))
+    def test_match_the_per_variable_loop(self, cubes):
+        assert render(cubes) == [loop_to_string(p) for p in cubes]
+        assert render(tuple(cubes)) == render(cubes)
+
+    @given(st.lists(any_width_cubes_st(1000), max_size=5))
+    def test_match_the_per_variable_loop_at_1000_inputs(self, cubes):
+        assert render(cubes) == [loop_to_string(p) for p in cubes]
+
+    def test_empty_list(self):
+        assert render([]) == []
+
+    def test_zero_variables(self):
+        assert render([Cube.universe(0)] * 3) == ["", "", ""]
+
+    @pytest.mark.parametrize(
+        "widths", [(2, 3), (3, 2), (0, 1), (4, 4, 5), (5, 4, 4)]
+    )
+    def test_mixed_widths_raise(self, widths):
+        with pytest.raises(DimensionMismatch):
+            render([Cube.universe(n) for n in widths])
+
+    def test_mixed_widths_that_pad_alike_raise(self):
+        # "01" and "01-" format to digits of equal width: the widths
+        # themselves must differ loudly
+        with pytest.raises(DimensionMismatch):
+            render([c("01-"), Cube(2, 0b11, 0b10)])
+
+    @given(st.integers(1, 70).flatmap(trit_strings))
+    def test_from_string_round_trips(self, s):
+        p = c(s)
+        assert (p.n, render([p]), p.to_string()) == (len(s), [s], s)
+        assert p == Cube(p.n, p.mask, p.bits)
+        assert p.keys == reference_keys(p)
+
+    @pytest.mark.parametrize("bad", ["2", " ", "\u0661", "x", "_", "+"])
+    @pytest.mark.parametrize("at", [0, 3, 6])
+    def test_from_string_raises_at_the_first_bad_character(self, bad, at):
+        s = "01-1-0-"
+        s = s[:at] + bad + s[at + 1 :]
+        # a second bad character later on is not the one reported
+        s += "2"
+        with pytest.raises(ValueError) as info:
+            c(s)
+        assert str(info.value) == f"invalid trit {bad!r} at position {at}"
 
 
 class TestIntersect:

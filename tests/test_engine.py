@@ -39,6 +39,7 @@ from dsopforge import (
     verify_dsop,
     weight_all,
 )
+from dsopforge import engine as engine_mod
 from dsopforge import partial as partial_mod
 from dsopforge.covers import CubeIndex, slots_of
 from dsopforge.engine import _apply_opt, _Pool, _weigh
@@ -277,34 +278,37 @@ class TestPool:
     @pytest.mark.parametrize("variant", [1, 2, 3])
     def test_tie_key_runs_once_per_cube_of_p_in_a_pass(self, monkeypatch, variant):
         # under these variants no cube enters P after it is built, so
-        # every trit string a pass breaks ties on is built while P is
-        # built: one for each cube of P, whether or not P re-keys cubes
-        # later (v2)
-        calls = []
-        to_string = Cube.to_string
+        # every trit string a pass breaks ties on is rendered while P is
+        # built: each cube of P once, whether or not P re-keys cubes
+        # later (v2). The strings are rendered a list at a time, so the
+        # cubes handed to engine.trit_strings are counted, not calls.
+        rendered = []
+        trit_strings = engine_mod.trit_strings
 
-        def counted(x):
-            calls.append(x)
-            return to_string(x)
+        def counted(cubes):
+            rendered.extend(cubes)
+            return trit_strings(cubes)
 
         members = []
 
         class Counted(_Pool):
             def __init__(self, index, variant, sort, weighted, counts):
-                before = len(calls)
+                before = len(rendered)
                 super().__init__(index, variant, sort, weighted, counts)
-                members.append(sum(w.weight >= 0 for w in weighted))
-                assert len(calls) - before == members[-1]
+                members.append([w.cube for w in weighted if w.weight >= 0])
+                assert sorted(map(id, rendered[before:])) == sorted(
+                    map(id, members[-1])
+                )
 
-        monkeypatch.setattr(Cube, "to_string", counted)
+        monkeypatch.setattr(engine_mod, "trit_strings", counted)
         monkeypatch.setattr(partial_mod, "_Pool", Counted)
         rng = random.Random(25140)
         f = FunctionSpec(12, rand_cover(rng, 12, 60, bind=0.6))
         for sort in (SORT_DIMENSION_WEIGHT, SORT_WEIGHT_DIMENSION):
             cfg = DsopConfig(variant, sort, backend=MinimizerBackend.identity())
             dsop(f, cfg)
-        assert len(members) > 2 and sum(members) > 60
-        assert len(calls) == sum(members)
+        assert len(members) > 2 and sum(map(len, members)) > 60
+        assert len(rendered) == sum(map(len, members))
 
 
 def entries(P):

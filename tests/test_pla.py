@@ -80,6 +80,34 @@ class TestParse:
         with pytest.raises(PlaParseError, match=fragment):
             parse_pla(text)
 
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("x- 1", "line 3: bad input plane 'x-'"),
+            ("0\u0661 1", "line 3: bad input plane '0\u0661'"),
+            ("\u0661\u0660 1", "line 3: bad input plane '\u0661\u0660'"),
+            ("2~ 1", None),
+            ("0- z", "line 3: bad output plane 'z'"),
+            ("0- \u0661", "line 3: bad output plane '\u0661'"),
+            # '2' and '~' become '-' before the planes are checked
+            ("2x 1", "line 3: bad input plane '-x'"),
+            ("01 ~", None),
+            ("0 1 2", None),
+            ("0- 12", "line 3: row has 4 plane characters, expected 2+1"),
+            # str.split() splits at any whitespace, a no-break space too
+            ("0-\u00a01", None),
+        ],
+    )
+    def test_plane_errors_name_the_line_and_the_normalized_plane(self, row, message):
+        text = f".i 2\n.o 1\n{row}\n.e\n"
+        if message is None:
+            assert len(parse_pla(text).rows) == 1
+            return
+        with pytest.raises(PlaParseError) as info:
+            parse_pla(text)
+        assert str(info.value) == message
+        assert info.value.line == 3
+
     def test_missing_declarations(self):
         with pytest.raises(PlaParseError, match="missing"):
             parse_pla("# nothing here\n")

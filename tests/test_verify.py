@@ -17,10 +17,13 @@ from dsopforge import (
     Cover,
     Cube,
     DimensionMismatch,
+    DsopConfig,
     EnumerationCapExceeded,
     FunctionSpec,
+    MinimizerBackend,
     PartialSpec,
     chain_family,
+    contains,
     cover_point_mask,
     disjoint_sharp,
     dsop,
@@ -32,6 +35,8 @@ from dsopforge import (
     verify_partial_dsop,
 )
 from dsopforge import exact
+from dsopforge import verify as verify_mod
+from dsopforge.covers import CubeIndex
 from dsopforge.exact import point_mask
 from dsopforge.verify import _MAX_REPORTED
 
@@ -359,11 +364,31 @@ def mask_verify_partial(spec, result):
     )
 
 
+def straddling(spec_cubes):
+    """Cubes inside the union of `spec_cubes` but inside no single one:
+    the consensus of each pair clashing in exactly one variable (the
+    pair's literals less that variable, each half inside one of the
+    two) that no spec cube contains."""
+    out = []
+    for i, p in enumerate(spec_cubes):
+        for q in spec_cubes[i + 1 :]:
+            clash = p.mask & q.mask & (p.bits ^ q.bits)
+            if clash.bit_count() != 1:
+                continue
+            mask = (p.mask | q.mask) & ~clash
+            x = Cube(p.n, mask, (p.bits | q.bits) & mask)
+            if not any(contains(s, x) for s in spec_cubes):
+                out.append(x)
+    return out
+
+
 @st.composite
-def corrupted(draw, result):
-    """The result as given, or with one cube dropped, added or duplicated."""
+def corrupted(draw, result, spec_cubes=()):
+    """The result as given, or with one cube dropped, added or
+    duplicated, or with a cube planted that lies inside the spec's
+    union but inside no single spec cube (when the spec has one)."""
     cubes = list(result.cubes)
-    how = draw(st.sampled_from(("keep", "drop", "add", "duplicate")))
+    how = draw(st.sampled_from(("keep", "drop", "add", "duplicate", "straddle")))
     at = draw(st.integers(0, len(cubes)))
     if how == "drop" and cubes:
         del cubes[at % len(cubes)]
@@ -371,7 +396,13 @@ def corrupted(draw, result):
         cubes.insert(at, draw(cubes_st(n=result.n)))
     elif how == "duplicate" and cubes:
         cubes.insert(at, cubes[draw(st.integers(0, len(cubes) - 1))])
+    elif how == "straddle" and (planted := straddling(spec_cubes)):
+        cubes.insert(at, draw(st.sampled_from(planted)))
     return Cover(result.n, tuple(cubes))
+
+
+def spec_cubes(spec):
+    return spec.unique_cover().cubes + spec.shared_cover().cubes
 
 
 @st.composite
@@ -381,7 +412,7 @@ def dsop_cases(draw):
         base = dsop(f)
     else:
         base = draw(covers_st(n=f.n, max_cubes=8))
-    return f, draw(corrupted(base))
+    return f, draw(corrupted(base, f.on.cubes + f.dc.cubes))
 
 
 @st.composite
@@ -397,7 +428,7 @@ def partial_cases(draw):
             shared=draw(function_specs_st(n=n, max_on=3, max_dc=3)),
         )
         base = draw(covers_st(n=n, max_cubes=8))
-    return spec, draw(corrupted(base))
+    return spec, draw(corrupted(base, spec_cubes(spec)))
 
 
 def empty_shared(f):
@@ -423,6 +454,20 @@ class TestAgainstPointMasks:
     def test_partial_matches_mask_oracle(self, case):
         spec, result = case
         _agree(verify_partial_dsop(spec, result), mask_verify_partial(spec, result))
+
+    def test_a_planted_straddling_cube_is_searched_and_judged(self):
+        # 1-- lies inside the on cube 1-0 and the dc cube 1-1 together,
+        # inside neither alone; --0 and --1 straddle on and on or dc
+        f = FunctionSpec(3, cov("1-0", "0--"), cov("1-1"))
+        assert straddling(f.on.cubes + f.dc.cubes) == [c("--0"), c("1--"), c("--1")]
+        good = cov("1--", "0--")
+        assert verify_dsop(f, good).ok
+        for planted in straddling(f.on.cubes + f.dc.cubes):
+            result = Cover(3, good.cubes + (planted,))
+            report = verify_dsop(f, result)
+            assert not report.ok
+            assert report.violations == mask_verify_partial(empty_shared(f), result)
+            assert all(rule != "==0" for _, rule, _ in report.violations)
 
     def test_full_report_is_capped(self):
         n = 12
@@ -542,3 +587,143 @@ class TestAgainstPairwiseReference:
         result = cov("-1", "0-")
         assert verify_partial_dsop(spec, result).ok
         assert pairwise_verify_partial(spec, result) == []
+
+
+# --- the single-cube question before any search ----------------------------
+
+
+@pytest.fixture
+def searched(monkeypatch):
+    """The cubes each verify_partial_dsop search is handed, one list per
+    _witnesses call: the last two are the ">=1" and "==0" searches."""
+    seen = []
+    witnesses = verify_mod._witnesses
+
+    def spy(n, cubes, outside, found):
+        seen.append(list(cubes))
+        return witnesses(n, cubes, outside, found)
+
+    monkeypatch.setattr(verify_mod, "_witnesses", spy)
+    return seen
+
+
+@pytest.fixture
+def contain_calls(monkeypatch):
+    """(calls, pairs handed over) of verify's _pairs_contain."""
+    made = [0, 0]
+    pairs_contain = verify_mod._pairs_contain
+
+    def counted(n, items, mask, bits):
+        made[0] += 1
+        made[1] += len(items)
+        return pairs_contain(n, items, mask, bits)
+
+    monkeypatch.setattr(verify_mod, "_pairs_contain", counted)
+    return made
+
+
+def pair(trits):
+    x = c(trits)
+    return x.mask, x.bits
+
+
+class TestInsideOneCube:
+    """A cube inside one cube of the union it must stay in has no
+    witness, so only the other cubes are searched."""
+
+    # two files: the unique part x0 = 0, the shared on-set x0 = 1
+    SPEC = PartialSpec(
+        unique=FunctionSpec(3, cov("00-"), cov("011")),
+        shared=FunctionSpec(3, cov("1--", "010")),
+    )
+
+    def test_a_shared_on_cube_straddling_two_result_cubes_is_searched(
+        self, searched
+    ):
+        # 1-- lies inside 10- and 11- together, inside neither alone;
+        # 010 lies inside the result cube 01-, so it is never searched
+        result = cov("00-", "10-", "11-", "01-")
+        assert verify_partial_dsop(self.SPEC, result).ok
+        assert searched[-2] == [pair("1--")]
+        assert pairwise_verify_partial(self.SPEC, result) == []
+
+    def test_a_shared_on_cube_sticking_out_reports_its_witnesses(self, searched):
+        # 110 and 1-0 leave 101 and 111 of 1-- uncovered
+        result = cov("00-", "110", "1-0", "01-")
+        want = [("101", ">=1", 0), ("111", ">=1", 0)]
+        assert verify_partial_dsop(self.SPEC, result).violations == want
+        assert pairwise_verify_partial(self.SPEC, result) == want
+        assert mask_verify_partial(self.SPEC, result) == want
+        assert searched[-2] == [pair("1--")]
+
+    def test_a_result_cube_inside_one_spec_cube_is_not_searched(self, searched):
+        # 0-- lies inside no spec cube: 001 and 000 are unique on, 011
+        # unique dc, 010 shared on; 1-- lies inside the shared 1--
+        result = cov("0--", "1--")
+        assert verify_partial_dsop(self.SPEC, result).ok
+        assert pairwise_verify_partial(self.SPEC, result) == []
+        assert searched[-1] == [pair("0--")]
+
+    @pytest.mark.parametrize("variant", [1, 2, 3, 4, 5])
+    def test_an_identity_dsop_needs_no_containment_search(
+        self, variant, searched, contain_calls
+    ):
+        # every cube the identity backend commits is a piece of one on
+        # or dc cube, so "==0" hands no cube to the search
+        rng = random.Random(3000 + variant)
+        f = FunctionSpec(12, rand_cover(rng, 12, 60, bind=0.6), rand_cover(rng, 12, 15))
+        cfg = DsopConfig(variant, backend=MinimizerBackend.identity())
+        result = dsop(f, cfg)
+        assert len(result) > 60
+        searched.clear()
+        assert verify_dsop(f, result).ok
+        assert searched[-1] == [] and searched[-2] == []
+        assert contain_calls == [0, 0]
+
+
+class TestVerifyScaling:
+    """Verification asks a few index queries per cube and searches only
+    what those leave open: its operation counts, not seconds, grow no
+    faster than the cubes it reads (ROADMAP item 8). A result x spec
+    scan, one containment search per result cube over every spec cube,
+    hands over pairs in proportion to their product and fails."""
+
+    @pytest.fixture
+    def queries(self, monkeypatch):
+        made = [0]
+        overlapping, inside = CubeIndex.overlapping, CubeIndex.inside
+
+        def counted_overlapping(index, c):
+            made[0] += 1
+            return overlapping(index, c)
+
+        def counted_inside(index, c, slots):
+            made[0] += 1
+            return inside(index, c, slots)
+
+        monkeypatch.setattr(CubeIndex, "overlapping", counted_overlapping)
+        monkeypatch.setattr(CubeIndex, "inside", counted_inside)
+        return made
+
+    def test_operations_grow_linearly_in_the_cubes_read(
+        self, queries, contain_calls
+    ):
+        per_cube = []
+        for k in (100, 200, 400):
+            rng = random.Random(k)
+            on, dc = rand_cover(rng, 16, k, 0.7), rand_cover(rng, 16, k // 4, 0.7)
+            f = FunctionSpec(16, on, dc)
+            cfg = DsopConfig(1, backend=MinimizerBackend.identity())
+            result = dsop(f, cfg)
+            queries[0] = 0
+            contain_calls[:] = [0, 0]
+            assert verify_dsop(f, result).ok
+            cubes = len(result) + len(f.on) + len(f.dc)
+            per_cube.append((queries[0] / cubes, *(x / cubes for x in contain_calls)))
+        # the result grows faster than k (229, 768 and 1902 cubes); a
+        # linear count keeps its share per cube, a product doubles it
+        # and more at each step
+        small, _, large = per_cube
+        assert small[0] > 1
+        for now, then in zip(large, small):
+            assert now <= 1.5 * then + 0.01
