@@ -23,12 +23,13 @@ cofactor by p: p is covered iff the cover restricted to p's subspace is
 a tautology there. Only the cubes sharing a point with p enter the
 cofactor, and one of them containing p answers at once. The check runs
 for every n on plain (mask, bits) integer pairs, so no point masks are
-built and the cost does not depend on 2**n. It has two entries: given
-a plain list of pairs, _pairs_contain (behind cover_contains_cube)
-tests every pair for a shared point; given the slots a CubeIndex has
-already found to share one, _slots_contain cofactors those alone, so a
-caller asking many probes of one cover pays for each probe's overlap,
-not for the cover.
+built and the cost does not depend on 2**n. Every internal probe asks
+one routine, _slots_contain(index, slots, mask): given the slots a
+CubeIndex has already found to share a point with the cube, it
+cofactors those alone, so a caller asking many probes of one cover
+pays for each probe's overlap, not for the cover. Only the public
+cover_contains_cube, which has no index, tests every cube of a plain
+cover for a shared point.
 """
 
 from __future__ import annotations
@@ -406,34 +407,15 @@ def is_tautology(cover: Cover) -> bool:
     return _recursive_tautology(cover.n, [(c.mask, c.bits) for c in cover.cubes])
 
 
-def _pairs_contain(
-    n: int, items: Iterable[tuple[int, int]], mask: int, bits: int
-) -> bool:
-    """True iff the cube (mask, bits) lies inside the union of the
-    (mask, bits) pairs `items`, all over n variables.
-
-    Cofactors the pairs by the cube; a pair that contains the cube
-    leaves the all-free cube behind and answers at once, otherwise the
-    cofactor goes to the tautology recursion.
-    """
-    keep = ~mask
-    sub = []
-    for cm, cb in items:
-        if (cm & mask) & (cb ^ bits):
-            continue
-        rm = cm & keep
-        if not rm:
-            return True
-        sub.append((rm, cb & keep))
-    return _recursive_tautology(n, sub)
-
-
-def _slots_contain(n: int, cubes: list[Cube], slots: int, mask: int) -> bool:
-    """_pairs_contain for a cube with this mask, when a CubeIndex over
-    `cubes` has named in `slots` exactly the cubes sharing a point with
-    it: only those are cofactored, and no other cube is looked at. They
-    agree with the cube wherever both are bound, so its mask alone
-    cofactors them."""
+def _slots_contain(index: CubeIndex, slots: int, mask: int) -> bool:
+    """True iff a cube with this mask lies inside the union of the
+    cubes of `index` in `slots`, each of which shares a point with it,
+    as the index's queries name them. They agree with the cube wherever
+    both are bound, so its mask alone cofactors them, and no other cube
+    is looked at; one that contains the cube leaves the all-free cube
+    behind and answers at once, otherwise the cofactor goes to the
+    tautology recursion."""
+    cubes = index.cubes
     keep = ~mask
     sub = []
     while slots:
@@ -444,21 +426,30 @@ def _slots_contain(n: int, cubes: list[Cube], slots: int, mask: int) -> bool:
             return True
         sub.append((rm, c.bits & keep))
         slots ^= low
-    return _recursive_tautology(n, sub)
+    return _recursive_tautology(index.n, sub)
 
 
 def cover_contains_cube(cover: Cover, p: Cube) -> bool:
     """True iff every minterm of p is covered (p implies the cover).
 
     Equivalent to the cofactor of the cover by p being a tautology,
-    which is how it is decided, for every n: a single cube containing p
-    answers at once, and otherwise the cofactor runs through the
-    recursive tautology check.
+    which is how it is decided, for every n: the cubes sharing no point
+    with p are skipped, a single cube containing p answers at once, and
+    otherwise the cofactor runs through the recursive tautology check.
     """
     if cover.n != p.n:
         raise DimensionMismatch("cube width differs from cover")
-    items = [(c.mask, c.bits) for c in cover.cubes]
-    return _pairs_contain(cover.n, items, p.mask, p.bits)
+    mask, bits = p.mask, p.bits
+    keep = ~mask
+    sub = []
+    for c in cover.cubes:
+        if (c.mask & mask) & (c.bits ^ bits):
+            continue
+        rm = c.mask & keep
+        if not rm:
+            return True
+        sub.append((rm, c.bits & keep))
+    return _recursive_tautology(cover.n, sub)
 
 
 def cover_intersects_cube(cover: Cover, p: Cube) -> bool:

@@ -222,6 +222,9 @@ def disjoint_sharp(q: Cube, p: Cube) -> list[Cube]:
     value and the current position set to the complement of r's value.
     Exactly literal_count(r) - literal_count(q) fragments result; the
     list is empty iff p contains q. Requires a nonempty intersection.
+    Fragment i binds literal_count(q) + i + 1 variables, so each is
+    smaller than the one before and fragment 0 is the unique largest;
+    variant 5 of the selection loop relies on that.
 
     r is never built: its bound positions outside q are those of
     p.mask & ~q.mask, and its value at each of them is p's.

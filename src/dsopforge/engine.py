@@ -368,9 +368,10 @@ def _apply_opt(q: Cube, fragments: list[Cube], P: _Pool, B: list[Cube]) -> None:
        neighbours leave P unbroken, in selection order.
     4: a single fragment goes back into P; several go to B. Then every
        weight of P is published.
-    5: the biggest fragment (largest dimension, ties to the ascending
-       trit string) goes back into P; the rest go to B; every weight is
-       published.
+    5: the biggest fragment goes back into P; the rest go to B; every
+       weight is published. disjoint_sharp binds one more variable in
+       each fragment than in the one before, so the biggest is always
+       the first.
 
     The neighbours of q come from P's index, and the published weights
     from the running sums P keeps, so no variant rescans P: publishing
@@ -393,12 +394,8 @@ def _apply_opt(q: Cube, fragments: list[Cube], P: _Pool, B: list[Cube]) -> None:
         else:
             B.extend(fragments)
     elif variant == 5 and fragments:
-        ties = trit_strings(fragments)
-        bi = min(
-            range(len(fragments)), key=lambda k: (-fragments[k].dimension, ties[k])
-        )
-        P.push(fragments[bi])
-        B.extend(fragments[:bi] + fragments[bi + 1 :])
+        P.push(fragments[0])
+        B.extend(fragments[1:])
     if variant >= 4:
         P.publish(P.moved)
 

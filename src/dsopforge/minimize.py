@@ -22,6 +22,9 @@ its expands, and irredundant indexes the cover it trims. A probe then
 costs a few bitset operations to find its cubes, and the cofactor and
 tautology check of those alone (covers._slots_contain), rather than a
 scan of the whole cover; a probe that meets no cube fails at once.
+The external backend's result is checked by the same routine: an index
+over on+dc is asked about each result cube, and one over the result
+about each on cube.
 
 An expand probe fails as soon as it reaches one point off on+dc, so
 build_sop also takes `off`, cubes the caller knows lie outside on+dc:
@@ -64,14 +67,7 @@ import threading
 from dataclasses import dataclass
 from typing import Iterable
 
-from .covers import (
-    Cover,
-    CubeIndex,
-    FunctionSpec,
-    _pairs_contain,
-    _slots_contain,
-    normalize,
-)
+from .covers import Cover, CubeIndex, FunctionSpec, _slots_contain, normalize
 from .cubes import Cube, ContractViolation, DimensionMismatch
 
 __all__ = [
@@ -169,9 +165,9 @@ def expand_cube(
         index = CubeIndex(n, valid.cubes)
     elif index.n != n:
         raise DimensionMismatch("cube width differs from index")
-    cubes, alike, opp = index.cubes, index.alike, index.opp
+    alike, opp = index.alike, index.opp
     live = index.live
-    if refute & live or refute >> len(cubes):
+    if refute & live or refute >> len(index.cubes):
         raise ContractViolation("expand_cube: refute names a live or missing slot")
     mask = p.mask
     bits = p.bits
@@ -189,7 +185,7 @@ def expand_cube(
     above = [0] * (len(lits) + 1)
     for k in range(len(lits) - 1, -1, -1):
         above[k] = above[k + 1] | lits[k][1]
-    if not _slots_contain(n, cubes, live & ~above[0], mask):
+    if not _slots_contain(index, live & ~above[0], mask):
         raise ContractViolation("expand_cube: cube not contained in valid cover")
     if refute & ~above[0]:
         raise ContractViolation("expand_cube: cube meets a refuter")
@@ -197,7 +193,7 @@ def expand_cube(
     for k, (b, opposing, same) in enumerate(lits):
         meets = ~(below | same | above[k + 1])
         slots = live & meets
-        if slots and not meets & refute and _slots_contain(n, cubes, slots, mask):
+        if slots and not meets & refute and _slots_contain(index, slots, mask):
             mask &= ~b
             bits &= ~b
         else:
@@ -274,7 +270,7 @@ def irredundant(
         slot = 1 << idx
         live &= ~slot
         rest = live & meets[idx]
-        if not _slots_contain(n, cubes, rest, c.mask):
+        if not _slots_contain(index, rest, c.mask):
             live |= slot
             continue
         near = rest & spare
@@ -283,7 +279,7 @@ def irredundant(
         rest &= ~spare
         for m, m_meets in probes:
             if m_meets & slot and m_meets & near:
-                if not _slots_contain(n, cubes, rest & m_meets, m.mask | c.mask):
+                if not _slots_contain(index, rest & m_meets, m.mask | c.mask):
                     live |= slot
                     break
     return Cover(n, tuple(c for i, c in enumerate(cover.cubes) if live >> i & 1))
@@ -350,9 +346,9 @@ def _external_sop(f: FunctionSpec, path: str) -> Cover:
         (sop.cubes, f.care_cover().cubes, "covers points outside on+dc"),
         (f.on.cubes, sop.cubes, "is an on cube the result does not cover"),
     ):
-        items = [(c.mask, c.bits) for c in region]
+        index = CubeIndex(f.n, region)
         for c in cubes:
-            if not _pairs_contain(f.n, items, c.mask, c.bits):
+            if not _slots_contain(index, index.overlapping(c), c.mask):
                 raise MinimizerBackendError(f"minimizer {path!r}: cube {c} {fault}")
     return sop
 

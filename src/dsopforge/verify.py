@@ -1,10 +1,11 @@
 """Exact verification of disjoint and partial disjoint covers.
 
 verify_partial_dsop checks a result cover against its specification
-exactly, for every n, on (mask, bits) cube pairs. One covers.CubeIndex
-over the result gives, per result cube, the later result cubes it
-overlaps, and, per cube r of the unique part, the result cubes near r
-(sharing a point with it). One walk over the unique cubes reads off
+exactly, for every n. One covers.CubeIndex holds the result's cubes,
+live, followed by the spec's, the way build_sop indexes its off cubes.
+It gives, per result cube, the later result cubes it overlaps, and,
+per cube r of the unique part, the result cubes near r (sharing a
+point with it). One walk over the unique cubes reads off
 the overlapping pairs near each r: only there can a repeat break a
 rule. Cubes that pairwise share a point all share one (Helly's
 property for subcubes), so the points a pair covers twice in r are the
@@ -19,15 +20,17 @@ share. Every violation is (minterm, rule, observed): a witness minterm,
 the rule it breaks ("==1", "<=1", ">=1" or "==0"), and how many result
 cubes cover it. Every rule asks one question, which minterms of some
 cubes lie outside a union of cubes. A single cube of the union answers
-it first, for every cube at once: the "==0" rule asks the result's
-index, once per spec cube, which result cubes lie inside that cube
-(CubeIndex.inside), and the ">=1" rule asks an index over shared.on,
-once per result and unique cube, the same. A cube found inside one has
-no minterm outside the union. Only the others are searched, by
+it first, for every cube at once: the "==0" rule asks the index, once
+per spec cube, which result slots lie inside that cube
+(CubeIndex.inside), and the ">=1" rule asks it, once per result and
+unique cube, the same of the shared on slots. A cube found inside one
+has no minterm outside the union. Only the others are searched, by
 splitting each cube one free variable at a time and dropping every
-half the union contains (covers._pairs_contain). The identity
-backend's covers leave none for "==0", so no search runs over result
-cubes times spec cubes.
+half the union contains. Each half carries the union's slots meeting
+it, one AND per split, and covers._slots_contain, the routine behind
+every containment probe, cofactors those alone. The identity backend's
+covers leave none for "==0", so no search runs over result cubes times
+spec cubes.
 No point masks are built and nothing is sampled, so the cost does not
 depend on 2**n. The witnesses are rendered as trit strings together,
 one table per rule.
@@ -36,9 +39,9 @@ one table per rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .covers import Cover, CubeIndex, FunctionSpec, PartialSpec, _pairs_contain, slots_of
+from .covers import Cover, CubeIndex, FunctionSpec, PartialSpec, _slots_contain, slots_of
 from .cubes import Cube, DimensionMismatch, trit_strings
 
 __all__ = [
@@ -48,8 +51,6 @@ __all__ = [
 ]
 
 _MAX_REPORTED = 1000
-
-Pair = tuple[int, int]
 
 
 @dataclass(slots=True)
@@ -61,55 +62,52 @@ class VerificationReport:
         return not self.violations
 
 
-def _pairs(cover: Cover, n: int) -> list[Pair]:
-    if cover.n != n:
-        raise DimensionMismatch(
-            f"{cover.n}-variable cover checked against a {n}-variable spec"
-        )
-    return [(c.mask, c.bits) for c in cover.cubes]
-
-
 def _witnesses(
-    n: int, cubes: list[Pair], outside: list[Pair], found: set[int]
+    index: CubeIndex, cubes: Sequence[Cube], outside: int, found: set[int]
 ) -> None:
     """Add to `found`, until it holds _MAX_REPORTED minterms, each
-    minterm of `cubes` outside the union of `outside`, cube by cube and
-    ascending within each cube.
+    minterm of `cubes` outside the union of the cubes of `index` in the
+    slots `outside`, cube by cube and ascending within each cube.
 
     Splits a cube one free variable at a time, highest index first, and
-    drops each half that `outside` contains, so every subcube kept
-    leads to at least one.
+    drops each half that those slots contain, so every subcube kept
+    leads to at least one. Each subcube carries the slots of `outside`
+    meeting it, which alone can hold any of it: a cube starts from those
+    opposing none of its literals, and the half of a split binding v to
+    a value keeps those not opposing that literal, one AND.
     """
+    n = index.n
     full = (1 << n) - 1
-    stack = [(m, b, outside) for m, b in reversed(cubes)]
+    opp = index.opp
+    stack = []
+    for c in reversed(cubes):
+        against = 0
+        for k in c.keys:
+            against |= opp[k]
+        stack.append((c.mask, c.bits, outside & ~against))
     while stack and len(found) < _MAX_REPORTED:
-        m, b, outs = stack.pop()
-        if _pairs_contain(n, outs, m, b):
+        m, b, slots = stack.pop()
+        if _slots_contain(index, slots, m):
             continue
         free = full & ~m
         if not free:
             found.add(b)
             continue
-        outs = [(om, ob) for om, ob in outs if not (om & m) & (ob ^ b)]
-        v = 1 << (free.bit_length() - 1)
-        stack.append((m | v, b | v, outs))
-        stack.append((m | v, b, outs))
+        v = free.bit_length() - 1
+        bit = 1 << v
+        stack.append((m | bit, b | bit, slots & ~opp[n + v]))
+        stack.append((m | bit, b, slots & ~opp[v]))
 
 
-def _inside_none(index: CubeIndex, cubes: Iterable[Cube]) -> int:
-    """The live slots of `index` whose cube lies inside none of
-    `cubes`: only those can have a minterm outside the cubes' union,
-    so only those need a search."""
-    rest = index.live
+def _inside_none(index: CubeIndex, slots: int, cubes: Iterable[Cube]) -> int:
+    """The slots in `slots` whose cube lies inside none of `cubes`:
+    only those can have a minterm outside the cubes' union, so only
+    those need a search."""
     for c in cubes:
-        if not rest:
+        if not slots:
             break
-        rest &= ~index.inside(c, rest)
-    return rest
-
-
-def _meet(p: Pair, q: Pair) -> Pair:
-    return p[0] | q[0], p[1] | q[1]
+        slots &= ~index.inside(c, slots)
+    return slots
 
 
 def _report(
@@ -155,14 +153,23 @@ def verify_partial_dsop(spec: PartialSpec, result: Cover) -> VerificationReport:
     they must stay in, found by CubeIndex.inside; the cubes left out
     have no witness, so the report is the same."""
     n = spec.n
-    res = _pairs(result, n)
-    on_u = _pairs(spec.unique.on, n)
-    dc_u = _pairs(spec.unique.dc, n)
-    on_s = _pairs(spec.shared.on, n)
-    every = on_u + dc_u + on_s + _pairs(spec.shared.dc, n)
-    unique = on_u + dc_u
-    unique_cubes = spec.unique.on.cubes + spec.unique.dc.cubes
-    index = CubeIndex(n, result.cubes)
+    if result.n != n:
+        raise DimensionMismatch(
+            f"{result.n}-variable cover checked against a {n}-variable spec"
+        )
+    on_u = spec.unique.on.cubes
+    unique_cubes = on_u + spec.unique.dc.cubes
+    on_s = spec.shared.on.cubes
+    # the result's cubes, live, then the spec's: unique on, unique dc,
+    # shared on, shared dc
+    index = CubeIndex(n, result.cubes + unique_cubes + spec.shared.care_cover().cubes)
+    cubes = index.cubes
+    k = len(result.cubes)
+    index.live = res = (1 << k) - 1
+    on_slots = ((1 << len(on_u)) - 1) << k
+    unique = ((1 << len(unique_cubes)) - 1) << k
+    shared_on = ((1 << len(on_s)) - 1) << (k + len(unique_cubes))
+    every = ((1 << len(cubes)) - 1) & ~res
     later = [
         index.overlapping(c) & ~((2 << i) - 1) for i, c in enumerate(result.cubes)
     ]
@@ -170,7 +177,7 @@ def verify_partial_dsop(spec: PartialSpec, result: Cover) -> VerificationReport:
     for i, peers in enumerate(later):
         if peers:
             crowded |= 1 << i
-    gaps: list[Pair] = []
+    gaps: list[Cube] = []
     multi_on: set[int] = set()
     multi_dc: set[int] = set()
     for r, c in enumerate(unique_cubes):
@@ -180,7 +187,7 @@ def verify_partial_dsop(spec: PartialSpec, result: Cover) -> VerificationReport:
             (i, j) for i in slots_of(nr & crowded) for j in slots_of(later[i] & nr)
         )
         is_on = r < len(on_u)
-        found, outs = (multi_on, []) if is_on else (multi_dc, on_u)
+        found, outs = (multi_on, 0) if is_on else (multi_dc, on_slots)
         overlapped = False
         for i, j in pairs:
             overlapped = True
@@ -188,23 +195,25 @@ def verify_partial_dsop(spec: PartialSpec, result: Cover) -> VerificationReport:
                 break
             # cubes that pairwise share a point all share one, so the
             # points both cubes cover in c form one cube
-            _witnesses(n, [_meet(_meet(res[i], res[j]), unique[r])], outs, found)
+            a, b = cubes[i], cubes[j]
+            meet = Cube(n, a.mask | b.mask | c.mask, a.bits | b.bits | c.bits)
+            _witnesses(index, [meet], outs, found)
         # with no pair, c meets its near cubes in disjoint pieces, so it
         # is covered iff their volumes add up to its own
         if is_on and (
             overlapped
-            or sum(1 << (n - (res[i][0] | c.mask).bit_count()) for i in slots_of(nr))
+            or sum(1 << (n - (cubes[i].mask | c.mask).bit_count()) for i in slots_of(nr))
             != 1 << (n - c.mask.bit_count())
         ):
-            gaps.append(unique[r])
+            gaps.append(c)
     uncovered: set[int] = set()
-    _witnesses(n, gaps, res, uncovered)
-    lone = _inside_none(CubeIndex(n, spec.shared.on.cubes), result.cubes + unique_cubes)
+    _witnesses(index, gaps, res, uncovered)
+    lone = _inside_none(index, shared_on, result.cubes + unique_cubes)
     short: set[int] = set()
-    _witnesses(n, [on_s[i] for i in slots_of(lone)], res + unique, short)
-    stray = _inside_none(index, unique_cubes + spec.shared.care_cover().cubes)
+    _witnesses(index, [cubes[s] for s in slots_of(lone)], res | unique, short)
+    stray = _inside_none(index, res, cubes[k:])
     off: set[int] = set()
-    _witnesses(n, [res[i] for i in slots_of(stray)], every, off)
+    _witnesses(index, [cubes[s] for s in slots_of(stray)], every, off)
     report = VerificationReport()
     _report(report.violations, uncovered, "==1", index)
     _report(report.violations, multi_on, "==1", index)

@@ -13,11 +13,11 @@ from dsopforge import (
     DsopConfig,
     FunctionSpec,
     PartialSpec,
+    cover_contains_cube,
     cover_intersects_cube,
 )
-from dsopforge.covers import _pairs_contain
 from dsopforge.partial import _subtract_all
-from dsopforge.verify import _MAX_REPORTED, _pairs
+from dsopforge.verify import _MAX_REPORTED
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -128,6 +128,24 @@ def rand_cover(rng, n, k, bind=None):
     return Cover(n, tuple(cubes))
 
 
+def quartered_spec(rng, n, k):
+    """k random cubes binding n - 4 variables each, every one cut into
+    quarters on two of its free variables: three on cubes and one dc
+    cube. The builtin backend grows each quarter back into its whole
+    cube, so each cube of the DSOP spans four spec cubes; at n = 20 the
+    k cubes rarely meet one another."""
+    on, dc = [], []
+    for _ in range(k):
+        a, b, *bound = rng.sample(range(n), n - 4)
+        mask = sum(1 << i for i in bound)
+        bits = mask & rng.getrandbits(n)
+        ab = 1 << a | 1 << b
+        for v in (0, 1 << a, 1 << b):
+            on.append(Cube(n, mask | ab, bits | v))
+        dc.append(Cube(n, mask | ab, bits | ab))
+    return FunctionSpec(n, Cover(n, tuple(on)), Cover(n, tuple(dc)))
+
+
 def rand_spec(rng, n, max_on=6, max_dc=3):
     on = rand_cover(rng, n, rng.randint(1, max_on))
     dc = rand_cover(rng, n, rng.randint(0, max_dc))
@@ -235,7 +253,19 @@ def rescan_subtract(cubes, cuts, split):
 
 # Pairwise reference for the index-based verify_partial_dsop: each on
 # cube checked by a tautology over the whole result, and every pair of
-# result cubes near each region cube tested one by one.
+# result cubes near each region cube tested one by one. The searched
+# cubes are plain (mask, bits) pairs, and every containment question
+# goes to the public, index-free cover_contains_cube.
+
+
+def pairs_of(cover):
+    return [(c.mask, c.bits) for c in cover.cubes]
+
+
+def holds(n, outs, mask, bits):
+    """True iff the cube (mask, bits) lies inside the union of the
+    cubes `outs`."""
+    return cover_contains_cube(Cover(n, tuple(outs)), Cube(n, mask, bits))
 
 
 def two_mode_witnesses(n, cubes, inside, outside, found):
@@ -249,22 +279,23 @@ def two_mode_witnesses(n, cubes, inside, outside, found):
     not from a meet of all three, so this search stays independent of
     verify's."""
     full = (1 << n) - 1
+    outside = [Cube(n, m, b) for m, b in outside]
     stack = [(m, b, inside, outside) for m, b in reversed(cubes)]
     while stack and len(found) < _MAX_REPORTED:
         m, b, ins, outs = stack.pop()
         if ins is None:
-            if _pairs_contain(n, outs, m, b):
+            if holds(n, outs, m, b):
                 continue
         else:
             # the parts of `inside` within this subcube
             ins = [(im | m, ib | b) for im, ib in ins if not (im & m) & (ib ^ b)]
-            if all(_pairs_contain(n, outs, im, ib) for im, ib in ins):
+            if all(holds(n, outs, im, ib) for im, ib in ins):
                 continue
         free = full & ~m
         if not free:
             found.add(b)
             continue
-        outs = [(om, ob) for om, ob in outs if not (om & m) & (ob ^ b)]
+        outs = [o for o in outs if not (o.mask & m) & (o.bits ^ b)]
         v = 1 << (free.bit_length() - 1)
         stack.append((m | v, b | v, ins, outs))
         stack.append((m | v, b, ins, outs))
@@ -296,11 +327,11 @@ def scan_report(violations, found, constraint, items, n):
 def pairwise_verify_partial(spec, result):
     """verify_partial_dsop's violations, found the pairwise way."""
     n = spec.n
-    res = _pairs(result, n)
-    on_u = _pairs(spec.unique.on, n)
-    dc_u = _pairs(spec.unique.dc, n)
-    on_s = _pairs(spec.shared.on, n)
-    every = on_u + dc_u + on_s + _pairs(spec.shared.dc, n)
+    res = pairs_of(result)
+    on_u = pairs_of(spec.unique.on)
+    dc_u = pairs_of(spec.unique.dc)
+    on_s = pairs_of(spec.shared.on)
+    every = on_u + dc_u + on_s + pairs_of(spec.shared.dc)
     uncovered = set()
     two_mode_witnesses(n, on_u, None, res, uncovered)
     unique = on_u + dc_u

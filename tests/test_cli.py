@@ -605,9 +605,9 @@ class TestWideOneFileInput:
             finally:
                 trimming[0] = False
 
-        def probe(*args):
+        def probe(index, slots, mask):
             probes[0] += trimming[0]
-            return real_probe(*args)
+            return real_probe(index, slots, mask)
 
         monkeypatch.setattr(covers_mod, "_recursive_tautology", counting)
         monkeypatch.setattr(minimize_mod, "irredundant", irredundant)

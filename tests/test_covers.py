@@ -16,7 +16,7 @@ from dsopforge import (
     is_tautology,
     normalize,
 )
-from dsopforge.covers import CubeIndex, _pairs_contain, _slots_contain, slots_of
+from dsopforge.covers import CubeIndex, _slots_contain, slots_of
 from dsopforge.exact import point_mask
 
 
@@ -164,17 +164,17 @@ class TestCubeIndex:
 
     @given(many_or_wide_covers_st, st.data())
     @settings(max_examples=40)
-    def test_slots_contain_matches_pairs_contain(self, x, data):
+    def test_slots_contain_matches_cover_contains_cube(self, x, data):
         cubes = list(x.cubes)
         index = CubeIndex(x.n, cubes)
         gone = data.draw(st.sets(st.integers(0, max(len(cubes) - 1, 0))))
         for s in gone:
             index.discard(s)
-        rest = [(q.mask, q.bits) for j, q in enumerate(cubes) if j not in gone]
+        rest = Cover(x.n, tuple(q for j, q in enumerate(cubes) if j not in gone))
         probes = cubes[:8] + [data.draw(cubes_st(n=x.n)) for _ in range(4)]
         for p in probes:
-            want = _pairs_contain(x.n, rest, p.mask, p.bits)
-            assert _slots_contain(x.n, cubes, index.overlapping(p), p.mask) == want
+            want = cover_contains_cube(rest, p)
+            assert _slots_contain(index, index.overlapping(p), p.mask) == want
 
     def test_empty_list(self):
         index = CubeIndex(5, [])

@@ -414,6 +414,17 @@ class TestDisjointSharp:
         out = disjoint_sharp(q, p)
         assert len(out) == r.literal_count - q.literal_count
 
+    @given(cube_pairs_st(max_n=12))
+    def test_each_fragment_binds_one_more_variable(self, pq):
+        # so fragment 0 is the unique largest, which variant 5 takes
+        q, p = pq
+        if intersect(q, p) is None:
+            return
+        out = disjoint_sharp(q, p)
+        assert [x.literal_count for x in out] == [
+            q.literal_count + i + 1 for i in range(len(out))
+        ]
+
     @given(cube_pairs_st(max_n=10))
     def test_fragments_partition_q_minus_p(self, pq):
         q, p = pq

@@ -275,13 +275,15 @@ class TestPool:
         assert popped == [w.cube for w in ranked]
 
 
-    @pytest.mark.parametrize("variant", [1, 2, 3])
+    @pytest.mark.parametrize("variant", [1, 2, 3, 4, 5])
     def test_tie_key_runs_once_per_cube_of_p_in_a_pass(self, monkeypatch, variant):
-        # under these variants no cube enters P after it is built, so
-        # every trit string a pass breaks ties on is rendered while P is
-        # built: each cube of P once, whether or not P re-keys cubes
-        # later (v2). The strings are rendered a list at a time, so the
-        # cubes handed to engine.trit_strings are counted, not calls.
+        # engine.trit_strings renders the tie strings of P's members
+        # while P is built: each cube of P once, whether or not P
+        # re-keys cubes later (v2, v4, v5). A fragment pushed back into
+        # P (v4, v5) renders its own string, and v5 takes fragment 0
+        # with no string compared, so nothing else goes through it. The
+        # strings are rendered a list at a time, so the cubes handed to
+        # engine.trit_strings are counted, not calls.
         rendered = []
         trit_strings = engine_mod.trit_strings
 
@@ -554,11 +556,13 @@ class TestApplyOpt:
     def test_variant_5_requeues_biggest_fragment(self):
         P = pool(5)
         B = []
-        frags = [c("01--"), c("0-1-"), c("0000")]
-        _apply_opt(c("1---"), frags, P, B)
-        # two dimension-2 fragments tie; the lower trit string wins
-        assert [w.cube for w in entries(P)] == [c("0-1-")]
-        assert B == [c("01--"), c("0000")]
+        # disjoint_sharp binds one more variable per fragment, so the
+        # biggest is the first: 00-- of 00--, 010- and 0110
+        frags = disjoint_sharp(c("0---"), c("-111"))
+        assert frags == [c("00--"), c("010-"), c("0110")]
+        _apply_opt(c("0---"), frags, P, B)
+        assert [w.cube for w in entries(P)] == [c("00--")]
+        assert B == [c("010-"), c("0110")]
 
     @pytest.mark.parametrize("variant", [2, 4, 5])
     def test_published_weights_match_the_pairwise_reference(self, monkeypatch, variant):

@@ -1,3 +1,4 @@
+import random
 import stat
 import textwrap
 
@@ -11,6 +12,7 @@ from conftest import (
     covers_st,
     crowded_covers_st,
     function_specs_st,
+    quartered_spec,
 )
 from dsopforge import (
     ContractViolation,
@@ -35,7 +37,7 @@ from dsopforge import (
     split_outputs,
 )
 from dsopforge import minimize
-from dsopforge.covers import CubeIndex, _pairs_contain, slots_of
+from dsopforge.covers import CubeIndex, slots_of
 from dsopforge.exact import point_mask
 
 
@@ -73,11 +75,11 @@ def reference_irredundant(cover, must_cover):
     for idx in order:
         c = cubes[idx]
         alive[idx] = False
-        rest = [(d.mask, d.bits) for j, d in enumerate(cubes) if alive[j]]
+        rest = Cover(n, tuple(d for j, d in enumerate(cubes) if alive[j]))
         for m in must_cover.cubes:
             if (m.mask & c.mask) & (m.bits ^ c.bits):
                 continue
-            if not _pairs_contain(n, rest, m.mask | c.mask, m.bits | c.bits):
+            if not cover_contains_cube(rest, intersect(m, c)):
                 alive[idx] = True
                 break
     return Cover(n, tuple(c for i, c in enumerate(cubes) if alive[i]))
@@ -263,9 +265,9 @@ class TestExpand:
         calls = []
         real = minimize._slots_contain
 
-        def counting(*args):
-            calls.append(args[3])
-            return real(*args)
+        def counting(index, slots, mask):
+            calls.append(mask)
+            return real(index, slots, mask)
 
         monkeypatch.setattr(minimize, "_slots_contain", counting)
         assert expand_cube(c("0--"), valid, index, 0b100) == c("0--")
@@ -476,9 +478,9 @@ class TestBuiltin:
         calls = []
         real = minimize._slots_contain
 
-        def counting(*args):
-            calls.append(args[3])
-            return real(*args)
+        def counting(index, slots, mask):
+            calls.append(mask)
+            return real(index, slots, mask)
 
         monkeypatch.setattr(minimize, "_slots_contain", counting)
         want = build_sop(f)
@@ -540,9 +542,9 @@ class TestBuiltin:
         asked = []
         real = minimize._slots_contain
 
-        def recording(n, cubes, slots, mask):
-            asked.append([cubes[s] for s in slots_of(slots)])
-            return real(n, cubes, slots, mask)
+        def recording(index, slots, mask):
+            asked.append([index.cubes[s] for s in slots_of(slots)])
+            return real(index, slots, mask)
 
         monkeypatch.setattr(minimize, "_slots_contain", recording)
         want = build_sop(f, off=[c("00-")])
@@ -640,6 +642,37 @@ class TestExternal:
         f = FunctionSpec(3, cov("11-", "0-1"), cov("000"))
         with pytest.raises(MinimizerBackendError, match=fault):
             build_sop(f, MinimizerBackend.external(path))
+
+    def test_result_check_asks_only_the_cubes_meeting_each_cube(
+        self, tmp_path, monkeypatch
+    ):
+        # the check asks an index over on+dc about each result cube,
+        # and one over the result about each on cube: the slots handed
+        # to the containment check per cube stay flat as k grows, where
+        # a scan of the other cover hands over 87.5, 175 and 350
+        path = tmp_path / "passthrough"
+        path.write_text('#!/bin/sh\ncat "$1"\n')
+        path.chmod(path.stat().st_mode | stat.S_IMODE(0o755))
+        backend = MinimizerBackend.external(str(path))
+        handed = [0, 0]
+        real = minimize._slots_contain
+
+        def counting(index, slots, mask):
+            handed[0] += 1
+            handed[1] += slots.bit_count()
+            return real(index, slots, mask)
+
+        monkeypatch.setattr(minimize, "_slots_contain", counting)
+        per_cube = []
+        for k in (25, 50, 100):
+            f = quartered_spec(random.Random(k), 20, k)
+            handed[:] = [0, 0]
+            sop = build_sop(f, backend)
+            assert sop == normalize(f.on)
+            checked = len(sop) + len(f.on)
+            assert handed[0] == checked
+            per_cube.append(handed[1] / checked)
+        assert max(per_cube) <= 2 * per_cube[0], per_cube
 
     def test_dc_only_cubes_are_allowed(self, tmp_path):
         path = printing(tmp_path, ["11- 1", "0-1 1", "000 1"])

@@ -10,6 +10,7 @@ from conftest import (
     function_specs_st,
     pairwise_verify_partial,
     partial_specs_st,
+    quartered_spec,
     rand_cover,
     rand_spec,
 )
@@ -599,9 +600,9 @@ def searched(monkeypatch):
     seen = []
     witnesses = verify_mod._witnesses
 
-    def spy(n, cubes, outside, found):
+    def spy(index, cubes, outside, found):
         seen.append(list(cubes))
-        return witnesses(n, cubes, outside, found)
+        return witnesses(index, cubes, outside, found)
 
     monkeypatch.setattr(verify_mod, "_witnesses", spy)
     return seen
@@ -609,22 +610,17 @@ def searched(monkeypatch):
 
 @pytest.fixture
 def contain_calls(monkeypatch):
-    """(calls, pairs handed over) of verify's _pairs_contain."""
+    """(calls, slots handed over) of verify's _slots_contain."""
     made = [0, 0]
-    pairs_contain = verify_mod._pairs_contain
+    slots_contain = verify_mod._slots_contain
 
-    def counted(n, items, mask, bits):
+    def counted(index, slots, mask):
         made[0] += 1
-        made[1] += len(items)
-        return pairs_contain(n, items, mask, bits)
+        made[1] += slots.bit_count()
+        return slots_contain(index, slots, mask)
 
-    monkeypatch.setattr(verify_mod, "_pairs_contain", counted)
+    monkeypatch.setattr(verify_mod, "_slots_contain", counted)
     return made
-
-
-def pair(trits):
-    x = c(trits)
-    return x.mask, x.bits
 
 
 class TestInsideOneCube:
@@ -644,7 +640,7 @@ class TestInsideOneCube:
         # 010 lies inside the result cube 01-, so it is never searched
         result = cov("00-", "10-", "11-", "01-")
         assert verify_partial_dsop(self.SPEC, result).ok
-        assert searched[-2] == [pair("1--")]
+        assert searched[-2] == [c("1--")]
         assert pairwise_verify_partial(self.SPEC, result) == []
 
     def test_a_shared_on_cube_sticking_out_reports_its_witnesses(self, searched):
@@ -654,7 +650,7 @@ class TestInsideOneCube:
         assert verify_partial_dsop(self.SPEC, result).violations == want
         assert pairwise_verify_partial(self.SPEC, result) == want
         assert mask_verify_partial(self.SPEC, result) == want
-        assert searched[-2] == [pair("1--")]
+        assert searched[-2] == [c("1--")]
 
     def test_a_result_cube_inside_one_spec_cube_is_not_searched(self, searched):
         # 0-- lies inside no spec cube: 001 and 000 are unique on, 011
@@ -662,7 +658,7 @@ class TestInsideOneCube:
         result = cov("0--", "1--")
         assert verify_partial_dsop(self.SPEC, result).ok
         assert pairwise_verify_partial(self.SPEC, result) == []
-        assert searched[-1] == [pair("0--")]
+        assert searched[-1] == [c("0--")]
 
     @pytest.mark.parametrize("variant", [1, 2, 3, 4, 5])
     def test_an_identity_dsop_needs_no_containment_search(
@@ -727,3 +723,18 @@ class TestVerifyScaling:
         assert small[0] > 1
         for now, then in zip(large, small):
             assert now <= 1.5 * then + 0.01
+
+    def test_searched_slots_stay_flat_on_builtin_dsops(self, contain_calls):
+        # each builtin DSOP cube spans four spec cubes, so it lies in no
+        # single one and "==0" searches it; the search asks for the spec
+        # cubes meeting it, about one per cube read at every k, where a
+        # scan of every spec cube hands over 20, 42, 91 and 194
+        per_cube = []
+        for k in (25, 50, 100, 200):
+            f = quartered_spec(random.Random(k), 20, k)
+            result = dsop(f)
+            contain_calls[:] = [0, 0]
+            assert verify_dsop(f, result).ok
+            assert contain_calls[0] >= k
+            per_cube.append(contain_calls[1] / (len(result) + len(f.on) + len(f.dc)))
+        assert max(per_cube) <= 2 * per_cube[0], per_cube
