@@ -14,22 +14,29 @@ bound in the most cubes, ties to the lowest index) and both cofactors
 are checked. Two rules prune the recursion: a unate cover without an
 all-free cube is never a tautology, and a cover unate in a variable x
 is a tautology iff its cubes that leave x free are, so the cubes
-binding x are dropped before splitting. The cofactors wait on an
-explicit stack rather than the call stack, so the depth of the
-expansion, up to one split per variable, is bounded by nothing but n.
+binding x are dropped before splitting. The recursion runs on a
+CubeIndex, not on copies of the cubes: a cofactor is a set of slots
+and the variables left free, a variable's literals in it are one AND
+with its alike bitsets, dropping cubes or splitting is one AND more,
+and no node takes a step per cube. The cofactors wait on an explicit
+stack rather than the call stack, so the depth of the expansion, up
+to one split per variable, is bounded by nothing but n.
 
 Containment of a cube p in a cover is the same question asked of the
 cofactor by p: p is covered iff the cover restricted to p's subspace is
 a tautology there. Only the cubes sharing a point with p enter the
 cofactor, and one of them containing p answers at once. The check runs
-for every n on plain (mask, bits) integer pairs, so no point masks are
-built and the cost does not depend on 2**n. Every internal probe asks
-one routine, _slots_contain(index, slots, mask): given the slots a
-CubeIndex has already found to share a point with the cube, it
-cofactors those alone, so a caller asking many probes of one cover
-pays for each probe's overlap, not for the cover. Only the public
-cover_contains_cube, which has no index, tests every cube of a plain
-cover for a shared point.
+for every n on the index's bitsets, so no point masks are built and
+the cost does not depend on 2**n. One routine answers every such
+question, _slots_contain(index, slots, mask): given the slots a
+CubeIndex has found to share a point with the cube, it recurses on
+those alone, so a caller asking many probes of one cover pays for each
+probe's overlap, not for the cover. When a probe meets fewer cubes
+than it leaves variables free, the root's facts come from one walk
+over those cubes instead: a cube free wherever the probe is contains
+it, and the variables the others bind are all the recursion looks at.
+The public is_tautology and cover_contains_cube index their cover and
+ask the same routine.
 """
 
 from __future__ import annotations
@@ -324,132 +331,98 @@ def normalize(cover: Cover) -> Cover:
     return Cover(cover.n, tuple(cubes))
 
 
-def _recursive_tautology(n: int, items: list[tuple[int, int]]) -> bool:
-    """Tautology of a cover given as (mask, bits) pairs.
-
-    The x=1 halves of the splits wait on an explicit stack while the
-    x=0 half is checked, so the cofactors are checked in the order a
-    recursion would take, and a cover needing one split per variable
-    at any n stays within Python's recursion limit.
-    """
-    pending: list[list[tuple[int, int]]] = []
-    while True:
-        if not items:
-            return False
-        zeros = ones = 0
-        for mask, bits in items:
-            if not mask:
-                break
-            ones |= bits
-            zeros |= mask & ~bits
-        else:
-            binate = zeros & ones
-            if not binate:
-                # unate cover without the all-free cube: the point
-                # opposing every bound literal is uncovered
-                return False
-            unate = (zeros | ones) & ~binate
-            if unate:
-                # a cover unate in x is a tautology iff its cubes free
-                # of x are: they alone cover the half where x opposes
-                # every literal on x, and the other half is covered at
-                # least as well
-                items = [(mask, bits) for mask, bits in items if not mask & unate]
-            else:
-                items, high = _split_halves(items)
-                pending.append(high)
-            continue
-        # the all-free cube: this cofactor is a tautology
-        if not pending:
-            return True
-        items = pending.pop()
-
-
-def _split_halves(
-    items: list[tuple[int, int]],
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """The x=0 and x=1 cofactors of the pairs, x the variable bound
-    most often (ties to the lowest index).
-
-    The counts are bit-sliced: planes[j] holds bit j of every
-    variable's count, so adding a mask is a carry chain of a few
-    bitset operations rather than one step per literal, and the
-    largest count is found from the top plane down.
-    """
-    planes: list[int] = []
-    for mask, _ in items:
-        carry = mask
-        for j, plane in enumerate(planes):
-            planes[j] = plane ^ carry
-            carry &= plane
-            if not carry:
-                break
-        else:
-            planes.append(carry)
-    best = -1  # every variable
-    for plane in reversed(planes):
-        if best & plane:
-            best &= plane
-    b = best & -best
-    low: list[tuple[int, int]] = []
-    high: list[tuple[int, int]] = []
-    for mask, bits in items:
-        if mask & b:
-            (high if bits & b else low).append((mask & ~b, bits & ~b))
-        else:
-            low.append((mask, bits))
-            high.append((mask, bits))
-    return low, high
-
-
 def is_tautology(cover: Cover) -> bool:
     """True iff the cover's cubes jointly cover all 2**n points."""
-    return _recursive_tautology(cover.n, [(c.mask, c.bits) for c in cover.cubes])
+    index = CubeIndex(cover.n, cover.cubes)
+    return _slots_contain(index, index.live, 0)
 
 
 def _slots_contain(index: CubeIndex, slots: int, mask: int) -> bool:
     """True iff a cube with this mask lies inside the union of the
     cubes of `index` in `slots`, each of which shares a point with it,
     as the index's queries name them. They agree with the cube wherever
-    both are bound, so its mask alone cofactors them, and no other cube
-    is looked at; one that contains the cube leaves the all-free cube
-    behind and answers at once, otherwise the cofactor goes to the
-    tautology recursion."""
-    cubes = index.cubes
-    keep = ~mask
-    sub = []
-    while slots:
-        low = slots & -slots
-        c = cubes[low.bit_length() - 1]
-        rm = c.mask & keep
-        if not rm:
-            return True
-        sub.append((rm, c.bits & keep))
-        slots ^= low
-    return _recursive_tautology(index.n, sub)
+    both are bound, so the tautology recursion (see the module
+    docstring) runs on those slots and the variables the mask leaves
+    free, a free variable v's literals being slots & alike[v] and
+    slots & alike[n + v].
+    """
+    n = index.n
+    if slots.bit_count() < n - mask.bit_count():
+        # the root's facts from its few cubes: one contains the probe
+        # when it binds no free variable, and the recursion needs only
+        # the variables the others bind
+        cubes = index.cubes
+        keep = ~mask
+        zeros = ones = 0
+        rest = slots
+        while rest:
+            low = rest & -rest
+            c = cubes[low.bit_length() - 1]
+            rm = c.mask & keep
+            if not rm:
+                return True
+            ones |= c.bits & keep
+            zeros |= rm & ~c.bits
+            rest ^= low
+        if not zeros & ones:
+            return False
+        free = zeros | ones
+    else:
+        free = ~mask & ((1 << n) - 1)
+    alike = index.alike
+    free_vars = []
+    while free:
+        low = free & -free
+        free_vars.append(low.bit_length() - 1)
+        free ^= low
+    pending: list[tuple[int, list[int]]] = []
+    while True:
+        if not slots:
+            return False
+        bound = drop = best = 0
+        binate = []
+        for v in free_vars:
+            neg = slots & alike[v]
+            pos = slots & alike[n + v]
+            if neg and pos:
+                both = neg | pos
+                bound |= both
+                binate.append(v)
+                count = both.bit_count()
+                if count > best:
+                    best, split, split_neg, split_pos = count, v, neg, pos
+            else:
+                drop |= neg | pos
+        if slots & ~(bound | drop):
+            # the all-free cube: this cofactor is a tautology
+            if not pending:
+                return True
+            slots, free_vars = pending.pop()
+        elif not binate:
+            # unate without the all-free cube: the point opposing every
+            # bound literal is uncovered
+            return False
+        elif drop:
+            # a cofactor unate in x is a tautology iff its cubes free
+            # of x are: they alone cover the half where x opposes every
+            # literal on x, and the other half is covered at least as well
+            slots &= ~drop
+            free_vars = binate
+        else:
+            binate.remove(split)
+            pending.append((slots & ~split_neg, binate))
+            slots &= ~split_pos
+            free_vars = binate
 
 
 def cover_contains_cube(cover: Cover, p: Cube) -> bool:
-    """True iff every minterm of p is covered (p implies the cover).
-
-    Equivalent to the cofactor of the cover by p being a tautology,
-    which is how it is decided, for every n: the cubes sharing no point
-    with p are skipped, a single cube containing p answers at once, and
-    otherwise the cofactor runs through the recursive tautology check.
-    """
+    """True iff every minterm of p is covered (p implies the cover):
+    a CubeIndex over the cover names the cubes sharing a point with p,
+    and _slots_contain decides the cofactor by p, for every n."""
     if cover.n != p.n:
         raise DimensionMismatch("cube width differs from cover")
-    mask, bits = p.mask, p.bits
-    keep = ~mask
-    sub = []
-    for c in cover.cubes:
-        if (c.mask & mask) & (c.bits ^ bits):
-            continue
-        rm = c.mask & keep
-        if not rm:
-            return True
-        sub.append((rm, c.bits & keep))
-    return _recursive_tautology(cover.n, sub)
+    index = CubeIndex(cover.n, cover.cubes)
+    return _slots_contain(index, index.overlapping(p), p.mask)
 
 
 def cover_intersects_cube(cover: Cover, p: Cube) -> bool:

@@ -125,11 +125,7 @@ def _weigh(index: CubeIndex, s: int) -> tuple[int, int]:
     cubes = index.cubes
     c = cubes[s]
     keys = c.keys
-    opp = index.opp
-    against = 0
-    for k in keys:
-        against |= opp[k]
-    peers = index.live & ~against & ~(1 << s)
+    peers = index.overlapping(c) & ~(1 << s)
     count = peers.bit_count()
     common = 0
     if count < len(keys):

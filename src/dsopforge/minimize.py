@@ -19,9 +19,10 @@ VLSI Synthesis, 1984): is this cube inside the union of those cubes?
 Only cubes sharing a point with the probed cube can cover part of it,
 and a covers.CubeIndex names them: build_sop indexes on+dc once for all
 its expands, and irredundant indexes the cover it trims. A probe then
-costs a few bitset operations to find its cubes, and the cofactor and
-tautology check of those alone (covers._slots_contain), rather than a
-scan of the whole cover; a probe that meets no cube fails at once.
+costs a few bitset operations to find its cubes, and a tautology
+check over those slots alone, run on the index's bitsets
+(covers._slots_contain), rather than a scan of the whole cover; a
+probe that meets no cube fails at once.
 The external backend's result is checked by the same routine: an index
 over on+dc is asked about each result cube, and one over the result
 about each on cube.

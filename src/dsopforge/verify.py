@@ -28,9 +28,9 @@ has no minterm outside the union. Only the others are searched, by
 splitting each cube one free variable at a time and dropping every
 half the union contains. Each half carries the union's slots meeting
 it, one AND per split, and covers._slots_contain, the routine behind
-every containment probe, cofactors those alone. The identity backend's
-covers leave none for "==0", so no search runs over result cubes times
-spec cubes.
+every containment probe, runs its tautology check on those alone. The
+identity backend's covers leave none for "==0", so no search runs over
+result cubes times spec cubes.
 No point masks are built and nothing is sampled, so the cost does not
 depend on 2**n. The witnesses are rendered as trit strings together,
 one table per rule.

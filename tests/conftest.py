@@ -13,7 +13,6 @@ from dsopforge import (
     DsopConfig,
     FunctionSpec,
     PartialSpec,
-    cover_contains_cube,
     cover_intersects_cube,
 )
 from dsopforge.partial import _subtract_all
@@ -251,11 +250,34 @@ def rescan_subtract(cubes, cuts, split):
     return out + cubes[born:]
 
 
+def shannon_contains(cubes, p):
+    """True iff cube p lies inside the union of `cubes`: a containment
+    reference independent of covers._slots_contain, with no unate rule
+    and no counting. A subcube of p is covered when a cube contains it
+    and uncovered when no cube meets it; otherwise it splits on the
+    lowest variable free in it that a cube meeting it binds."""
+    stack = [(p.mask, p.bits)]
+    while stack:
+        m, b = stack.pop()
+        near = [c for c in cubes if not (c.mask & m) & (c.bits ^ b)]
+        if not near:
+            return False
+        bound = [c.mask & ~m for c in near]
+        if not all(bound):
+            continue
+        free = 0
+        for x in bound:
+            free |= x
+        v = free & -free
+        stack += [(m | v, b | v), (m | v, b)]
+    return True
+
+
 # Pairwise reference for the index-based verify_partial_dsop: each on
 # cube checked by a tautology over the whole result, and every pair of
 # result cubes near each region cube tested one by one. The searched
 # cubes are plain (mask, bits) pairs, and every containment question
-# goes to the public, index-free cover_contains_cube.
+# goes to shannon_contains, not to the routine verify itself asks.
 
 
 def pairs_of(cover):
@@ -265,7 +287,7 @@ def pairs_of(cover):
 def holds(n, outs, mask, bits):
     """True iff the cube (mask, bits) lies inside the union of the
     cubes `outs`."""
-    return cover_contains_cube(Cover(n, tuple(outs)), Cube(n, mask, bits))
+    return shannon_contains(outs, Cube(n, mask, bits))
 
 
 def two_mode_witnesses(n, cubes, inside, outside, found):

@@ -27,6 +27,7 @@ from dsopforge import (
 from dsopforge import covers as covers_mod
 from dsopforge import minimize as minimize_mod
 from dsopforge import partial as partial_mod
+from dsopforge import verify as verify_mod
 from dsopforge.cli import RunStats, main
 
 
@@ -513,13 +514,30 @@ def random_wide_pla(n, rows=40, seed=7, widths=(24, 48, 96, 192)):
     raise ValueError(f"no table of width {n}")
 
 
+def count_containment(monkeypatch):
+    """[calls, slots handed over] of _slots_contain, the tautology check
+    behind every containment probe, at each module that imports it."""
+    made = [0, 0]
+    real = covers_mod._slots_contain
+
+    def counting(index, slots, mask):
+        made[0] += 1
+        made[1] += slots.bit_count()
+        return real(index, slots, mask)
+
+    for module in (minimize_mod, verify_mod):
+        monkeypatch.setattr(module, "_slots_contain", counting)
+    return made
+
+
 class TestWideRandomInput:
     """The n=48 random input: a 40-cube SOP whose DSOP has 1246 cubes.
     Later passes re-minimize thousands of fragments; with the pass-1
     SOP as their care cover, each containment probe cofactors a few of
-    its 40 cubes. Bounded by tautology calls, not wall time: probes
-    that cofactor the fragments make 99,030 calls handed 4.69M cubes
-    in all, probes against the care cover 39,292 handed 0.56M."""
+    its 40 cubes. Bounded by containment calls (_slots_contain) and
+    the slots handed to them, not wall time: either command makes
+    82,531 calls, which hand over 618,942 slots of the care cover, or
+    3,444,313 when they cofactor the fragments instead."""
 
     DIGEST = "382609a4c8889ec36f9b4d61036d960b2e454dcc51e6fe905147375107dcd34d"
 
@@ -530,19 +548,11 @@ class TestWideRandomInput:
         src = tmp_path / "rand48.pla"
         src.write_text(random_wide_pla(48))
         out = tmp_path / "out.pla"
-        real = covers_mod._recursive_tautology
-        calls = [0, 0]
-
-        def counting(n, items):
-            calls[0] += 1
-            calls[1] += len(items)
-            return real(n, items)
-
-        monkeypatch.setattr(covers_mod, "_recursive_tautology", counting)
+        calls = count_containment(monkeypatch)
         assert main([command, "--verify", str(src), "-o", str(out)]) == 0
         assert "sop=40 dsop=1246" in capsys.readouterr().err
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGEST
-        assert calls[0] < 60_000 and calls[1] < 1_500_000, calls
+        assert calls[0] < 91_000 and calls[1] < 680_000, calls
 
 
 def random_wide_dc_pla(seed=14, n=48, rows=40, dc_rows=6):
@@ -572,11 +582,13 @@ class TestWideOneFileInput:
     """One-file pdsop on an n=48 random input with dc rows, which become
     the shared region: later passes re-minimize against the pass-1 SOP
     plus the dc rows, refuting with the committed cubes' pieces outside
-    them. Bounded by tautology calls, not wall time: refuting only with
-    committed cubes that miss each pass's on+dc makes 40,632 calls
-    handed 1.39M cubes in all, the care path 33,295 handed 0.55M, and
-    an irredundant that decides most candidates by one probe against
-    the rest plus the dc cubes 21,143 handed 163,590. Its containment
+    them. Bounded by containment calls (_slots_contain) and the slots
+    handed to them, not wall time: the run makes 36,113 calls handed
+    185,122 slots. Refuting only with committed cubes that miss each
+    pass's on+dc hands the same calls 1,111,454 slots, and an
+    irredundant probing every on cube meeting a candidate, rather than
+    deciding most candidates by one probe against the rest plus the dc
+    cubes, makes 122,867 calls handed 3,689,381. Its irredundant
     probes: 4,893, where probing every on cube meeting a candidate
     makes 86,754."""
 
@@ -586,17 +598,11 @@ class TestWideOneFileInput:
         src = tmp_path / "rand48dc.pla"
         src.write_text(random_wide_dc_pla())
         out = tmp_path / "out.pla"
-        real = covers_mod._recursive_tautology
+        calls = count_containment(monkeypatch)
         real_irredundant = minimize_mod.irredundant
         real_probe = minimize_mod._slots_contain
-        calls = [0, 0]
         probes = [0]
         trimming = [False]
-
-        def counting(n, items):
-            calls[0] += 1
-            calls[1] += len(items)
-            return real(n, items)
 
         def irredundant(*args, **kwargs):
             trimming[0] = True
@@ -609,13 +615,12 @@ class TestWideOneFileInput:
             probes[0] += trimming[0]
             return real_probe(index, slots, mask)
 
-        monkeypatch.setattr(covers_mod, "_recursive_tautology", counting)
         monkeypatch.setattr(minimize_mod, "irredundant", irredundant)
         monkeypatch.setattr(minimize_mod, "_slots_contain", probe)
         assert main(["pdsop", "--verify", str(src), "-o", str(out)]) == 0
         assert "sop=40 dsop=598" in capsys.readouterr().err
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGEST
-        assert calls[0] < 27_000 and calls[1] < 350_000, calls
+        assert calls[0] < 40_000 and calls[1] < 204_000, calls
         assert probes[0] < 10_000, probes
 
 
@@ -627,8 +632,9 @@ class TestWideDcTail:
     each cube's overlapping slots for a container yields 6,714,435
     slots through covers.slots_of, one that ANDs each cube's literal
     bitsets for the cubes it contains yields none. The run makes
-    123,790 tautology calls handed 2,211,644 cubes in all, nearly all
-    from irredundant's probes."""
+    252,237 containment calls (_slots_contain) handed 2,426,950 slots;
+    an irredundant probing every on cube meeting a candidate makes
+    1,803,128 handed 111,419,978."""
 
     DIGEST = "d546186444459bc2cfd756087e6d1d55131e05f6d5b9d9ce8db44fd88c993966"
 
@@ -637,27 +643,20 @@ class TestWideDcTail:
         src.write_text(random_wide_dc_pla(2))
         out = tmp_path / "out.pla"
         real_slots = covers_mod.slots_of
-        real_tautology = covers_mod._recursive_tautology
         walked = [0]
-        calls = [0, 0]
+        calls = count_containment(monkeypatch)
 
         def walking(x):
             for s in real_slots(x):
                 walked[0] += 1
                 yield s
 
-        def counting(n, items):
-            calls[0] += 1
-            calls[1] += len(items)
-            return real_tautology(n, items)
-
         monkeypatch.setattr(covers_mod, "slots_of", walking)
-        monkeypatch.setattr(covers_mod, "_recursive_tautology", counting)
         assert main(["pdsop", "--verify", str(src), "-o", str(out)]) == 0
         assert "sop=40 dsop=2415" in capsys.readouterr().err
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGEST
         assert walked[0] < 1_000, walked
-        assert calls[0] < 130_000 and calls[1] < 2_400_000, calls
+        assert calls[0] < 278_000 and calls[1] < 2_670_000, calls
 
 
 class TestBenchCommand:

@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import covers_st, crowded_covers_st, cubes_st, pairwise_normalize
+from conftest import (
+    covers_st,
+    crowded_covers_st,
+    cubes_st,
+    pairwise_normalize,
+    shannon_contains,
+)
 from dsopforge import (
     Cover,
     Cube,
@@ -164,16 +170,21 @@ class TestCubeIndex:
 
     @given(many_or_wide_covers_st, st.data())
     @settings(max_examples=40)
-    def test_slots_contain_matches_cover_contains_cube(self, x, data):
+    def test_slots_contain_matches_shannon_reference(self, x, data):
+        # the wide covers are past point masks: only the reference
+        # answers there
         cubes = list(x.cubes)
         index = CubeIndex(x.n, cubes)
         gone = data.draw(st.sets(st.integers(0, max(len(cubes) - 1, 0))))
         for s in gone:
             index.discard(s)
-        rest = Cover(x.n, tuple(q for j, q in enumerate(cubes) if j not in gone))
+        rest = [q for j, q in enumerate(cubes) if j not in gone]
+        points = cover_point_mask(Cover(x.n, tuple(rest))) if x.n <= 8 else None
         probes = cubes[:8] + [data.draw(cubes_st(n=x.n)) for _ in range(4)]
         for p in probes:
-            want = cover_contains_cube(rest, p)
+            want = shannon_contains(rest, p)
+            if points is not None:
+                assert want == (point_mask(p) & ~points == 0)
             assert _slots_contain(index, index.overlapping(p), p.mask) == want
 
     def test_empty_list(self):

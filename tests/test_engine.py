@@ -40,6 +40,7 @@ from dsopforge import (
     weight_all,
 )
 from dsopforge import engine as engine_mod
+from dsopforge import minimize as minimize_mod
 from dsopforge import partial as partial_mod
 from dsopforge.covers import CubeIndex, slots_of
 from dsopforge.engine import _apply_opt, _Pool, _weigh
@@ -639,6 +640,44 @@ class TestDsop:
         out = dsop(f, cfg)
         assert len(out) == want
         assert verify_dsop(f, out).ok
+
+    def test_containment_work_per_output_cube_stays_flat_on_the_chain(
+        self, monkeypatch
+    ):
+        # the tautology check reads the index's cubes and literal
+        # bitsets; counted per output cube, not in seconds. A check
+        # costing a step per cube each probe meets reads 250, 484, 950
+        # and 1881 per cube at m = 8..11, the bitset recursion 76, 91,
+        # 108 and 126
+        reads = [0]
+
+        class Counted:
+            def __init__(self, items):
+                self.items = items
+
+            def __getitem__(self, k):
+                reads[0] += 1
+                return self.items[k]
+
+        class Proxy:
+            def __init__(self, index):
+                self.n = index.n
+                self.cubes = Counted(index.cubes)
+                self.alike = Counted(index.alike)
+
+        real = minimize_mod._slots_contain
+        monkeypatch.setattr(
+            minimize_mod,
+            "_slots_contain",
+            lambda index, slots, mask: real(Proxy(index), slots, mask),
+        )
+        per_cube = {}
+        for m in range(8, 12):
+            reads[0] = 0
+            out = dsop(chain_family(m))
+            assert len(out) == 2**m - 1
+            per_cube[m] = reads[0] / len(out)
+        assert per_cube[11] <= 2 * per_cube[8], per_cube
 
     @given(function_specs_st(max_n=7))
     @settings(max_examples=60)
