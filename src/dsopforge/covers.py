@@ -154,19 +154,12 @@ class PartialSpec:
     def n(self) -> int:
         return self.unique.n
 
-    def unique_cover(self) -> Cover:
-        return self.unique.care_cover()
-
     def shared_index(self) -> CubeIndex:
         """shared.on + shared.dc in one CubeIndex, built once, only queried."""
         if self._shared is None:
             index = CubeIndex(self.n, self.shared.care_cover().cubes)
             object.__setattr__(self, "_shared", index)
         return self._shared
-
-    def shared_cover(self) -> Cover:
-        """shared.on + shared.dc: the cubes of shared_index()."""
-        return Cover(self.n, tuple(self.shared_index().cubes))
 
     def combined(self) -> FunctionSpec:
         """Both parts as one function: on = unique.on + shared.on and
@@ -183,7 +176,7 @@ class PartialSpec:
         """The first unique cube and the first shared cube it meets (the
         lowest slot shared_index() names), or None when none meet."""
         index = self.shared_index()
-        for a in self.unique_cover().cubes:
+        for a in self.unique.care_cover().cubes:
             if hits := index.overlapping(a):
                 return a, index.cubes[next(slots_of(hits))]
         return None

@@ -214,12 +214,12 @@ class _Pool:
     published weight, trit string, slot) under dimension_weight,
     (weight, literal count, trit string, slot) under weight_dimension.
     `key[s]` is slot s's current key, None once it left P (and from the
-    start for an isolated slot). A slot whose published weight changes
-    gets a new key pushed; entries that are no longer their slot's key
-    are skipped when popped, so P is never re-sorted. The first three
-    fields tie only for equal cubes (v4/v5 pushes can make them), and
-    equal cubes carry equal weights, so the slot breaks those ties in
-    the order they entered P.
+    start for an isolated slot). A slot's published weight lives in its
+    key and nowhere else; when it changes, a new key is pushed. Entries
+    that are no longer their slot's key are skipped when popped, so P
+    is never re-sorted. The first three fields tie only for equal cubes
+    (v4/v5 pushes can make them), and equal cubes carry equal weights,
+    so the slot breaks those ties in the order they entered P.
 
     Variants 2, 4 and 5 publish fresh weights, so under them every cube
     of P also keeps a running (total, count) over its overlapping peers
@@ -227,8 +227,8 @@ class _Pool:
     sums, and marks them in `moved`, the slots whose sums changed since
     they were last published; publishing a weight is a lookup, not a
     rescan of P. The sums start from weight_all's weights and peer
-    counts: an isolated cube is no cube's peer, so those are the counts
-    within P too.
+    counts, whose list P takes as its own: an isolated cube is no
+    cube's peer, so those are the counts within P too.
     """
 
     def __init__(
@@ -242,7 +242,8 @@ class _Pool:
         """`weighted` and `counts` are weight_all's output and peer
         counts over `index`, whose slots must all be live: slot s holds
         weighted[s].cube. P takes the slots weighing >= 0, in
-        sort_cubes order under `sort`."""
+        sort_cubes order under `sort`, and under variants 2, 4 and 5
+        keeps `counts` as its running counts."""
         self.variant = variant
         self.index = index
         self.dw = sort == SORT_DIMENSION_WEIGHT
@@ -266,24 +267,17 @@ class _Pool:
         for s, w in enumerate(weighted):
             if w.weight < 0:
                 index.discard(s)
-        self.weight = [w.weight for w in weighted]  # as last published
         # only the running sums read these, and only at the slots of P
         self.track = variant in (2, 4, 5)
-        self.lits: list[int] = []
         self.total: list[int] = []
         self.count: list[int] = []
         self.moved = index.live
         if self.track:
-            self.lits = [c.literal_count for c in index.cubes]
-            self.count = list(counts)
-            self.total = [w if m else 0 for w, m in zip(self.weight, counts)]
+            self.count = counts
+            self.total = [w.weight if m else 0 for w, m in zip(weighted, counts)]
 
     def __bool__(self) -> bool:
         return bool(self.index.live)
-
-    def slots(self) -> list[int]:
-        """The live slots in selection order."""
-        return sorted(slots_of(self.index.live), key=self.key.__getitem__)
 
     def first(self, near: int) -> int:
         """The live slot in `near` that comes first in selection order;
@@ -312,14 +306,12 @@ class _Pool:
     def push(self, c: Cube) -> None:
         """Add c to P, published weight 0 until the next publish."""
         s = self.index.add(c)
-        self.weight.append(0)
         lits, tie = c.literal_count, c.to_string()
         k = (lits, 0, tie, s) if self.dw else (0, lits, tie, s)
         self.key.append(k)
         heappush(self.heap, k)
         self.moved |= 1 << s
         if self.track:
-            self.lits.append(lits)
             total, count = _weigh(self.index, s)
             self.total.append(total)
             self.count.append(count)
@@ -327,27 +319,28 @@ class _Pool:
 
     def _shift(self, s: int, sign: int) -> None:
         # slot s left P (sign -1) or entered it (+1): each overlapping
-        # peer t gains or loses the term lits[t] - common - 1
-        index, lits, total, count = self.index, self.lits, self.total, self.count
+        # peer t gains or loses the term "the literals t binds that s
+        # does not, minus one"
+        index, total, count = self.index, self.total, self.count
         cm = index.cubes[s].mask
         near = index.overlapping(index.cubes[s]) & ~(1 << s)
         self.moved |= near
         for t in slots_of(near):
-            total[t] += sign * (lits[t] - (cm & index.cubes[t].mask).bit_count() - 1)
+            total[t] += sign * ((index.cubes[t].mask & ~cm).bit_count() - 1)
             count[t] += sign
 
     def publish(self, slots: int) -> None:
         """Set the weights of the live slots in bitset `slots` to their
         running sums, re-keying the slots whose weight changed, and
         clear their `moved` marks."""
-        weight, total, count, key = self.weight, self.total, self.count, self.key
+        total, count, key = self.total, self.count, self.key
         heap, dw = self.heap, self.dw
         self.moved &= ~slots
         for s in slots_of(slots & self.index.live):
             w = total[s] if count[s] else -1
-            if w != weight[s]:
-                weight[s] = w
-                k = key[s]
+            k = key[s]
+            # the published weight: k[1] under dimension_weight, else k[0]
+            if w != k[dw]:
                 key[s] = k = (k[0], w, k[2], s) if dw else (w, k[1], k[2], s)
                 heappush(heap, k)
 

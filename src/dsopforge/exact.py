@@ -82,11 +82,11 @@ def exact_min_partial_dsop(spec: PartialSpec, max_n: int = 5) -> Cover:
             f"exact search over {n} variables refused (max_n={max_n})"
         )
     spec.validate_disjoint()
-    exclusive = cover_point_mask(spec.unique_cover())
+    exclusive = cover_point_mask(spec.unique.care_cover())
     required = cover_point_mask(spec.unique.on) | cover_point_mask(spec.shared.on)
     if required == 0:
         return Cover(n)
-    care = exclusive | cover_point_mask(spec.shared_cover())
+    care = exclusive | cover_point_mask(spec.shared.care_cover())
     cubes = [Cube(n, m, b) for m in range(1 << n) for b in range(1 << n) if not b & ~m]
     ties = trit_strings(cubes)
     order = sorted(range(len(cubes)), key=lambda i: (-cubes[i].dimension, ties[i]))

@@ -255,7 +255,6 @@ def irredundant(
     index = CubeIndex(n, cover.cubes + dc_cubes)
     cubes = index.cubes
     spare = ((1 << len(dc_cubes)) - 1) << k
-    meets = [index.overlapping(c) for c in cover.cubes]
     live = index.live
     # one probe per candidate, and the must cubes meeting a dc cube
     # need their own
@@ -270,7 +269,7 @@ def irredundant(
         c = cubes[idx]
         slot = 1 << idx
         live &= ~slot
-        rest = live & meets[idx]
+        rest = live & index.overlapping(c)
         if not _slots_contain(index, rest, c.mask):
             live |= slot
             continue

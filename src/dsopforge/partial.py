@@ -29,10 +29,11 @@ neighbour loop and then those of its B splits, and the lists join the
 dc pool in commit order once B is split: the order a split after every
 commit would give.
 
-Every pass's build_sop gets one list of refuters, `off`, which each
-pass extends by its commits: as they are, or on the care path (see
-_select) cut by the shared cubes they meet, by one more _split_late
-with the shared cubes in the place of the commits.
+Every pass's build_sop gets one list of refuters, `off`: the list of
+committed cubes itself, or on the care path (see _select) with a
+shared region a list of their pieces outside it, which each pass
+extends by one more _split_late with the shared cubes in the place of
+the commits.
 
 The loop has no mode: the don't-care rule rides on `first`, the
 function pass 1 re-minimizes. Later passes keep the unique dc points
@@ -237,10 +238,10 @@ def _select(
         and not cfg.drop_dc_only
         and cfg.backend.kind == "builtin"
     )
-    # every build_sop's refuters: the committed cubes, or on the care
-    # path their pieces outside the shared region
-    off: list[Cube] = []
     shared = spec.shared_index().cubes
+    # every build_sop's refuters: the committed cubes, or on the care
+    # path with a shared region their pieces outside it
+    off = [] if keep_care and shared else committed
     # (fragments, or None when q stays whole, and shared slices)
     split = functools.partial(partial_break, spec=spec) if shared else _sharp
     outer = 0
@@ -297,9 +298,8 @@ def _select(
             dc_once = _split_late(
                 n, dc_once, [(c, len(dc_once), []) for c in fresh], _sharp
             )
-        if care is not None and shared:
-            fresh = _split_late(n, fresh, [(s, len(fresh), []) for s in shared], _sharp)
-        off += fresh
+        if off is not committed:
+            off += _split_late(n, fresh, [(s, len(fresh), []) for s in shared], _sharp)
         todo = FunctionSpec(n, Cover(n, tuple(B)), Cover(n, tuple(dc_once + dc_many)))
         sop = None
     return Cover(n, tuple(committed))

@@ -314,9 +314,18 @@ class TestPool:
         assert len(rendered) == sum(map(len, members))
 
 
+def published(P, s):
+    """The weight P last published for slot s: a field of its key, or
+    ReferencePool's own list."""
+    if isinstance(P, ReferencePool):
+        return P.weight[s]
+    return P.key[s][1] if P.dw else P.key[s][0]
+
+
 def entries(P):
     """P's cubes in selection order, with their published weights."""
-    return [WeightedCube(P.index.cubes[s], P.weight[s]) for s in P.slots()]
+    order = sorted(slots_of(P.index.live), key=P.key.__getitem__)
+    return [WeightedCube(P.index.cubes[s], published(P, s)) for s in order]
 
 
 class ReferencePool:
@@ -458,8 +467,8 @@ def drive(make, apply_opt, sop, variant, sort, copies):
     `copies` (one flag per dispatch, then False) says so under variants
     4 and 5, the fragments are replaced by one copy of a cube still in
     P, so the push puts two equal cubes in P. Returns every popped cube,
-    every P.first answer and the weight list after every dispatch, in
-    order, and B."""
+    every P.first answer and each live slot's published weight after
+    every dispatch, in order, and B."""
     index = CubeIndex(sop.n, sop.cubes)
     counts = []
     weighted = weight_all(sop, index, counts)
@@ -482,7 +491,7 @@ def drive(make, apply_opt, sop, variant, sort, copies):
             if variant >= 4 and live and next(copies, False):
                 fragments = [P.index.cubes[live[len(live) // 2]]]
             apply_opt(q, fragments, P, B)
-            log.append(list(P.weight))
+            log.append([(s, published(P, s)) for s in slots_of(P.index.live)])
     return log, B
 
 
@@ -512,7 +521,7 @@ class TestHeapMatchesResort:
         _apply_opt(c("1-1-"), [c("0-0-")], P, B)
         assert P.index.cubes[2] == P.index.cubes[1]
         assert P.key[1][:3] == P.key[2][:3]
-        assert P.slots() == [1, 2, 0]
+        assert sorted(slots_of(P.index.live), key=P.key.__getitem__) == [1, 2, 0]
 
 
 class TestApplyOpt:

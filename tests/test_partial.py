@@ -43,6 +43,7 @@ from dsopforge import (
     verify_partial_dsop,
 )
 from dsopforge import covers as covers_mod
+from dsopforge.covers import CubeIndex
 from dsopforge.exact import point_mask
 from dsopforge import partial as partial_mod
 
@@ -79,10 +80,10 @@ def three_way_break(q, p, spec):
     with nothing reusable, and any other overlap splits q and reports
     its shared slices."""
     x = intersect(q, p)
-    shared_all = spec.shared_cover()
+    shared_all = spec.shared.care_cover()
     if cover_contains_cube(shared_all, x):
         return None, []
-    if cover_contains_cube(spec.unique_cover(), x):
+    if cover_contains_cube(spec.unique.care_cover(), x):
         return disjoint_sharp(q, p), []
     reusable = []
     for s in shared_all.cubes:
@@ -95,8 +96,8 @@ def three_way_break(q, p, spec):
 def pairwise_overlap(spec):
     """PartialSpec.overlap's earlier double loop, kept as an oracle: the
     first unique cube meeting a shared cube, and the first it meets."""
-    for a in spec.unique_cover().cubes:
-        for b in spec.shared_cover().cubes:
+    for a in spec.unique.care_cover().cubes:
+        for b in spec.shared.care_cover().cubes:
             if intersect(a, b) is not None:
                 return a, b
     return None
@@ -146,7 +147,7 @@ class TestSharedRegionScaling:
         # x0 free: x reaches the unique half, so it is never shared-only
         q, p = c("-01" + "-" * 13), c("---10" + "-" * 11)
         x = intersect(q, p)
-        m = sum(intersect(x, s) is not None for s in spec.shared_cover().cubes)
+        m = sum(intersect(x, s) is not None for s in spec.shared.care_cover().cubes)
         assert m > 0
         fragments, reusable = partial_break(q, p, spec)
         assert len(reusable) == m and fragments == disjoint_sharp(q, p)
@@ -163,12 +164,81 @@ class TestSharedRegionScaling:
         assert len(calls) == 0
 
 
+def regions(k):
+    """k on cubes in k/2 regions, each addressed by an m-bit prefix
+    (m = ceil(log2(k/2))): region pre holds the on cubes pre.1-0- and
+    pre.-1-0, which overlap in pre.1100, and the dc cube pre.0011. No
+    cube meets another region."""
+    m = (k // 2 - 1).bit_length()
+    pres = [format(r, f"0{m}b") for r in range(k // 2)]
+    on = [c(pre + s) for pre in pres for s in ("1-0-", "-1-0")]
+    dc = [c(pre + "0011") for pre in pres]
+    return FunctionSpec(m + 4, Cover(m + 4, tuple(on)), Cover(m + 4, tuple(dc)))
+
+
+class TestSolveScaling:
+    """Solving and verifying asks a few index queries per input cube,
+    at every size: operation counts, not seconds, on a family whose
+    regions never meet, so a step over every cube of the pass (or every
+    pair) shows as a count growing with k (ROADMAP item 8). The identity
+    backend keeps the regions apart; the builtin one merges them."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        # [index queries, entries _subtract_all scans]
+        made = [0, 0]
+        overlapping, inside = CubeIndex.overlapping, CubeIndex.inside
+        subtract_all = partial_mod._subtract_all
+
+        def counted_overlapping(index, q):
+            made[0] += 1
+            return overlapping(index, q)
+
+        def counted_inside(index, q, slots):
+            made[0] += 1
+            return inside(index, q, slots)
+
+        def counted_subtract_all(cubes, p, split, found):
+            made[1] += len(cubes)
+            return subtract_all(cubes, p, split, found)
+
+        monkeypatch.setattr(CubeIndex, "overlapping", counted_overlapping)
+        monkeypatch.setattr(CubeIndex, "inside", counted_inside)
+        monkeypatch.setattr(partial_mod, "_subtract_all", counted_subtract_all)
+        return made
+
+    def test_dsop_and_pdsop_operations_per_input_cube_stay_flat(self, counts):
+        # 9.5 (dsop) and 10.5 (pdsop) queries per on cube at every k,
+        # and no _subtract_all scan; splitting B after every commit
+        # scans a B that grows with k
+        cfg = DsopConfig(3, backend=MinimizerBackend.identity())
+        per_cube = []
+        for k in (200, 400, 800):
+            f = regions(k)
+            spec = PartialSpec(
+                FunctionSpec(f.n, f.on), FunctionSpec(f.n, Cover(f.n), f.dc)
+            )
+            row = []
+            for solve, verify, what in (
+                (dsop, verify_dsop, f),
+                (partial_dsop, verify_partial_dsop, spec),
+            ):
+                counts[:] = [0, 0]
+                assert verify(what, solve(what, cfg)).ok
+                row += [counts[0] / k, counts[1] / k]
+            per_cube.append(row)
+        small, _, large = per_cube
+        assert small[0] > 1 and small[2] > 1
+        for now, then in zip(large, small):
+            assert now <= 1.25 * then, per_cube
+
+
 class TestPartialBreak:
     @given(st.data())
     @settings(max_examples=300)
     def test_matches_the_three_way_rule_on_disjoint_specs(self, data):
         spec = data.draw(partial_specs_st(max_n=7))
-        pool = list(spec.unique_cover().cubes + spec.shared_cover().cubes)
+        pool = list(spec.unique.care_cover().cubes + spec.shared.care_cover().cubes)
         cubes = cubes_st(n=spec.n)
         if pool:
             cubes = st.one_of(st.sampled_from(pool), cubes)
@@ -222,12 +292,12 @@ class TestPartialBreak:
     def test_keeping_the_shared_cover_changes_no_equality_hash_or_repr(self):
         fresh = PartialSpec(E2.unique, E2.shared)
         read = PartialSpec(E2.unique, E2.shared)
-        read.shared_cover()
+        read.shared_index()
         assert read == fresh and hash(read) == hash(fresh)
         assert repr(read) == repr(fresh)
         for x in (fresh, read):
             y = pickle.loads(pickle.dumps(x))
-            assert y == x and y.shared_cover() == x.shared_cover()
+            assert y == x and y.shared_index().cubes == x.shared_index().cubes
 
 
 class TestOverlap:

@@ -403,7 +403,7 @@ def corrupted(draw, result, spec_cubes=()):
 
 
 def spec_cubes(spec):
-    return spec.unique_cover().cubes + spec.shared_cover().cubes
+    return spec.unique.care_cover().cubes + spec.shared.care_cover().cubes
 
 
 @st.composite
