@@ -12,8 +12,8 @@ import sys
 from collections import Counter
 
 from dsopforge import (
-    SORT_DIMENSION_WEIGHT,
-    SORT_WEIGHT_DIMENSION,
+    SORT_POLICIES,
+    VARIANTS,
     Cover,
     DsopConfig,
     FunctionSpec,
@@ -21,8 +21,6 @@ from dsopforge import (
     exact_min_dsop,
 )
 from ladder import rand_cube
-
-SORTS = {"dw": SORT_DIMENSION_WEIGHT, "wd": SORT_WEIGHT_DIMENSION}
 
 
 def rand_function(rng, n):
@@ -39,8 +37,11 @@ def main(argv=None) -> int:
         "--max-n", type=int, default=4, help="variable cap (exact search is 3^n)"
     )
     ap.add_argument("--seed", type=int, default=1729)
-    ap.add_argument("--variant", type=int, choices=range(1, 6), default=3)
-    ap.add_argument("--sort", choices=sorted(SORTS), default="dw")
+    default = DsopConfig()
+    ap.add_argument(
+        "--variant", type=int, choices=VARIANTS, default=default.variant
+    )
+    ap.add_argument("--sort", choices=SORT_POLICIES, default=default.sort)
     ap.add_argument("--show", type=int, default=5, help="worst cases to print")
     ns = ap.parse_args(argv)
     if ns.count < 1:
@@ -52,7 +53,7 @@ def main(argv=None) -> int:
     if ns.show < 0:
         ap.error("--show must not be negative")
 
-    cfg = DsopConfig(variant=ns.variant, sort=SORTS[ns.sort])
+    cfg = DsopConfig(variant=ns.variant, sort=ns.sort)
     rng = random.Random(ns.seed)
     gaps = Counter()
     worst = []

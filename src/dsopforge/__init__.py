@@ -34,6 +34,7 @@ from .engine import (
     SORT_DIMENSION_WEIGHT,
     SORT_POLICIES,
     SORT_WEIGHT_DIMENSION,
+    VARIANTS,
     DsopConfig,
     ProgressError,
     WeightedCube,
@@ -95,6 +96,7 @@ __all__ = [
     "SORT_DIMENSION_WEIGHT",
     "SORT_POLICIES",
     "SORT_WEIGHT_DIMENSION",
+    "VARIANTS",
     "DsopConfig",
     "ProgressError",
     "WeightedCube",

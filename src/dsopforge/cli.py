@@ -6,6 +6,8 @@ file whose don't-cares become the shared region), and `bench` sweeps
 a directory of PLA files over a variant/sort grid into a CSV/JSON
 report plus a size pivot table. Every run is serial; `--jobs 1` and
 `pdsop FILE --dc-policy many` are accepted for compatibility only.
+engine's VARIANTS, SORT_POLICIES and DsopConfig() give the choices and
+defaults of `--variant(s)` and `--sort(s)`; stats print a sort as given.
 
 Exit codes, from _failure: 0 ok, 2 input/usage problems (PLA parse
 errors, unreadable or unwritable files, refused flags, shape or
@@ -30,12 +32,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .covers import Cover, FunctionSpec, PartialSpec
-from .engine import (
-    SORT_DIMENSION_WEIGHT,
-    SORT_WEIGHT_DIMENSION,
-    DsopConfig,
-    dsop,
-)
+from .engine import SORT_POLICIES, VARIANTS, DsopConfig, dsop
 from .minimize import MinimizerBackend, MinimizerBackendError, build_sop
 from .partial import partial_dsop
 from .pla import (
@@ -60,9 +57,6 @@ STATS_NOTES = (
     "elapsed_ms covers SOP building plus disjoint covering, not I/O or "
     "verification",
 )
-
-_SORT_FLAGS = {"dw": SORT_DIMENSION_WEIGHT, "wd": SORT_WEIGHT_DIMENSION}
-_SORT_NAMES = {policy: flag for flag, policy in _SORT_FLAGS.items()}
 
 _T = TypeVar("_T")
 
@@ -225,7 +219,7 @@ def _solve_pla(
         sop_size=merged_product_count(sops),
         dsop_size=merged_product_count(results),
         variant=cfg.variant,
-        sort=_SORT_NAMES[cfg.sort],
+        sort=cfg.sort,
         drop_dc_only=cfg.drop_dc_only,
         backend=cfg.backend.describe(),
         elapsed_ms=round(elapsed_ms, 3),
@@ -243,7 +237,7 @@ def _run_and_emit(
 ) -> int:
     cfg = DsopConfig(
         variant=args.variant,
-        sort=_SORT_FLAGS[args.sort],
+        sort=args.sort,
         drop_dc_only=args.drop_dc_only,
         backend=_resolve_backend(args.minimizer),
     )
@@ -322,16 +316,18 @@ def cmd_pdsop(args: argparse.Namespace) -> int:
     return _run_and_emit(args, *_pdsop_specs(args), True)
 
 
-def _parse_list(raw: str, flag: str, parse: Callable[[str], _T | None]) -> list[_T]:
-    """Comma list of distinct entries, in order; parse gives None for
-    an entry it cannot use."""
+def _parse_list(
+    raw: str, flag: str, choices: Sequence[_T], parse: Callable[[str], object] = str
+) -> list[_T]:
+    """Comma list of distinct choices, in order; an entry that parse
+    turns into no member of `choices` is refused."""
     out: list[_T] = []
     for piece in raw.split(","):
         piece = piece.strip()
         if not piece:
             continue
         value = parse(piece)
-        if value is None:
+        if value not in choices:
             raise UsageError(f"{flag} got unusable entry {piece!r}")
         if value not in out:
             out.append(value)
@@ -379,12 +375,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     variants = _parse_list(
         args.variants,
         "--variants",
+        VARIANTS,
         # str.isdigit() also accepts digits int() refuses, such as '²'
-        lambda v: (
-            int(v) if v.isascii() and v.isdigit() and int(v) in range(1, 6) else None
-        ),
+        lambda v: int(v) if v.isascii() and v.isdigit() else None,
     )
-    sorts = _parse_list(args.sorts, "--sorts", lambda s: s if s in _SORT_FLAGS else None)
+    sorts = _parse_list(args.sorts, "--sorts", SORT_POLICIES)
     backend = _resolve_backend(args.minimizer)
 
     failures: list[tuple[str, int, str]] = []
@@ -405,7 +400,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for variant, sort, label in labels:
             cfg = DsopConfig(
                 variant=variant,
-                sort=_SORT_FLAGS[sort],
+                sort=sort,
                 drop_dc_only=args.drop_dc_only,
                 backend=backend,
             )
@@ -462,9 +457,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     single = argparse.ArgumentParser(add_help=False)
     single.add_argument(
-        "--variant", type=int, choices=range(1, 6), default=3
+        "--variant", type=int, choices=VARIANTS, default=DsopConfig().variant
     )
-    single.add_argument("--sort", choices=("dw", "wd"), default="dw")
+    single.add_argument("--sort", choices=SORT_POLICIES, default=DsopConfig().sort)
     single.add_argument(
         "-o", "--output", default="-", help="result PLA path, '-' for stdout"
     )
@@ -517,8 +512,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run a directory of PLA files over a variant/sort grid",
     )
     b.add_argument("directory", help="directory containing *.pla")
-    b.add_argument("--variants", default="1,2,3,4,5", help="comma list")
-    b.add_argument("--sorts", default="dw,wd", help="comma list of dw,wd")
+    variants, sorts = ",".join(map(str, VARIANTS)), ",".join(SORT_POLICIES)
+    b.add_argument("--variants", default=variants, help="comma list")
+    b.add_argument("--sorts", default=sorts, help=f"comma list of {sorts}")
     b.add_argument("--csv", default=None, help="write rows as CSV here")
     b.add_argument("--json", default=None, help="write rows as JSON here")
     b.set_defaults(func=cmd_bench)

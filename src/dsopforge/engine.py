@@ -8,11 +8,11 @@ cube's weight is the sum over all peers it intersects, or -1 when it
 intersects none. Low weight means cheap to select.
 
 dsop() repeatedly re-minimizes the remaining cover, moves isolated
-cubes straight to the result, sorts the rest by the configured policy,
+cubes straight to the result, sorts the rest by one of SORT_POLICIES,
 and then selects cubes greedily: each selected cube is committed and
-every overlapping peer is split against it, with five selectable
+every overlapping peer is split against it, under one of VARIANTS, the
 policies for where the split fragments go (kept for the next round,
-re-queued into the working set, or accompanied by their neighbours).
+re-queued, or joined by their neighbours; DsopConfig() is the default).
 Fragments left at the end of a pass form the cover for the next round.
 
 A full DSOP is a partial DSOP whose shared region is empty, so dsop()
@@ -63,6 +63,7 @@ __all__ = [
     "SORT_DIMENSION_WEIGHT",
     "SORT_WEIGHT_DIMENSION",
     "SORT_POLICIES",
+    "VARIANTS",
     "WeightedCube",
     "DsopConfig",
     "ProgressError",
@@ -71,8 +72,9 @@ __all__ = [
     "dsop",
 ]
 
-SORT_DIMENSION_WEIGHT = "dimension_weight"
-SORT_WEIGHT_DIMENSION = "weight_dimension"
+VARIANTS = (1, 2, 3, 4, 5)
+SORT_DIMENSION_WEIGHT = "dw"
+SORT_WEIGHT_DIMENSION = "wd"
 SORT_POLICIES = (SORT_DIMENSION_WEIGHT, SORT_WEIGHT_DIMENSION)
 
 class ProgressError(RuntimeError):
@@ -104,7 +106,7 @@ class DsopConfig:
     backend: MinimizerBackend = field(default_factory=MinimizerBackend.builtin)
 
     def __post_init__(self) -> None:
-        if self.variant not in (1, 2, 3, 4, 5):
+        if self.variant not in VARIANTS:
             raise ValueError(f"variant must be 1..5, got {self.variant}")
         if self.sort not in SORT_POLICIES:
             raise ValueError(f"unknown sort policy {self.sort!r}")
@@ -177,8 +179,8 @@ def weight_all(
 def sort_cubes(
     weighted: Iterable[WeightedCube], policy: str, ties: list[str] | None = None
 ) -> list[WeightedCube]:
-    """Order for selection: dimension_weight prefers big then light cubes,
-    weight_dimension prefers light then big. Full ties break on the
+    """Order for selection: "dw" prefers big then light cubes, "wd"
+    light then big; big means few literals. Full ties break on the
     ascending trit string, so the order is deterministic.
 
     `ties`, when given, is extended by each cube's trit string, its
@@ -191,9 +193,9 @@ def sort_cubes(
     if ties is not None:
         ties.extend(tie)
     if policy == SORT_DIMENSION_WEIGHT:
-        keys = [(-w.cube.dimension, w.weight, t) for w, t in zip(weighted, tie)]
+        keys = [(w.cube.literal_count, w.weight, t) for w, t in zip(weighted, tie)]
     else:
-        keys = [(w.weight, -w.cube.dimension, t) for w, t in zip(weighted, tie)]
+        keys = [(w.weight, w.cube.literal_count, t) for w, t in zip(weighted, tie)]
     return [weighted[i] for i in sorted(range(len(weighted)), key=keys.__getitem__)]
 
 
@@ -211,8 +213,8 @@ class _Pool:
     answers "which cubes of P overlap c" without scanning P.
 
     The selection order lives in a min-heap of keys: (literal count,
-    published weight, trit string, slot) under dimension_weight,
-    (weight, literal count, trit string, slot) under weight_dimension.
+    published weight, trit string, slot) under "dw", (weight, literal
+    count, trit string, slot) under "wd".
     `key[s]` is slot s's current key, None once it left P (and from the
     start for an isolated slot). A slot's published weight lives in its
     key and nowhere else; when it changes, a new key is pushed. Entries
@@ -254,10 +256,9 @@ class _Pool:
         found = {id(weighted[s]): (s, t) for s, t in zip(members, ties)}
         self.key: list[_Key | None] = [None] * len(weighted)
         self.heap: list[_Key] = []
-        # sort_cubes orders by the keys' first three fields (-dimension
-        # as the literal count, the width being fixed), which tie for no
-        # two cubes of an absorption-free SOP: sorted, the keys already
-        # form a heap
+        # sort_cubes orders by the keys' first three fields, which tie
+        # for no two cubes of an absorption-free SOP: sorted, the keys
+        # already form a heap
         key, heap, dw = self.key, self.heap, self.dw
         for w in ranked:
             s, t = found[id(w)]
@@ -304,18 +305,18 @@ class _Pool:
             self._shift(s, -1)
 
     def push(self, c: Cube) -> None:
-        """Add c to P, published weight 0 until the next publish."""
+        """Add c to P, published weight 0 until the next publish. Only
+        variants 4 and 5 push, and both keep running sums."""
         s = self.index.add(c)
         lits, tie = c.literal_count, c.to_string()
         k = (lits, 0, tie, s) if self.dw else (0, lits, tie, s)
         self.key.append(k)
         heappush(self.heap, k)
         self.moved |= 1 << s
-        if self.track:
-            total, count = _weigh(self.index, s)
-            self.total.append(total)
-            self.count.append(count)
-            self._shift(s, 1)
+        total, count = _weigh(self.index, s)
+        self.total.append(total)
+        self.count.append(count)
+        self._shift(s, 1)
 
     def _shift(self, s: int, sign: int) -> None:
         # slot s left P (sign -1) or entered it (+1): each overlapping
@@ -339,7 +340,7 @@ class _Pool:
         for s in slots_of(slots & self.index.live):
             w = total[s] if count[s] else -1
             k = key[s]
-            # the published weight: k[1] under dimension_weight, else k[0]
+            # the published weight: k[1] under "dw", else k[0]
             if w != k[dw]:
                 key[s] = k = (k[0], w, k[2], s) if dw else (w, k[1], k[2], s)
                 heappush(heap, k)

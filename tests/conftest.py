@@ -2,12 +2,14 @@
 
 from pathlib import Path
 
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 from hypothesis import strategies as st
 
 from dsopforge import (
     SORT_DIMENSION_WEIGHT,
+    SORT_POLICIES,
     SORT_WEIGHT_DIMENSION,
+    VARIANTS,
     Cover,
     Cube,
     DsopConfig,
@@ -27,11 +29,26 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
-ALL_CONFIGS = [
-    DsopConfig(variant=v, sort=s)
-    for v in (1, 2, 3, 4, 5)
-    for s in (SORT_DIMENSION_WEIGHT, SORT_WEIGHT_DIMENSION)
-]
+# A crowded cover holds up to 150 cubes, and shrinking one that fails a
+# test can take many minutes. The tests drawing crowded covers report
+# the failing example as drawn: their settings derive from UNSHRUNK,
+# which leaves out the shrink phase and the explain phase that follows it.
+UNSHRUNK = settings(
+    phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target]
+)
+
+ALL_CONFIGS = [DsopConfig(variant=v, sort=s) for v in VARIANTS for s in SORT_POLICIES]
+
+# Test ids spell the sort orders out (v1-dimension_weight), so that a
+# parametrized test keeps its name whatever value a policy holds.
+SORT_IDS = {
+    SORT_DIMENSION_WEIGHT: "dimension_weight",
+    SORT_WEIGHT_DIMENSION: "weight_dimension",
+}
+
+
+def config_id(cfg: DsopConfig) -> str:
+    return f"v{cfg.variant}-{SORT_IDS[cfg.sort]}"
 
 
 def trit_strings(n: int):

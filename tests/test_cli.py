@@ -4,10 +4,12 @@ import random
 import re
 import shutil
 import stat
+import subprocess
 import sys
 import textwrap
 import time
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -178,6 +180,32 @@ class TestDsopCommand:
 
     def test_bad_minimizer_flag_exits_2(self, capsys):
         assert main(["dsop", str(FIXTURES / "overlap4.pla"), "--minimizer", "x"]) == 2
+
+    def test_external_minimizer_without_a_path_exits_2(self, capsys):
+        argv = ["dsop", str(FIXTURES / "overlap4.pla"), "--minimizer", "external:"]
+        assert main(argv) == 2
+        assert "--minimizer external: needs a path" in capsys.readouterr().err
+
+    def test_minimizer_timeout_exits_3_and_removes_its_input(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        given = []
+
+        def timed_out(argv, **kwargs):
+            given.append(Path(argv[1]))
+            raise subprocess.TimeoutExpired(argv, kwargs["timeout"])
+
+        monkeypatch.setattr(minimize_mod.subprocess, "run", timed_out)
+        tool = tmp_path / "slow"
+        argv = ["dsop", str(FIXTURES / "overlap4.pla"), f"--minimizer=external:{tool}"]
+        assert main(argv) == 3
+        assert f"minimizer '{tool}' timed out after 300s" in capsys.readouterr().err
+        assert len(given) == 1 and not given[0].exists()
+
+    def test_help_lists_the_configuration_space(self, capsys):
+        assert main(["dsop", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "--variant {1,2,3,4,5}" in out and "--sort {dw,wd}" in out
 
     def test_verification_failure_exits_4_and_writes_nothing(
         self, tmp_path, capsys, monkeypatch
@@ -952,6 +980,20 @@ class TestBenchCommand:
     def test_bad_variant_list_exits_2(self, tmp_path):
         d = self._bench_dir(tmp_path, ["overlap4.pla"])
         assert main(["bench", str(d), "--variants", "7"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--variants", "--sorts"])
+    def test_a_list_of_empty_entries_selects_nothing(self, tmp_path, capsys, flag):
+        d = self._bench_dir(tmp_path, ["overlap4.pla"])
+        assert main(["bench", str(d), flag, ", ,"]) == 2
+        assert f"dsopforge: {flag} selected nothing" in capsys.readouterr().err
+
+    def test_empty_entries_are_skipped(self, tmp_path, capsys):
+        d = self._bench_dir(tmp_path, ["overlap4.pla"])
+        json_path = tmp_path / "rows.json"
+        argv = ["bench", str(d), "--variants", "1,,3", "--sorts", "wd,", "--json"]
+        assert main(argv + [str(json_path)]) == 0
+        rows = json.loads(json_path.read_text())["rows"]
+        assert [(r["variant"], r["sort"]) for r in rows] == [(1, "wd"), (3, "wd")]
 
     @pytest.mark.parametrize("entry", ["\u00b2", "\u0663", "\uff13", "+3"])
     def test_variant_entry_must_be_an_ascii_digit(self, tmp_path, capsys, entry):

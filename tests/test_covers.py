@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    UNSHRUNK,
     covers_st,
     crowded_covers_st,
     cubes_st,
@@ -59,6 +60,15 @@ class TestCoverBasics:
         with pytest.raises(ValueError):
             FunctionSpec(3, cov("01"))
 
+    def test_function_spec_from_strings_takes_the_width_of_dc(self):
+        f = FunctionSpec.from_strings([], ["01-"])
+        assert (f.n, len(f.on), f.dc.to_strings()) == (3, 0, ["01-"])
+
+    def test_function_spec_from_strings_needs_cubes_or_a_width(self):
+        with pytest.raises(ValueError, match="explicit variable count"):
+            FunctionSpec.from_strings([])
+        assert FunctionSpec.from_strings([], n=2).n == 2
+
 
 class TestNormalize:
     def test_drops_duplicates_and_absorbed(self):
@@ -69,18 +79,18 @@ class TestNormalize:
         assert normalize(cov("0-", "0-")).to_strings() == ["0-"]
 
     @given(crowded_covers_st())
-    @settings(max_examples=80)
+    @settings(UNSHRUNK, max_examples=80)
     def test_matches_the_pairwise_reference(self, x):
         assert normalize(x) == pairwise_normalize(x)
 
     @given(crowded_covers_st(min_cubes=65))
-    @settings(max_examples=20)
+    @settings(UNSHRUNK, max_examples=20)
     def test_matches_the_pairwise_reference_past_one_word(self, x):
         assert normalize(x) == pairwise_normalize(x)
 
     # literal words span several bytes and slot bitsets several words
     @given(crowded_covers_st(min_n=40, max_n=64, min_cubes=65))
-    @settings(max_examples=20)
+    @settings(UNSHRUNK, max_examples=20)
     def test_matches_the_pairwise_reference_at_width(self, x):
         assert normalize(x) == pairwise_normalize(x)
 
@@ -122,7 +132,7 @@ many_or_wide_covers_st = st.one_of(
 
 class TestCubeIndex:
     @given(many_or_wide_covers_st)
-    @settings(max_examples=40)
+    @settings(UNSHRUNK, max_examples=40)
     def test_constructor_equals_adding_one_at_a_time(self, x):
         built = CubeIndex(x.n, x.cubes)
         added = added_one_at_a_time(x.n, x.cubes)
@@ -132,7 +142,7 @@ class TestCubeIndex:
         assert built.cubes == added.cubes == list(x.cubes)
 
     @given(many_or_wide_covers_st, st.data())
-    @settings(max_examples=40)
+    @settings(UNSHRUNK, max_examples=40)
     def test_overlapping_matches_the_pairwise_predicate(self, x, data):
         cubes = list(x.cubes)
         index = CubeIndex(x.n, cubes)
@@ -149,7 +159,7 @@ class TestCubeIndex:
             assert list(slots_of(index.overlapping(p))) == want
 
     @given(many_or_wide_covers_st, st.data())
-    @settings(max_examples=40)
+    @settings(UNSHRUNK, max_examples=40)
     def test_inside_matches_the_pairwise_predicate(self, x, data):
         # a discarded slot is still answered when named: inside masks
         # with the slots it is given, not with `live`
@@ -169,7 +179,7 @@ class TestCubeIndex:
             assert index.inside(p, 0) == 0
 
     @given(many_or_wide_covers_st, st.data())
-    @settings(max_examples=40)
+    @settings(UNSHRUNK, max_examples=40)
     def test_slots_contain_matches_shannon_reference(self, x, data):
         # the wide covers are past point masks: only the reference
         # answers there
@@ -209,6 +219,10 @@ class TestCubeIndex:
             CubeIndex(2, [c("01"), c("011")])
         with pytest.raises(DimensionMismatch):
             CubeIndex(3, [c("01")])
+        index = CubeIndex(2, [c("01")])
+        with pytest.raises(DimensionMismatch, match="over 2 variables given a 3-var"):
+            index.add(c("011"))
+        assert index.cubes == [c("01")] and index.live == 0b1
 
 
 class TestTautology:
@@ -293,6 +307,8 @@ class TestContainment:
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
             cover_contains_cube(cov("01"), c("011"))
+        with pytest.raises(DimensionMismatch):
+            cover_intersects_cube(cov("01"), c("011"))
 
 
 class TestPointMask:

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import (
     ALL_CONFIGS,
+    SORT_IDS,
+    UNSHRUNK,
+    config_id,
     covers_st,
     crowded_covers_st,
     cubes_st,
@@ -17,7 +20,9 @@ from conftest import (
 )
 from dsopforge import (
     SORT_DIMENSION_WEIGHT,
+    SORT_POLICIES,
     SORT_WEIGHT_DIMENSION,
+    VARIANTS,
     ContractViolation,
     Cover,
     Cube,
@@ -123,21 +128,21 @@ class TestWeights:
             weight_all([c("01"), c("011")])
 
     @given(crowded_covers_st())
-    @settings(max_examples=80)
+    @settings(UNSHRUNK, max_examples=80)
     def test_matches_the_pairwise_reference(self, cover):
         cubes = list(cover.cubes)
         got = [w.weight for w in weight_all(cover)]
         assert got == [pairwise_weight(cubes, i) for i in range(len(cubes))]
 
     @given(crowded_covers_st(min_cubes=65))
-    @settings(max_examples=20)
+    @settings(UNSHRUNK, max_examples=20)
     def test_matches_the_pairwise_reference_past_one_word(self, cover):
         cubes = list(cover.cubes)
         got = [w.weight for w in weight_all(cubes)]
         assert got == [pairwise_weight(cubes, i) for i in range(len(cubes))]
 
     @given(crowded_covers_st(max_cubes=90))
-    @settings(max_examples=40)
+    @settings(UNSHRUNK, max_examples=40)
     def test_a_given_index_is_read_and_peer_counts_reported(self, cover):
         cubes = list(cover.cubes)
         index = CubeIndex(cover.n, cubes)
@@ -165,7 +170,7 @@ def grown_indexes(draw):
 
 class TestIndexQueries:
     @given(grown_indexes())
-    @settings(max_examples=60)
+    @settings(UNSHRUNK, max_examples=60)
     def test_match_the_pairwise_references_after_add_and_discard(self, case):
         n, cubes, split, gone, probes = case
         index = CubeIndex(n, cubes[:split])
@@ -194,6 +199,23 @@ class TestIndexQueries:
         assert got == [pairwise_weight(kept, i) for i in range(len(kept))]
 
 
+class TestConfig:
+    def test_the_space_is_five_variants_under_the_two_flag_orders(self):
+        assert VARIANTS == (1, 2, 3, 4, 5)
+        assert SORT_POLICIES == (SORT_DIMENSION_WEIGHT, SORT_WEIGHT_DIMENSION)
+        assert SORT_POLICIES == ("dw", "wd")
+        assert (DsopConfig().variant, DsopConfig().sort) == (3, "dw")
+
+    @pytest.mark.parametrize("variant", [0, 6])
+    def test_variant_outside_variants_raises(self, variant):
+        with pytest.raises(ValueError, match=f"variant must be 1..5, got {variant}"):
+            DsopConfig(variant=variant)
+
+    def test_sort_outside_policies_raises(self):
+        with pytest.raises(ValueError, match="unknown sort policy 'dimension_weight'"):
+            DsopConfig(sort="dimension_weight")
+
+
 class TestSort:
     def test_dimension_weight_order_on_demo(self):
         out = sort_cubes(weight_all(DEMO), SORT_DIMENSION_WEIGHT)
@@ -218,6 +240,7 @@ class TestSort:
         crowded_covers_st(max_n=5, max_cubes=12),
         st.lists(st.integers(0, 1), min_size=12, max_size=12),
     )
+    @UNSHRUNK
     def test_tie_key_orders_as_the_trit_string(self, cover, weights):
         # full ties, equal weight and dimension, come out in ascending
         # to_string() order under both policies, wherever the input
@@ -236,6 +259,7 @@ class TestSort:
             sort_cubes([], "sideways")
 
     @given(crowded_covers_st(max_cubes=12))
+    @UNSHRUNK
     def test_reports_the_tie_keys_in_input_order(self, cover):
         weighted = weight_all(cover)
         ties = [7]
@@ -255,9 +279,9 @@ def pool(variant, *items):
 
 
 class TestPool:
-    @pytest.mark.parametrize("sort", [SORT_DIMENSION_WEIGHT, SORT_WEIGHT_DIMENSION])
+    @pytest.mark.parametrize("sort", SORT_POLICIES, ids=SORT_IDS.get)
     @given(cover=crowded_covers_st(max_cubes=90))
-    @settings(max_examples=30)
+    @settings(UNSHRUNK, max_examples=30)
     def test_pops_the_sop_in_sort_order_without_isolated_slots(self, sort, cover):
         # the selection loop hands P the index weight_all read over the
         # SOP; the isolated cubes' slots must be out of P from the start
@@ -615,7 +639,7 @@ class TestDsop:
         assert cover_point_mask(out) == cover_point_mask(golden)
         assert verify_dsop(DEMO_F, out).ok
 
-    @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: f"v{c.variant}-{c.sort}")
+    @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=config_id)
     def test_all_variants_verify_on_demo(self, cfg):
         assert verify_dsop(DEMO_F, dsop(DEMO_F, cfg)).ok
 
@@ -643,7 +667,7 @@ class TestDsop:
             dsop(DEMO_F, DsopConfig(variant=1))
 
     @pytest.mark.parametrize("m,want", [(2, 3), (3, 7)])
-    @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: f"v{c.variant}-{c.sort}")
+    @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=config_id)
     def test_chain_blowup_sizes(self, cfg, m, want):
         f = chain_family(m)
         out = dsop(f, cfg)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     ALL_CONFIGS,
     FIXTURES,
+    UNSHRUNK,
     covers_st,
     crowded_covers_st,
     function_specs_st,
@@ -345,6 +346,7 @@ class TestIrredundant:
             irredundant(cov("0-"), cov("0--"))
 
     @given(crowded_covers_st(max_n=7, max_cubes=80), st.data())
+    @UNSHRUNK
     def test_indexed_probe_matches_scan_reference(self, cover, data):
         # must_cover mixes subcubes of cover cubes, which the cover
         # holds, with free draws, which it may not
@@ -409,6 +411,11 @@ class TestBackendConfig:
     def test_external_needs_path(self):
         with pytest.raises(ValueError):
             MinimizerBackend(kind="external")
+
+    @pytest.mark.parametrize("kind", ["builtin", "identity"])
+    def test_other_kinds_take_no_path(self, kind):
+        with pytest.raises(ValueError, match=f"{kind} backend takes no path"):
+            MinimizerBackend(kind, "/bin/x")
 
     def test_identity_returns_normalized_on(self):
         f = FunctionSpec(3, cov("01-", "011", "1--"), cov("000"))

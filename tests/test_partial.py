@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import (
     ALL_CONFIGS,
+    UNSHRUNK,
+    config_id,
     rand_dc_shared_spec,
     rand_partial_spec,
     rand_spec,
@@ -302,7 +304,7 @@ class TestPartialBreak:
 
 class TestOverlap:
     @given(st.data())
-    @settings(max_examples=150)
+    @settings(UNSHRUNK, max_examples=150)
     def test_matches_the_pairwise_double_loop(self, data):
         # up to 150 shared cubes: the index's bitsets span several words
         shared = data.draw(crowded_covers_st(max_n=10, max_cubes=150))
@@ -322,6 +324,10 @@ class TestOverlap:
         )
         assert spec.overlap() == pairwise_overlap(spec)
 
+    def test_parts_of_two_widths_are_refused(self):
+        with pytest.raises(ValueError, match="parts disagree on width: 4 vs 3"):
+            PartialSpec(E2.unique, FunctionSpec(3, Cover(3)))
+
     def test_an_empty_shared_part_meets_nothing(self):
         spec = PartialSpec(E2.unique, FunctionSpec(4, Cover(4)))
         assert spec.overlap() is None and pairwise_overlap(spec) is None
@@ -334,7 +340,7 @@ class TestPartialDsop:
         assert cover_point_mask(out) == cover_point_mask(E2_GOLDEN)
         assert verify_partial_dsop(E2, out).ok
 
-    @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: f"v{c.variant}-{c.sort}")
+    @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=config_id)
     def test_all_variants_verify_on_example(self, cfg):
         assert verify_partial_dsop(E2, partial_dsop(E2, cfg)).ok
 
@@ -448,7 +454,7 @@ class TestPartialDsop:
         report = verify_partial_dsop(spec, out)
         assert report.ok, report.violations[:5]
 
-    @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: f"v{c.variant}-{c.sort}")
+    @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=config_id)
     def test_shared_overlap_neighbours_survive_reweighting(self, cfg):
         # Variants 2, 4 and 5 replace the P entries when they reweight.
         # Remembering the neighbours kept whole by the id() of those

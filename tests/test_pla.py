@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 from hypothesis import given, settings
 
@@ -179,6 +182,37 @@ class TestSplitOutputs:
         assert spec.dc.to_strings() == ["100-"]
 
 
+def random_table(k, n=16, m=3):
+    """PLA text of k random rows, n inputs and m fd outputs."""
+    rng = random.Random(k)
+    rows = [
+        "".join(rng.choices("01-", k=n)) + " " + "".join(rng.choices("01-", k=m))
+        for _ in range(k)
+    ]
+    return f".i {n}\n.o {m}\n.p {k}\n" + "\n".join(rows) + "\n.e\n"
+
+
+class TestScaling:
+    def test_parse_and_split_grow_linearly_in_the_rows(self):
+        # 4x the rows at a fixed width and output count: a linear
+        # reader takes about 4x the time, one that copies its row list
+        # once per row (a quadratic one) over 10x at these sizes. The
+        # best of five runs per size filters out scheduling noise
+        k = 4000
+        best = {}
+        for rows in (k, 2 * k, 4 * k):
+            text = random_table(rows)
+            times = []
+            for _ in range(5):
+                started = time.perf_counter()
+                pla = parse_pla(text)
+                specs = split_outputs(pla)
+                times.append(time.perf_counter() - started)
+            assert len(pla.rows) == rows and len(specs) == 3
+            best[rows] = min(times)
+        assert best[4 * k] < 8 * best[k], best
+
+
 class TestMergedCount:
     def test_shared_cube_counts_once(self):
         covers = [cov("1-1", "01-"), cov("1-1", "001")]
@@ -223,6 +257,22 @@ class TestWrite:
     def test_width_disagreement_rejected(self):
         with pytest.raises(ValueError):
             write_pla([cov("01"), cov("011")])
+
+    def test_unsupported_type_rejected(self):
+        with pytest.raises(ValueError, match="unsupported table type 'fr'"):
+            write_pla([cov("01")], ptype="fr")
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ({"input_labels": ["a"]}, "need 2 input labels, got 1"),
+            ({"output_labels": ["f", "g"]}, "need 1 output labels, got 2"),
+        ],
+        ids=["inputs", "outputs"],
+    )
+    def test_wrong_label_count_rejected(self, labels, message):
+        with pytest.raises(ValueError, match=message):
+            write_pla([cov("01")], **labels)
 
     @given(covers_st(max_n=8, max_cubes=5))
     @settings(max_examples=60)

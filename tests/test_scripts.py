@@ -33,6 +33,41 @@ def test_oracle_gap_fails_when_the_heuristic_beats_the_oracle(monkeypatch, capsy
 
 
 @pytest.mark.parametrize(
+    "argv, variant, sort",
+    [([], 3, "dw"), (["--variant", "5", "--sort", "wd"], 5, "wd")],
+)
+def test_oracle_gap_runs_the_configuration_it_names(
+    monkeypatch, capsys, argv, variant, sort
+):
+    oracle_gap = _script(monkeypatch, "oracle_gap")
+    seen = set()
+    solve = oracle_gap.dsop
+
+    def recorded(f, cfg):
+        seen.add((cfg.variant, cfg.sort))
+        return solve(f, cfg)
+
+    monkeypatch.setattr(oracle_gap, "dsop", recorded)
+    assert oracle_gap.main(["--count", "4", "--max-n", "3"] + argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].endswith(f"variant {variant}/{sort}")
+    assert seen == {(variant, sort)}
+
+
+@pytest.mark.parametrize(
+    "argv", [["--sort", "dimension_weight"], ["--variant", "6"]], ids=["sort", "variant"]
+)
+def test_oracle_gap_refuses_a_configuration_outside_the_space(
+    monkeypatch, capsys, argv
+):
+    oracle_gap = _script(monkeypatch, "oracle_gap")
+    with pytest.raises(SystemExit) as exc:
+        oracle_gap.main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[0]}: invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["--max-n", "1"], "--max-n must be at least 2"),
