@@ -37,7 +37,6 @@ from .engine import (
     VARIANTS,
     DsopConfig,
     ProgressError,
-    WeightedCube,
     dsop,
     sort_cubes,
     weight_all,
@@ -99,7 +98,6 @@ __all__ = [
     "VARIANTS",
     "DsopConfig",
     "ProgressError",
-    "WeightedCube",
     "dsop",
     "sort_cubes",
     "weight_all",

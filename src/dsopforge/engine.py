@@ -5,7 +5,9 @@ literal_count(p) - common(p, q) - 1, where common(p, q) counts the
 variables both cubes bind to the same value: the number of
 fragments splitting q \\ p would create if p were selected first. A
 cube's weight is the sum over all peers it intersects, or -1 when it
-intersects none. Low weight means cheap to select.
+intersects none. Low weight means cheap to select. weight_all
+returns one int per cube, aligned with the cover, and sort_cubes the
+cover's positions in selection order; the caller holds the cubes.
 
 dsop() repeatedly re-minimizes the remaining cover, moves isolated
 cubes straight to the result, sorts the rest by one of SORT_POLICIES,
@@ -53,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .covers import Cover, CubeIndex, FunctionSpec, PartialSpec, slots_of
 from .cubes import Cube, trit_strings
@@ -64,7 +66,6 @@ __all__ = [
     "SORT_WEIGHT_DIMENSION",
     "SORT_POLICIES",
     "VARIANTS",
-    "WeightedCube",
     "DsopConfig",
     "ProgressError",
     "weight_all",
@@ -81,23 +82,6 @@ class ProgressError(RuntimeError):
     """The outer loop exceeded its iteration budget without converging."""
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class WeightedCube:
-    """A cube and its weight. Like Cube, it writes its slots through
-    their descriptors, not through the frozen __setattr__."""
-
-    cube: Cube
-    weight: int
-
-    def __init__(self, cube: Cube, weight: int) -> None:
-        _set_cube(self, cube)
-        _set_weight(self, weight)
-
-
-_set_cube = WeightedCube.cube.__set__  # type: ignore[attr-defined]
-_set_weight = WeightedCube.weight.__set__  # type: ignore[attr-defined]
-
-
 @dataclass(frozen=True, slots=True)
 class DsopConfig:
     variant: int = 3
@@ -106,7 +90,8 @@ class DsopConfig:
     backend: MinimizerBackend = field(default_factory=MinimizerBackend.builtin)
 
     def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
+        # True == 1 and 3.0 == 3, but neither names a variant
+        if type(self.variant) is not int or self.variant not in VARIANTS:
             raise ValueError(f"variant must be 1..5, got {self.variant}")
         if self.sort not in SORT_POLICIES:
             raise ValueError(f"unknown sort policy {self.sort!r}")
@@ -145,8 +130,9 @@ def weight_all(
     cover: Cover | Sequence[Cube],
     index: CubeIndex | None = None,
     counts: list[int] | None = None,
-) -> list[WeightedCube]:
-    """Weight every cube against its peers.
+) -> list[int]:
+    """The weight of every cube against its peers: entry i weighs the
+    cover's i-th cube.
 
     A cube overlapping no peer weighs -1. On an absorption-free cover
     (no duplicates, no cube inside another, as normalize and build_sop
@@ -162,24 +148,28 @@ def weight_all(
     can reuse it (the selection loop hands it to its pool). `counts`,
     when given, is extended by each cube's number of peers, in order.
     """
-    cubes = list(cover.cubes) if isinstance(cover, Cover) else list(cover)
+    cubes = cover.cubes if isinstance(cover, Cover) else list(cover)
     if not cubes:
         return []
     if index is None:
         index = CubeIndex(cubes[0].n, cubes)
     out = []
-    for s, c in enumerate(cubes):
+    for s in range(len(cubes)):
         total, count = _weigh(index, s)
-        out.append(WeightedCube(c, total if count else -1))
+        out.append(total if count else -1)
         if counts is not None:
             counts.append(count)
     return out
 
 
 def sort_cubes(
-    weighted: Iterable[WeightedCube], policy: str, ties: list[str] | None = None
-) -> list[WeightedCube]:
-    """Order for selection: "dw" prefers big then light cubes, "wd"
+    cubes: Sequence[Cube],
+    weights: Sequence[int],
+    policy: str,
+    ties: list[str] | None = None,
+) -> list[int]:
+    """The positions of `cubes` in selection order, weights[i] being
+    the weight of cubes[i]: "dw" prefers big then light cubes, "wd"
     light then big; big means few literals. Full ties break on the
     ascending trit string, so the order is deterministic.
 
@@ -188,15 +178,15 @@ def sort_cubes(
     (the pool, whose heap keys hold them) does not rebuild them."""
     if policy not in SORT_POLICIES:
         raise ValueError(f"unknown sort policy {policy!r}")
-    weighted = list(weighted)
-    tie = trit_strings([w.cube for w in weighted])
+    tie = trit_strings(cubes)
     if ties is not None:
         ties.extend(tie)
+    lits = [c.literal_count for c in cubes]
     if policy == SORT_DIMENSION_WEIGHT:
-        keys = [(w.cube.literal_count, w.weight, t) for w, t in zip(weighted, tie)]
+        keys = list(zip(lits, weights, tie, strict=True))
     else:
-        keys = [(w.weight, w.cube.literal_count, t) for w, t in zip(weighted, tie)]
-    return [weighted[i] for i in sorted(range(len(weighted)), key=keys.__getitem__)]
+        keys = list(zip(weights, lits, tie, strict=True))
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 # a slot's place in P's selection order: (literal count, weight, trit
@@ -214,14 +204,14 @@ class _Pool:
 
     The selection order lives in a min-heap of keys: (literal count,
     published weight, trit string, slot) under "dw", (weight, literal
-    count, trit string, slot) under "wd".
-    `key[s]` is slot s's current key, None once it left P (and from the
-    start for an isolated slot). A slot's published weight lives in its
-    key and nowhere else; when it changes, a new key is pushed. Entries
-    that are no longer their slot's key are skipped when popped, so P
-    is never re-sorted. The first three fields tie only for equal cubes
-    (v4/v5 pushes can make them), and equal cubes carry equal weights,
-    so the slot breaks those ties in the order they entered P.
+    count, trit string, slot) under "wd". `key[s]` is slot s's current
+    key, None once it left P (and from the start for an isolated slot).
+    A slot's published weight lives in its key and nowhere else; when
+    it changes, a new key is pushed. Entries that are no longer their
+    slot's key are skipped when popped, so P is never re-sorted. The
+    first three fields tie only for equal cubes (v4/v5 pushes can make
+    them), and equal cubes carry equal weights, so the slot breaks
+    those ties in the order they entered P.
 
     Variants 2, 4 and 5 publish fresh weights, so under them every cube
     of P also keeps a running (total, count) over its overlapping peers
@@ -238,35 +228,37 @@ class _Pool:
         index: CubeIndex,
         variant: int,
         sort: str,
-        weighted: list[WeightedCube],
+        weights: list[int],
         counts: list[int],
     ) -> None:
-        """`weighted` and `counts` are weight_all's output and peer
-        counts over `index`, whose slots must all be live: slot s holds
-        weighted[s].cube. P takes the slots weighing >= 0, in
+        """`weights` and `counts` are weight_all's output and peer
+        counts over `index`, whose slots must all be live: weights[s]
+        weighs the cube in slot s. P takes the slots weighing >= 0, in
         sort_cubes order under `sort`, and under variants 2, 4 and 5
         keeps `counts` as its running counts."""
         self.variant = variant
         self.index = index
         self.dw = sort == SORT_DIMENSION_WEIGHT
-        members = [s for s, w in enumerate(weighted) if w.weight >= 0]
+        cubes = index.cubes
+        members = [s for s, w in enumerate(weights) if w >= 0]
         ties: list[str] = []
-        ranked = sort_cubes([weighted[s] for s in members], sort, ties)
-        # the slot and trit string of each member, by identity
-        found = {id(weighted[s]): (s, t) for s, t in zip(members, ties)}
-        self.key: list[_Key | None] = [None] * len(weighted)
+        ranked = sort_cubes(
+            [cubes[s] for s in members], [weights[s] for s in members], sort, ties
+        )
+        self.key: list[_Key | None] = [None] * len(weights)
         self.heap: list[_Key] = []
         # sort_cubes orders by the keys' first three fields, which tie
         # for no two cubes of an absorption-free SOP: sorted, the keys
         # already form a heap
         key, heap, dw = self.key, self.heap, self.dw
-        for w in ranked:
-            s, t = found[id(w)]
-            lits = w.cube.literal_count
-            key[s] = k = (lits, w.weight, t, s) if dw else (w.weight, lits, t, s)
+        for i in ranked:
+            # position i of the sorted lists is slot members[i]
+            s, t = members[i], ties[i]
+            w, lits = weights[s], cubes[s].literal_count
+            key[s] = k = (lits, w, t, s) if dw else (w, lits, t, s)
             heap.append(k)
-        for s, w in enumerate(weighted):
-            if w.weight < 0:
+        for s, w in enumerate(weights):
+            if w < 0:
                 index.discard(s)
         # only the running sums read these, and only at the slots of P
         self.track = variant in (2, 4, 5)
@@ -275,7 +267,7 @@ class _Pool:
         self.moved = index.live
         if self.track:
             self.count = counts
-            self.total = [w.weight if m else 0 for w, m in zip(weighted, counts)]
+            self.total = [w if m else 0 for w, m in zip(weights, counts)]
 
     def __bool__(self) -> bool:
         return bool(self.index.live)

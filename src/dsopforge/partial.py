@@ -60,7 +60,8 @@ from .covers import (
     normalize, slots_of,
 )
 from .cubes import (
-    Cube, ContractViolation, _check_same_n, disjoint_sharp, intersect,
+    Cube, ContractViolation, DimensionMismatch, _check_same_n, disjoint_sharp,
+    intersect,
 )
 from .engine import (
     DsopConfig,
@@ -91,9 +92,12 @@ def partial_break(
     region meets no shared cube, so it has none. Only the shared cubes
     x meets are looked at, as spec.shared_index() names them: x lies in
     the shared region exactly when it lies in their union. A q meeting
-    no shared cube is split at once, without building x.
+    no shared cube is split at once, without building x. q and p must
+    have the spec's width; DimensionMismatch otherwise.
     """
     _check_same_n(q, p)
+    if q.n != spec.n:
+        raise DimensionMismatch(f"cube width {q.n} differs from the spec's {spec.n}")
     if (q.mask & p.mask) & (q.bits ^ p.bits):
         raise ContractViolation("partial_break requires overlapping cubes")
     index = spec.shared_index()
@@ -258,11 +262,11 @@ def _select(
         # the pool selects the others through the index weight_all read
         index = CubeIndex(n, sop.cubes)
         counts: list[int] = []
-        weighted = weight_all(sop, index, counts)
-        for w in weighted:
-            if w.weight < 0 and (keep is None or keep(w.cube)):
-                committed.append(w.cube)
-        P = _Pool(index, cfg.variant, cfg.sort, weighted, counts)
+        weights = weight_all(sop, index, counts)
+        for x, w in zip(sop.cubes, weights):
+            if w < 0 and (keep is None or keep(x)):
+                committed.append(x)
+        P = _Pool(index, cfg.variant, cfg.sort, weights, counts)
         B: list[Cube] = []
         # (p, len(B) after p's neighbour loop, p's slices), commit order
         cuts: list[tuple[Cube, int, list[Cube]]] = []

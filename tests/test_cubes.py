@@ -16,7 +16,6 @@ from dsopforge import (
     ContractViolation,
     Cube,
     DimensionMismatch,
-    WeightedCube,
     chain_family,
     contains,
     disjoint_sharp,
@@ -114,19 +113,6 @@ class TestConstructionContract:
             dataclasses.replace(p, bits=0b100)
         with pytest.raises(ContractViolation, match="mask binds"):
             dataclasses.replace(p, n=1)
-
-    def test_weighted_cube_is_frozen_and_compares_by_value(self):
-        w = WeightedCube(c("01-"), 2)
-        assert (w.cube, w.weight) == (c("01-"), 2)
-        assert w == WeightedCube(c("01-"), 2) and hash(w) == hash(
-            WeightedCube(c("01-"), 2)
-        )
-        assert w != WeightedCube(c("01-"), 3) and w != WeightedCube(c("00-"), 2)
-        assert WeightedCube(cube=c("1"), weight=-1).weight == -1
-        for name in ("cube", "weight"):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(w, name, None)
-        assert pickle.loads(pickle.dumps(w)) == w == copy.deepcopy(w)
 
 
 def loop_to_string(p):

@@ -31,7 +31,6 @@ from dsopforge import (
     FunctionSpec,
     MinimizerBackend,
     ProgressError,
-    WeightedCube,
     build_sop,
     chain_family,
     cover_contains_cube,
@@ -65,11 +64,12 @@ DEMO_F = FunctionSpec(4, DEMO)
 
 class TestWeights:
     def test_demo_cover_weights(self):
-        got = {w.cube.to_string(): w.weight for w in weight_all(DEMO)}
+        got = {x.to_string(): w for x, w in zip(DEMO.cubes, weight_all(DEMO))}
         assert got == {"0-0-": 1, "-1-1": 2, "01--": 0, "1-1-": 1}
 
     def test_isolated_cubes_get_sentinel(self):
-        got = {w.cube.to_string(): w.weight for w in weight_all(cov("00-", "11-"))}
+        cover = cov("00-", "11-")
+        got = {x.to_string(): w for x, w in zip(cover.cubes, weight_all(cover))}
         assert got == {"00-": -1, "11-": -1}
 
     @given(covers_st(max_n=6, max_cubes=8))
@@ -79,9 +79,9 @@ class TestWeights:
         cubes = normalize(cover).cubes
         for i, w in enumerate(weight_all(cubes)):
             alone = all(
-                intersect(w.cube, d) is None for j, d in enumerate(cubes) if j != i
+                intersect(cubes[i], d) is None for j, d in enumerate(cubes) if j != i
             )
-            assert (w.weight == -1) == alone
+            assert (w == -1) == alone
 
     def test_both_peer_sums_match_the_pairwise_reference(self):
         # _weigh sums common literals per peer when a cube has fewer
@@ -131,14 +131,14 @@ class TestWeights:
     @settings(UNSHRUNK, max_examples=80)
     def test_matches_the_pairwise_reference(self, cover):
         cubes = list(cover.cubes)
-        got = [w.weight for w in weight_all(cover)]
+        got = weight_all(cover)
         assert got == [pairwise_weight(cubes, i) for i in range(len(cubes))]
 
     @given(crowded_covers_st(min_cubes=65))
     @settings(UNSHRUNK, max_examples=20)
     def test_matches_the_pairwise_reference_past_one_word(self, cover):
         cubes = list(cover.cubes)
-        got = [w.weight for w in weight_all(cubes)]
+        got = weight_all(cubes)
         assert got == [pairwise_weight(cubes, i) for i in range(len(cubes))]
 
     @given(crowded_covers_st(max_cubes=90))
@@ -195,7 +195,7 @@ class TestIndexQueries:
             )
             assert _weigh(index, s) == (total, len(peers))
         kept = [cubes[s] for s in live]
-        got = [w.weight for w in weight_all(kept)]
+        got = weight_all(kept)
         assert got == [pairwise_weight(kept, i) for i in range(len(kept))]
 
 
@@ -206,8 +206,9 @@ class TestConfig:
         assert SORT_POLICIES == ("dw", "wd")
         assert (DsopConfig().variant, DsopConfig().sort) == (3, "dw")
 
-    @pytest.mark.parametrize("variant", [0, 6])
+    @pytest.mark.parametrize("variant", [0, 6, True, 3.0])
     def test_variant_outside_variants_raises(self, variant):
+        # True == 1 and 3.0 == 3, so only their type keeps them out
         with pytest.raises(ValueError, match=f"variant must be 1..5, got {variant}"):
             DsopConfig(variant=variant)
 
@@ -218,23 +219,22 @@ class TestConfig:
 
 class TestSort:
     def test_dimension_weight_order_on_demo(self):
-        out = sort_cubes(weight_all(DEMO), SORT_DIMENSION_WEIGHT)
-        assert [w.cube.to_string() for w in out] == ["01--", "0-0-", "1-1-", "-1-1"]
+        out = sort_cubes(DEMO.cubes, weight_all(DEMO), SORT_DIMENSION_WEIGHT)
+        assert [DEMO.cubes[i].to_string() for i in out] == [
+            "01--", "0-0-", "1-1-", "-1-1"
+        ]
 
     def test_weight_dimension_puts_light_small_cube_first(self):
-        weighted = [
-            WeightedCube(c("1---"), 5),
-            WeightedCube(c("00--"), 0),
-        ]
-        dw = sort_cubes(weighted, SORT_DIMENSION_WEIGHT)
-        wd = sort_cubes(weighted, SORT_WEIGHT_DIMENSION)
-        assert dw[0].cube == c("1---")
-        assert wd[0].cube == c("00--")
+        cubes = [c("1---"), c("00--")]
+        dw = sort_cubes(cubes, [5, 0], SORT_DIMENSION_WEIGHT)
+        wd = sort_cubes(cubes, [5, 0], SORT_WEIGHT_DIMENSION)
+        assert cubes[dw[0]] == c("1---")
+        assert cubes[wd[0]] == c("00--")
 
     def test_ties_break_on_trit_string(self):
-        weighted = [WeightedCube(c("1-1-"), 1), WeightedCube(c("0-0-"), 1)]
-        out = sort_cubes(weighted, SORT_DIMENSION_WEIGHT)
-        assert [w.cube.to_string() for w in out] == ["0-0-", "1-1-"]
+        cubes = [c("1-1-"), c("0-0-")]
+        out = sort_cubes(cubes, [1, 1], SORT_DIMENSION_WEIGHT)
+        assert [cubes[i].to_string() for i in out] == ["0-0-", "1-1-"]
 
     @given(
         crowded_covers_st(max_n=5, max_cubes=12),
@@ -245,37 +245,43 @@ class TestSort:
         # full ties, equal weight and dimension, come out in ascending
         # to_string() order under both policies, wherever the input
         # put them
-        weighted = [WeightedCube(x, w) for x, w in zip(cover.cubes, weights)]
+        cubes = cover.cubes
+        weights = weights[: len(cubes)]
         for sort in (SORT_DIMENSION_WEIGHT, SORT_WEIGHT_DIMENSION):
             groups = {}
-            for w in sort_cubes(weighted, sort):
-                tie = (w.weight, w.cube.dimension)
-                groups.setdefault(tie, []).append(w.cube.to_string())
+            for i in sort_cubes(cubes, weights, sort):
+                tie = (weights[i], cubes[i].dimension)
+                groups.setdefault(tie, []).append(cubes[i].to_string())
             for strings in groups.values():
                 assert strings == sorted(strings)
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
-            sort_cubes([], "sideways")
+            sort_cubes([], [], "sideways")
+
+    def test_one_weight_per_cube(self):
+        with pytest.raises(ValueError):
+            sort_cubes([c("01"), c("1-")], [0], SORT_DIMENSION_WEIGHT)
 
     @given(crowded_covers_st(max_cubes=12))
     @UNSHRUNK
     def test_reports_the_tie_keys_in_input_order(self, cover):
-        weighted = weight_all(cover)
+        weights = weight_all(cover)
         ties = [7]
-        out = sort_cubes(weighted, SORT_WEIGHT_DIMENSION, ties)
-        assert ties == [7] + [w.cube.to_string() for w in weighted]
-        assert out == sort_cubes(weighted, SORT_WEIGHT_DIMENSION)
+        out = sort_cubes(cover.cubes, weights, SORT_WEIGHT_DIMENSION, ties)
+        assert ties == [7] + [x.to_string() for x in cover.cubes]
+        assert out == sort_cubes(cover.cubes, weights, SORT_WEIGHT_DIMENSION)
+        assert sorted(out) == list(range(len(cover.cubes)))
 
 
 def pool(variant, *items):
     """A selection pool P over 4 variables holding `items`, (trit
     string, weight) pairs with weights >= 0, over an index of them
     whose peer counts come from its own overlap queries."""
-    weighted = [WeightedCube(c(s), w) for s, w in items]
-    index = CubeIndex(4, [w.cube for w in weighted])
-    counts = [index.overlapping(w.cube).bit_count() - 1 for w in weighted]
-    return _Pool(index, variant, SORT_DIMENSION_WEIGHT, weighted, counts)
+    cubes = [c(s) for s, _ in items]
+    index = CubeIndex(4, cubes)
+    counts = [index.overlapping(x).bit_count() - 1 for x in cubes]
+    return _Pool(index, variant, SORT_DIMENSION_WEIGHT, [w for _, w in items], counts)
 
 
 class TestPool:
@@ -288,16 +294,19 @@ class TestPool:
         sop = normalize(cover)
         index = CubeIndex(sop.n, sop.cubes)
         counts = []
-        weighted = weight_all(sop, index, counts)
-        P = _Pool(index, 4, sort, weighted, counts)
-        isolated = [s for s, w in enumerate(weighted) if w.weight < 0]
+        weights = weight_all(sop, index, counts)
+        P = _Pool(index, 4, sort, weights, counts)
+        isolated = [s for s, w in enumerate(weights) if w < 0]
         assert all(P.key[s] is None for s in isolated)
         assert not any(P.index.live >> s & 1 for s in isolated)
         popped = []
         while P:
             popped.append(P.pop())
-        ranked = sort_cubes([w for w in weighted if w.weight >= 0], sort)
-        assert popped == [w.cube for w in ranked]
+        members = [s for s, w in enumerate(weights) if w >= 0]
+        ranked = sort_cubes(
+            [sop.cubes[s] for s in members], [weights[s] for s in members], sort
+        )
+        assert popped == [sop.cubes[members[i]] for i in ranked]
 
 
     @pytest.mark.parametrize("variant", [1, 2, 3, 4, 5])
@@ -319,10 +328,10 @@ class TestPool:
         members = []
 
         class Counted(_Pool):
-            def __init__(self, index, variant, sort, weighted, counts):
+            def __init__(self, index, variant, sort, weights, counts):
                 before = len(rendered)
-                super().__init__(index, variant, sort, weighted, counts)
-                members.append([w.cube for w in weighted if w.weight >= 0])
+                members.append([x for x, w in zip(index.cubes, weights) if w >= 0])
+                super().__init__(index, variant, sort, weights, counts)
                 assert sorted(map(id, rendered[before:])) == sorted(
                     map(id, members[-1])
                 )
@@ -347,42 +356,39 @@ def published(P, s):
 
 
 def entries(P):
-    """P's cubes in selection order, with their published weights."""
+    """P's cubes in selection order, as (cube, published weight) pairs."""
     order = sorted(slots_of(P.index.live), key=P.key.__getitem__)
-    return [WeightedCube(P.index.cubes[s], published(P, s)) for s in order]
+    return [(P.index.cubes[s], published(P, s)) for s in order]
 
 
 class ReferencePool:
     """_Pool as it was before it kept a heap, kept as an oracle: an
     order list that every publish re-sorts whole, stably, by
     (literal count, weight, trit string) or (weight, literal count,
-    trit string), with dead slots skipped through `rank`."""
+    trit string), with dead slots skipped through `rank`. Its first
+    order comes from the same resort(), with Cube.to_string() ties,
+    so it shares no ordering code with the pool."""
 
-    def __init__(self, index, variant, sort, weighted, counts):
+    def __init__(self, index, variant, sort, weights, counts):
         self.variant = variant
         self.sort = sort
         self.index = index
-        slot = {id(w): s for s, w in enumerate(weighted)}
-        members = [w for w in weighted if w.weight >= 0]
-        ties = []
-        self.order = [slot[id(w)] for w in sort_cubes(members, sort, ties)]
+        # the slots weighing >= 0, in slot order until resort() ranks them
+        self.order = [s for s, w in enumerate(weights) if w >= 0]
         self.head = 0
-        self.rank = rank = [-1] * len(weighted)
-        for i, s in enumerate(self.order):
-            rank[s] = i
-        for s, w in enumerate(weighted):
-            if w.weight < 0:
+        self.rank = [0 if w >= 0 else -1 for w in weights]
+        for s, w in enumerate(weights):
+            if w < 0:
                 index.discard(s)
-        self.weight = [w.weight for w in weighted]
+        self.weight = list(weights)
+        self.lits = [x.literal_count for x in index.cubes]
+        self.tie = [x.to_string() for x in index.cubes]
         self.track = variant in (2, 4, 5)
-        self.lits, self.tie, self.total, self.count = [], [], [], []
+        self.total, self.count = [], []
         if self.track:
-            self.lits = [x.literal_count for x in index.cubes]
-            self.tie = [""] * len(weighted)
-            for w, t in zip(members, ties):
-                self.tie[slot[id(w)]] = t
             self.count = list(counts)
             self.total = [w if m else 0 for w, m in zip(self.weight, counts)]
+        self.resort()
 
     def __bool__(self):
         return bool(self.index.live)
@@ -419,9 +425,9 @@ class ReferencePool:
         self.rank.append(len(self.order))
         self.order.append(s)
         self.weight.append(0)
+        self.lits.append(x.literal_count)
+        self.tie.append(x.to_string())
         if self.track:
-            self.lits.append(x.literal_count)
-            self.tie.append(x.to_string())
             total, count = _weigh(self.index, s)
             self.total.append(total)
             self.count.append(count)
@@ -495,8 +501,8 @@ def drive(make, apply_opt, sop, variant, sort, copies):
     every dispatch, in order, and B."""
     index = CubeIndex(sop.n, sop.cubes)
     counts = []
-    weighted = weight_all(sop, index, counts)
-    P = make(index, variant, sort, weighted, counts)
+    weights = weight_all(sop, index, counts)
+    P = make(index, variant, sort, weights, counts)
     log, B = [], []
     copies = iter(copies)
     while P:
@@ -554,14 +560,14 @@ class TestApplyOpt:
         B = []
         _apply_opt(c("1-1-"), [c("0100")], P, B)
         assert B == [c("0100")]
-        assert entries(P)[0].weight == 99, "variant 1 leaves P alone"
+        assert entries(P)[0][1] == 99, "variant 1 leaves P alone"
 
     def test_variant_2_refreshes_only_neighbours_of_q(self):
         # 11-- overlaps q, 00-- does not; only the first weight is redone
         P = pool(2, ("11--", 99), ("00--", 99))
         B = []
         _apply_opt(c("1-1-"), [c("0100")], P, B)
-        by_cube = {w.cube.to_string(): w.weight for w in entries(P)}
+        by_cube = {x.to_string(): w for x, w in entries(P)}
         assert by_cube["11--"] == -1, "no overlapping peers left in P"
         assert by_cube["00--"] == 99, "untouched entries keep stale weight"
         assert B == [c("0100")]
@@ -570,14 +576,14 @@ class TestApplyOpt:
         P = pool(3, ("11--", 0), ("00--", 0))
         B = []
         _apply_opt(c("1-1-"), [c("0100")], P, B)
-        assert [w.cube for w in entries(P)] == [c("00--")]
+        assert [x for x, _ in entries(P)] == [c("00--")]
         assert B == [c("0100"), c("11--")]
 
     def test_variant_4_requeues_single_fragment(self):
         P = pool(4)
         B = []
         _apply_opt(c("1-1-"), [c("0100")], P, B)
-        assert [w.cube for w in entries(P)] == [c("0100")]
+        assert [x for x, _ in entries(P)] == [c("0100")]
         assert B == []
 
     def test_variant_4_parks_multiple_fragments(self):
@@ -585,7 +591,7 @@ class TestApplyOpt:
         B = []
         _apply_opt(c("1-1-"), [c("0100"), c("0010")], P, B)
         assert B == [c("0100"), c("0010")]
-        assert entries(P)[0].weight == -1, "variant 4 reweights everything"
+        assert entries(P)[0][1] == -1, "variant 4 reweights everything"
 
     def test_variant_5_requeues_biggest_fragment(self):
         P = pool(5)
@@ -595,7 +601,7 @@ class TestApplyOpt:
         frags = disjoint_sharp(c("0---"), c("-111"))
         assert frags == [c("00--"), c("010-"), c("0110")]
         _apply_opt(c("0---"), frags, P, B)
-        assert [w.cube for w in entries(P)] == [c("00--")]
+        assert [x for x, _ in entries(P)] == [c("00--")]
         assert B == [c("010-"), c("0110")]
 
     @pytest.mark.parametrize("variant", [2, 4, 5])
@@ -608,11 +614,11 @@ class TestApplyOpt:
         def checked(q, fragments, P, B):
             _apply_opt(q, fragments, P, B)
             now = entries(P)
-            cubes = [w.cube for w in now]
-            for i, w in enumerate(now):
-                if variant == 2 and intersect(q, w.cube) is None:
+            cubes = [x for x, _ in now]
+            for i, (x, w) in enumerate(now):
+                if variant == 2 and intersect(q, x) is None:
                     continue
-                assert w.weight == pairwise_weight(cubes, i), (q, w)
+                assert w == pairwise_weight(cubes, i), (q, x, w)
             widest.append(len(P.index.cubes))
 
         monkeypatch.setattr(partial_mod, "_apply_opt", checked)

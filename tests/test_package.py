@@ -1,11 +1,15 @@
 import ast
 import importlib
+import importlib.util
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
 import dsopforge
+
+REPO = Path(__file__).parent.parent
 
 MODULES = ["dsopforge"] + [
     f"dsopforge.{m.name}" for m in pkgutil.iter_modules(dsopforge.__path__)
@@ -77,3 +81,27 @@ def test_checkers_do_not_import_the_synthesizer(name):
     path = Path(dsopforge.__file__).parent / name
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert not SYNTHESIZER & set(_imported_modules(tree))
+
+
+def test_the_readme_library_example_runs():
+    # the README shows the library API in its one python block; run it
+    # as written, so a renamed or re-signed public name fails here
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {"__name__": "readme"})
+
+
+def test_every_name_the_tracer_wraps_is_callable():
+    # perfbench's tracer skips a (module, name) it cannot find, and the
+    # span's metrics then read 0; a rename must fail here instead
+    path = REPO / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for module, name, *_ in spans.WRAPPED:
+        fn = getattr(importlib.import_module(f"dsopforge.{module}"), name, None)
+        if not callable(fn):
+            missing.append((module, name))
+    assert spans.WRAPPED and not missing, f"not callable in dsopforge: {missing}"

@@ -26,6 +26,7 @@ from dsopforge import (
     ContractViolation,
     Cover,
     Cube,
+    DimensionMismatch,
     DsopConfig,
     FunctionSpec,
     MinimizerBackend,
@@ -265,6 +266,18 @@ class TestPartialBreak:
     def test_disjoint_pair_is_a_contract_error(self):
         with pytest.raises(ContractViolation):
             partial_break(c("0-0-"), c("11-1"), E2)
+
+    @pytest.mark.parametrize(
+        "q, p", [("0-", "01"), ("0---1", "01--1")], ids=["narrower", "wider"]
+    )
+    def test_cubes_of_another_width_than_the_spec_raise(self, q, p):
+        # a narrower pair would be split as if it were the spec's width;
+        # a wider one binds variables the shared index has no place for
+        spec = PartialSpec(
+            FunctionSpec(4, Cover(4)), FunctionSpec.from_strings(on=["1---"])
+        )
+        with pytest.raises(DimensionMismatch, match="differs from the spec's 4"):
+            partial_break(c(q), c(p), spec)
 
     def test_the_shared_cover_is_built_once_per_spec(self, monkeypatch):
         # partial_break asks the shared index at every split; the spec
